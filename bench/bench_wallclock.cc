@@ -1,7 +1,7 @@
 // Wall-clock speed of the simulator itself.
 //
-// Unlike the bench_fig* binaries, which report *simulated* quantities, this
-// one measures how fast the simulation core chews through its event and
+// Unlike the paper-figure sweep plans (plans/paper/), which report
+// *simulated* quantities, this one measures how fast the simulation core chews through its event and
 // message hot paths on the host machine: wall milliseconds, simulated
 // events per wall second and simulated messages per wall second, for the
 // same fixed-seed workload on all three systems.  The numbers are the

@@ -1,24 +1,6 @@
 #include "harness/summary.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
-#include "common/log.h"
-
 namespace faastcc::harness {
-namespace {
-
-std::filesystem::path cache_dir() {
-  if (const char* env = std::getenv("FAASTCC_CACHE_DIR"); env != nullptr) {
-    return env;
-  }
-  return ".faastcc_bench_cache";
-}
-
-}  // namespace
 
 SummaryStats summarize(const RunResult& r) {
   SummaryStats s;
@@ -62,104 +44,6 @@ SummaryStats summarize(const RunResult& r) {
   s.routing_active_partitions = counter_of("routing.active_partitions");
   s.routing_epoch = counter_of("routing.epoch");
   return s;
-}
-
-std::string config_key(const ExperimentConfig& cfg, int dags_per_client) {
-  std::ostringstream os;
-  os << "sys" << static_cast<int>(cfg.system) << "_z" << cfg.zipf << "_st"
-     << cfg.static_txns << "_d" << cfg.dag_size << "_cap"
-     << (cfg.cache_capacity == SIZE_MAX ? std::string("inf")
-                                        : std::to_string(cfg.cache_capacity))
-     << "_p" << cfg.faastcc.use_promises << cfg.faastcc.use_interval << "_s"
-     << cfg.seed << "_n"
-     << (dags_per_client > 0 ? dags_per_client : bench_dags_per_client());
-  return os.str();
-}
-
-namespace {
-
-const char* kFields[] = {
-    "latency_med_ms",       "latency_p99_ms",
-    "throughput",           "metadata_med",
-    "metadata_p99",         "rounds_med",
-    "rounds_p99",           "read_bytes_med",
-    "read_bytes_p99",       "cache_bytes",
-    "cache_entries",        "abort_rate",
-    "hit_rate",             "committed",
-    "duration_s",           "breakdown_queue_ms",
-    "breakdown_compute_ms", "breakdown_storage_ms",
-    "breakdown_network_ms",      "stab_lag_med_us",
-    "stab_lag_p99_us",           "stab_stale_drops",
-    "stab_drops_unknown_member", "stab_drops_stale_report",
-    "stab_drops_foreign_child",  "stab_drops_stale_broadcast",
-    "routing_active_partitions", "routing_epoch",
-};
-
-double* field_ptr(SummaryStats& s, size_t i) {
-  double* ptrs[] = {
-      &s.latency_med_ms,       &s.latency_p99_ms,
-      &s.throughput,           &s.metadata_med,
-      &s.metadata_p99,         &s.rounds_med,
-      &s.rounds_p99,           &s.read_bytes_med,
-      &s.read_bytes_p99,       &s.cache_bytes,
-      &s.cache_entries,        &s.abort_rate,
-      &s.hit_rate,             &s.committed,
-      &s.duration_s,           &s.breakdown_queue_ms,
-      &s.breakdown_compute_ms, &s.breakdown_storage_ms,
-      &s.breakdown_network_ms,      &s.stab_lag_med_us,
-      &s.stab_lag_p99_us,           &s.stab_stale_drops,
-      &s.stab_drops_unknown_member, &s.stab_drops_stale_report,
-      &s.stab_drops_foreign_child,  &s.stab_drops_stale_broadcast,
-      &s.routing_active_partitions, &s.routing_epoch,
-  };
-  return ptrs[i];
-}
-
-constexpr size_t kNumFields = sizeof(kFields) / sizeof(kFields[0]);
-
-}  // namespace
-
-std::optional<SummaryStats> load_cached(const std::string& key) {
-  std::ifstream in(cache_dir() / (key + ".txt"));
-  if (!in) return std::nullopt;
-  SummaryStats s;
-  std::string name;
-  double value;
-  size_t loaded = 0;
-  while (in >> name >> value) {
-    for (size_t i = 0; i < kNumFields; ++i) {
-      if (name == kFields[i]) {
-        *field_ptr(s, i) = value;
-        ++loaded;
-      }
-    }
-  }
-  if (loaded != kNumFields) return std::nullopt;
-  return s;
-}
-
-void store_cached(const std::string& key, const SummaryStats& stats) {
-  std::error_code ec;
-  std::filesystem::create_directories(cache_dir(), ec);
-  std::ofstream out(cache_dir() / (key + ".txt"));
-  SummaryStats copy = stats;
-  for (size_t i = 0; i < kNumFields; ++i) {
-    out << kFields[i] << " " << *field_ptr(copy, i) << "\n";
-  }
-}
-
-SummaryStats run_or_load(ExperimentConfig cfg, int dags_per_client) {
-  if (dags_per_client > 0) cfg.dags_per_client = dags_per_client;
-  const std::string key = config_key(cfg, cfg.dags_per_client);
-  if (auto cached = load_cached(key)) {
-    std::fprintf(stderr, "[bench] cached: %s\n", key.c_str());
-    return *cached;
-  }
-  std::fprintf(stderr, "[bench] running: %s ...\n", key.c_str());
-  const RunResult result = run_experiment(cfg);
-  const SummaryStats stats = summarize(result);
-  store_cached(key, stats);
-  return stats;
 }
 
 }  // namespace faastcc::harness

@@ -1,17 +1,8 @@
-// Aggregated per-run statistics and a small on-disk results cache.
-//
-// Several figures of the paper derive from the same experiment sweep; the
-// bench binaries share results through this cache (directory set by
-// FAASTCC_CACHE_DIR, default ".faastcc_bench_cache") so running all of
-// them does not repeat identical cluster runs.  Delete the directory to
-// force fresh measurements.
+// Aggregated per-run statistics: the percentiles and rates a run record
+// reports, reduced from a RunResult's metrics.
 #pragma once
 
-#include <optional>
-#include <string>
-
 #include "harness/cluster.h"
-#include "harness/experiment.h"
 
 namespace faastcc::harness {
 
@@ -56,15 +47,5 @@ struct SummaryStats {
 };
 
 SummaryStats summarize(const RunResult& result);
-
-// Stable cache key for an experiment configuration.
-std::string config_key(const ExperimentConfig& cfg, int dags_per_client);
-
-std::optional<SummaryStats> load_cached(const std::string& key);
-void store_cached(const std::string& key, const SummaryStats& stats);
-
-// Runs the experiment, or returns the cached summary for identical
-// parameters.  `dags_per_client` of 0 uses the bench default.
-SummaryStats run_or_load(ExperimentConfig cfg, int dags_per_client = 0);
 
 }  // namespace faastcc::harness

@@ -5,7 +5,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -13,17 +12,9 @@
 #include <map>
 #include <stdexcept>
 
-#include "harness/configs.h"
-
 namespace faastcc::harness {
 
 namespace {
-
-std::string format_double_label(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", v);
-  return buf;
-}
 
 // ---- plan expansion ------------------------------------------------------
 
@@ -35,6 +26,7 @@ struct AxisValue {
 struct Axis {
   std::string name;
   std::vector<AxisValue> values;
+  bool seeds = false;  // a replicate axis: not part of the cell key
 };
 
 json::Value make_patch_object(
@@ -80,6 +72,7 @@ Axis parse_axis(const json::Value& doc) {
       v.patch = make_patch_object({{"seed", make_number_value(b + i)}});
       axis.values.push_back(std::move(v));
     }
+    axis.seeds = true;
     return axis;
   }
   if (const json::Value* configs = doc.find("configs")) {
@@ -300,6 +293,12 @@ SweepPlan SweepPlan::from_json(const json::Value& doc) {
       throw SpecError("plan: unknown schema '" + schema->as_string() + "'");
     }
   }
+  PlanInfo info;
+  if (const json::Value* name = doc.find("name")) info.name = name->as_string();
+  if (const json::Value* title = doc.find("title")) {
+    info.title = title->as_string();
+  }
+  if (const json::Value* paper = doc.find("paper")) info.paper = *paper;
   RunSpec base;
   if (const json::Value* b = doc.find("base")) {
     apply_spec_patch(base, *b);
@@ -309,31 +308,47 @@ SweepPlan SweepPlan::from_json(const json::Value& doc) {
     if (!a->is_array()) throw SpecError("plan.axes: expected an array");
     for (const json::Value& axis_doc : a->items) {
       axes.push_back(parse_axis(axis_doc));
+      if (!axes.back().seeds) info.axes.push_back(axes.back().name);
     }
   }
   for (const auto& [key, value] : doc.fields) {
     (void)value;
-    if (key != "schema" && key != "base" && key != "axes") {
+    if (key != "schema" && key != "name" && key != "title" && key != "base" &&
+        key != "axes" && key != "paper") {
       throw SpecError("plan: unknown key '" + key + "'");
     }
   }
 
   SweepPlan plan;
-  if (axes.empty()) {
-    plan.items.push_back(SweepItem{base, "run"});
-    return plan;
-  }
-  // Cartesian product, first axis outermost.
+  const std::string name = info.name;
+  plan.plans.push_back(std::move(info));
+  // A run's id and cell are its axis labels joined by '/' (the cell skips
+  // seed labels) behind the plan name; an empty join is the plan name, or
+  // "run" for an unnamed plan.
+  const auto label = [&name](const std::string& joined) {
+    if (joined.empty()) return name.empty() ? std::string("run") : name;
+    return name.empty() ? joined : name + "/" + joined;
+  };
+  // Cartesian product, first axis outermost (no axes: one base run).
   std::vector<size_t> cursor(axes.size(), 0);
   for (;;) {
     SweepItem item;
     item.spec = base;
+    item.plan = name;
+    std::string id;
+    std::string cell;
     for (size_t a = 0; a < axes.size(); ++a) {
       const AxisValue& v = axes[a].values[cursor[a]];
       apply_spec_patch(item.spec, v.patch);
-      if (!item.id.empty()) item.id.push_back('/');
-      item.id += v.label;
+      if (!id.empty()) id.push_back('/');
+      id += v.label;
+      if (axes[a].seeds) continue;
+      if (!cell.empty()) cell.push_back('/');
+      cell += v.label;
+      item.axes.emplace_back(axes[a].name, v.label);
     }
+    item.id = label(id);
+    item.cell = label(cell);
     plan.items.push_back(std::move(item));
     // Odometer increment (last axis fastest).
     size_t a = axes.size();
@@ -354,6 +369,21 @@ SweepPlan SweepPlan::from_text(std::string_view text) {
     throw SpecError(std::string("plan: ") + e.what());
   }
   return from_json(doc);
+}
+
+void SweepPlan::append(SweepPlan other) {
+  for (const PlanInfo& mine : plans) {
+    for (const PlanInfo& theirs : other.plans) {
+      if (mine.name.empty() || theirs.name.empty()) {
+        throw SpecError("plan: plans merged into one sweep need a 'name'");
+      }
+      if (mine.name == theirs.name) {
+        throw SpecError("plan: two plans are named '" + mine.name + "'");
+      }
+    }
+  }
+  for (PlanInfo& info : other.plans) plans.push_back(std::move(info));
+  for (SweepItem& item : other.items) items.push_back(std::move(item));
 }
 
 SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& opts) {
@@ -387,46 +417,47 @@ SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& opts) {
 }
 
 std::string merge_to_json(const SweepPlan& plan, const SweepResult& result) {
-  // Per-cell aggregates, keyed by the scale-study axes.  std::map keys the
-  // cells deterministically by value, independent of plan order.
+  // Per-cell aggregates in order of first appearance.  Checksums are
+  // summed; `mean` averages the run record's throughput and every field of
+  // its summary and net objects, so a new summary field needs no code here.
   struct Cell {
+    const SweepItem* first = nullptr;
     size_t runs = 0;
+    size_t checked = 0;
+    size_t violations = 0;
     uint64_t committed = 0;
     uint64_t sim_events = 0;
     uint64_t messages = 0;
-    double throughput_sum = 0;
-    double latency_med_sum = 0;
-    double latency_p99_sum = 0;
-    double abort_rate_sum = 0;
-    double hit_rate_sum = 0;
-    uint64_t stale_drops = 0;
-    size_t violations = 0;
-    // Routing-plane end state, max over the cell's runs (same-shape runs
-    // agree; the max keeps a mixed cell conservative).
-    uint64_t routing_active_partitions = 0;
-    uint64_t routing_epoch = 0;
+    std::vector<std::pair<std::string, double>> sums;
   };
-  // system, config, stab, P, N, zipf.  The stab dimension (stabilization
-  // topology [+fanout] @ gossip period) keeps cells distinct in topology ×
-  // period sweeps, where nothing else differs between variants.
-  using CellKey = std::tuple<std::string, std::string, std::string, size_t,
-                             size_t, std::string>;
-  std::map<CellKey, Cell> cells;
-  const auto stab_label = [](const ClusterParams& p) {
-    std::string s = storage::stab_topology_name(p.tcc.stab_topology);
-    if (p.tcc.stab_topology == storage::StabTopology::kTree) {
-      s += std::to_string(p.tcc.tree_fanout);
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "@%gms",
-                  static_cast<double>(p.tcc.gossip_period) / 1000.0);
-    return s + buf;
-  };
+  std::vector<Cell> cells;
+  std::map<std::string, size_t> cell_index;
 
   json::Writer w;
   w.begin_object();
   w.key("schema");
-  w.string("faastcc.sweep.v1");
+  w.string("faastcc.sweep.v2");
+
+  w.key("plans");
+  w.begin_array();
+  for (const PlanInfo& info : plan.plans) {
+    w.begin_object();
+    w.key("name");
+    w.string(info.name);
+    w.key("title");
+    w.string(info.title);
+    w.key("axes");
+    w.begin_array();
+    for (const std::string& axis : info.axes) w.string(axis);
+    w.end_array();
+    if (!info.paper.is_null()) {
+      w.key("paper");
+      w.raw(json::to_text(info.paper, /*compact=*/true));
+    }
+    w.end_object();
+  }
+  w.end_array();
+
   w.key("runs");
   w.begin_array();
   for (size_t i = 0; i < plan.items.size(); ++i) {
@@ -437,6 +468,8 @@ std::string merge_to_json(const SweepPlan& plan, const SweepResult& result) {
     w.begin_object();
     w.key("id");
     w.string(rec.id);
+    w.key("cell");
+    w.string(item.cell);
     w.key("system");
     w.string(system_spec_name(p.system));
     w.key("config");
@@ -449,6 +482,8 @@ std::string merge_to_json(const SweepPlan& plan, const SweepResult& result) {
     w.u64(p.clients);
     w.key("dags_per_client");
     w.i64(p.dags_per_client);
+    w.key("dag_size");
+    w.i64(p.workload.dag_size);
     w.key("zipf");
     w.number(p.workload.zipf);
     w.key("seed");
@@ -457,78 +492,70 @@ std::string merge_to_json(const SweepPlan& plan, const SweepResult& result) {
     w.raw(rec.json);
     w.end_object();
 
+    const auto [it, inserted] = cell_index.emplace(item.cell, cells.size());
+    if (inserted) {
+      cells.emplace_back();
+      cells.back().first = &item;
+    }
+    Cell& cell = cells[it->second];
     const json::Value doc = json::parse(rec.json);
-    const json::Value* summary = doc.find("summary");
-    Cell& cell = cells[CellKey{system_spec_name(p.system),
-                               item.spec.config.empty() ? "-"
-                                                        : item.spec.config,
-                               stab_label(p), p.partitions, p.compute_nodes,
-                               format_double_label(p.workload.zipf)}];
+    std::vector<std::pair<std::string, double>> values{
+        {"throughput", doc.find("throughput")->as_double()}};
+    for (const char* group : {"summary", "net"}) {
+      for (const auto& [name, value] : doc.find(group)->fields) {
+        values.emplace_back(name, value.as_double());
+      }
+    }
+    if (cell.sums.empty()) {
+      for (const auto& [name, value] : values) cell.sums.emplace_back(name, 0);
+    }
+    for (size_t f = 0; f < values.size(); ++f) {
+      cell.sums[f].second += values[f].second;
+    }
     ++cell.runs;
+    cell.checked += rec.checked ? 1 : 0;
+    cell.violations += rec.violations;
     cell.committed += rec.committed;
     cell.sim_events += rec.sim_events;
     cell.messages += rec.messages;
-    cell.throughput_sum += doc.find("throughput")->as_double();
-    cell.latency_med_sum += summary->find("latency_med_ms")->as_double();
-    cell.latency_p99_sum += summary->find("latency_p99_ms")->as_double();
-    cell.abort_rate_sum += summary->find("abort_rate")->as_double();
-    cell.hit_rate_sum += summary->find("hit_rate")->as_double();
-    cell.stale_drops += static_cast<uint64_t>(
-        summary->find("stab_stale_drops")->as_double());
-    cell.routing_active_partitions = std::max(
-        cell.routing_active_partitions,
-        static_cast<uint64_t>(
-            summary->find("routing_active_partitions")->as_double()));
-    cell.routing_epoch = std::max(
-        cell.routing_epoch,
-        static_cast<uint64_t>(summary->find("routing_epoch")->as_double()));
-    cell.violations += rec.violations;
   }
   w.end_array();
 
   w.key("cells");
   w.begin_array();
-  for (const auto& [key, cell] : cells) {
-    const auto& [system, config, stab, partitions, nodes, zipf] = key;
+  for (const Cell& cell : cells) {
+    const SweepItem& item = *cell.first;
     w.begin_object();
-    w.key("system");
-    w.string(system);
-    w.key("config");
-    w.string(config);
-    w.key("stab");
-    w.string(stab);
-    w.key("partitions");
-    w.u64(partitions);
-    w.key("compute_nodes");
-    w.u64(nodes);
-    w.key("zipf");
-    w.raw(zipf);
+    w.key("cell");
+    w.string(item.cell);
+    w.key("plan");
+    w.string(item.plan);
+    w.key("axes");
+    w.begin_object();
+    for (const auto& [axis, label] : item.axes) {
+      w.key(axis);
+      w.string(label);
+    }
+    w.end_object();
     w.key("runs");
     w.u64(cell.runs);
+    w.key("checked");
+    w.u64(cell.checked);
+    w.key("violations");
+    w.u64(cell.violations);
     w.key("committed");
     w.u64(cell.committed);
     w.key("sim_events");
     w.u64(cell.sim_events);
     w.key("messages");
     w.u64(cell.messages);
-    w.key("throughput_mean");
-    w.number(cell.throughput_sum / static_cast<double>(cell.runs));
-    w.key("latency_med_ms_mean");
-    w.number(cell.latency_med_sum / static_cast<double>(cell.runs));
-    w.key("latency_p99_ms_mean");
-    w.number(cell.latency_p99_sum / static_cast<double>(cell.runs));
-    w.key("abort_rate_mean");
-    w.number(cell.abort_rate_sum / static_cast<double>(cell.runs));
-    w.key("hit_rate_mean");
-    w.number(cell.hit_rate_sum / static_cast<double>(cell.runs));
-    w.key("stale_drops");
-    w.u64(cell.stale_drops);
-    w.key("routing_active_partitions");
-    w.u64(cell.routing_active_partitions);
-    w.key("routing_epoch");
-    w.u64(cell.routing_epoch);
-    w.key("violations");
-    w.u64(cell.violations);
+    w.key("mean");
+    w.begin_object();
+    for (const auto& [name, sum] : cell.sums) {
+      w.key(name);
+      w.number(sum / static_cast<double>(cell.runs));
+    }
+    w.end_object();
     w.end_object();
   }
   w.end_array();

@@ -18,6 +18,8 @@
 // Plan format (JSON, see docs/sweeps.md):
 //   {
 //     "schema": "faastcc.sweep_plan.v1",
+//     "name":  "skew",             (optional; prefixes every run id)
+//     "title": "...",              (optional; copied into the artifact)
 //     "base":  { ...RunSpec patch... },
 //     "axes": [
 //       {"name": "cluster", "values": [
@@ -25,14 +27,19 @@
 //           ...]},
 //       {"name": "config", "configs": ["clean", "lossy"]},
 //       {"name": "seed", "seeds": {"base": 1, "count": 8}}
-//     ]
+//     ],
+//     "paper": { ... }             (optional; copied into the artifact)
 //   }
 // Expansion is the cartesian product of the axes (first axis outermost);
-// each item's id joins the axis labels with '/'.
+// each item's id joins the axis labels with '/'.  Seed axes are
+// replicates: an item's cell is its id without the seed labels, and the
+// merge aggregates the runs of one cell.  So cells are keyed by exactly
+// the plan's own axes, whatever knobs those axes move.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/run_spec.h"
@@ -41,15 +48,33 @@ namespace faastcc::harness {
 
 struct SweepItem {
   RunSpec spec;
-  std::string id;  // stable label, e.g. "p64/z0.60/s1"
+  std::string id;    // stable label, e.g. "p64/z0.60/s1"
+  std::string cell;  // id without seed labels, e.g. "p64/z0.60"
+  std::string plan;  // name of the plan the item came from ("" if unnamed)
+  // (axis name, label) for each non-seed axis, in axis order.
+  std::vector<std::pair<std::string, std::string>> axes;
+};
+
+// What a plan document says about itself, carried into the artifact.
+struct PlanInfo {
+  std::string name;
+  std::string title;
+  std::vector<std::string> axes;  // non-seed axis names
+  json::Value paper;              // null when the plan has no "paper"
 };
 
 struct SweepPlan {
+  std::vector<PlanInfo> plans;  // one per source plan document
   std::vector<SweepItem> items;
 
   // Expands a plan document (throws SpecError on malformed plans).
   static SweepPlan from_json(const json::Value& doc);
   static SweepPlan from_text(std::string_view text);
+
+  // Appends another plan's runs after this one's, so several plans merge
+  // into one artifact.  Once both sides hold plans, every plan must be
+  // named, and no two alike.
+  void append(SweepPlan other);
 };
 
 struct SweepOptions {
@@ -95,10 +120,11 @@ struct SweepResult {
 // (a crash is a harness bug, not a data point — no artifact is produced).
 SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& opts);
 
-// The merged artifact (schema "faastcc.sweep.v1"): per-run records in
-// plan order plus per-cell aggregates grouped by
-// (system, config, partitions, compute_nodes, zipf) and global totals.
-// Byte-identical for a given plan regardless of jobs/completion order.
+// The merged artifact (schema "faastcc.sweep.v2"): the source plans'
+// self-descriptions, per-run records in plan order, per-cell aggregates in
+// order of first appearance (checksums summed, every summary field
+// averaged) and global totals.  Byte-identical for a given plan regardless
+// of jobs/completion order.
 std::string merge_to_json(const SweepPlan& plan, const SweepResult& result);
 
 }  // namespace faastcc::harness

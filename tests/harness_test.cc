@@ -1,9 +1,6 @@
-// Tests for the experiment harness: cluster assembly, metric summaries,
-// the bench results cache, and table formatting.
+// Tests for the experiment harness: cluster assembly, metric summaries and
+// table formatting.
 #include <gtest/gtest.h>
-
-#include <cstdlib>
-#include <filesystem>
 
 #include "harness/summary.h"
 #include "harness/table.h"
@@ -34,73 +31,13 @@ TEST(Summary, SummarizeExtractsPercentilesAndRates) {
   EXPECT_DOUBLE_EQ(s.cache_bytes, 1024);
 }
 
-TEST(Summary, ConfigKeysDistinguishParameters) {
-  ExperimentConfig a;
-  ExperimentConfig b = a;
-  EXPECT_EQ(config_key(a, 100), config_key(b, 100));
-  b.zipf = 1.25;
-  EXPECT_NE(config_key(a, 100), config_key(b, 100));
-  b = a;
-  b.system = SystemKind::kHydroCache;
-  EXPECT_NE(config_key(a, 100), config_key(b, 100));
-  b = a;
-  b.static_txns = true;
-  EXPECT_NE(config_key(a, 100), config_key(b, 100));
-  b = a;
-  b.cache_capacity = 100;
-  EXPECT_NE(config_key(a, 100), config_key(b, 100));
-  b = a;
-  b.faastcc.use_promises = false;
-  EXPECT_NE(config_key(a, 100), config_key(b, 100));
-  EXPECT_NE(config_key(a, 100), config_key(a, 200));
-}
-
-TEST(Summary, CacheRoundTrips) {
-  setenv("FAASTCC_CACHE_DIR", "/tmp/faastcc_test_cache", 1);
-  std::filesystem::remove_all("/tmp/faastcc_test_cache");
-  SummaryStats s;
-  s.latency_med_ms = 12.5;
-  s.latency_p99_ms = 99.75;
-  s.throughput = 1500.25;
-  s.metadata_med = 16;
-  s.hit_rate = 0.6;
-  s.committed = 16000;
-  store_cached("roundtrip", s);
-  const auto loaded = load_cached("roundtrip");
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_DOUBLE_EQ(loaded->latency_med_ms, 12.5);
-  EXPECT_DOUBLE_EQ(loaded->latency_p99_ms, 99.75);
-  EXPECT_DOUBLE_EQ(loaded->throughput, 1500.25);
-  EXPECT_DOUBLE_EQ(loaded->hit_rate, 0.6);
-  EXPECT_DOUBLE_EQ(loaded->committed, 16000);
-  EXPECT_FALSE(load_cached("missing").has_value());
-  std::filesystem::remove_all("/tmp/faastcc_test_cache");
-  unsetenv("FAASTCC_CACHE_DIR");
-}
-
-TEST(Harness, MakeParamsAppliesConfig) {
-  ExperimentConfig cfg;
-  cfg.system = SystemKind::kHydroCache;
-  cfg.zipf = 1.5;
-  cfg.static_txns = true;
-  cfg.dag_size = 9;
-  cfg.cache_capacity = 77;
-  cfg.dags_per_client = 5;
-  const ClusterParams p = make_params(cfg);
-  EXPECT_EQ(p.system, SystemKind::kHydroCache);
-  EXPECT_DOUBLE_EQ(p.workload.zipf, 1.5);
-  EXPECT_TRUE(p.workload.static_txns);
-  EXPECT_EQ(p.workload.dag_size, 9);
-  EXPECT_EQ(p.cache_capacity, 77u);
-  EXPECT_EQ(p.dags_per_client, 5);
-}
-
 TEST(Harness, PaperDefaultsMatchSection61) {
-  const ClusterParams p = make_params(ExperimentConfig{});
+  const ClusterParams p;
   EXPECT_EQ(p.partitions, 16u);        // 16 Anna partitions
   EXPECT_EQ(p.compute_nodes, 10u);     // 10 machines of Cloudburst pods
   EXPECT_EQ(p.node.executors, 3);      // 3 executors per pod
   EXPECT_EQ(p.clients, 16u);           // 16 client threads
+  EXPECT_EQ(p.dags_per_client, 1000);  // 1000 DAGs per client
   EXPECT_EQ(p.workload.num_keys, 100000u);
   EXPECT_EQ(p.workload.value_size, 8u);
   EXPECT_EQ(p.workload.dag_size, 6);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "harness/cluster.h"
-#include "harness/experiment.h"
 
 namespace faastcc::harness {
 namespace {

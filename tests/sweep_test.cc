@@ -48,6 +48,45 @@ TEST(SweepPlan, ExpandsTheCartesianProductInAxisOrder) {
   }
 }
 
+TEST(SweepPlan, CellsDropOnlyTheSeedLabels) {
+  const SweepPlan plan = SweepPlan::from_text(kPlanText);
+  EXPECT_EQ(plan.items[0].cell, "clean/z0.8");
+  EXPECT_EQ(plan.items[1].cell, "clean/z0.8");
+  EXPECT_EQ(plan.items[7].cell, "lossy/z1.2");
+  ASSERT_EQ(plan.items[7].axes.size(), 2u);
+  EXPECT_EQ(plan.items[7].axes[0].first, "config");
+  EXPECT_EQ(plan.items[7].axes[0].second, "lossy");
+  EXPECT_EQ(plan.items[7].axes[1].first, "zipf");
+  EXPECT_EQ(plan.items[7].axes[1].second, "z1.2");
+  ASSERT_EQ(plan.plans.size(), 1u);
+  EXPECT_EQ(plan.plans[0].axes, (std::vector<std::string>{"config", "zipf"}));
+}
+
+TEST(SweepPlan, NamedPlansPrefixIdsAndAppendIntoOneSweep) {
+  SweepPlan plan;  // the first append adopts its plan whole
+  plan.append(SweepPlan::from_text(R"({
+    "name": "a", "title": "first",
+    "axes": [{"name": "seed", "seeds": {"base": 1, "count": 2}}]
+  })"));
+  EXPECT_EQ(plan.items[0].id, "a/s1");
+  EXPECT_EQ(plan.items[0].cell, "a");
+  EXPECT_EQ(plan.items[0].plan, "a");
+  plan.append(SweepPlan::from_text(R"({
+    "name": "b",
+    "axes": [{"name": "zipf", "values": [
+      {"label": "z1", "set": {"workload": {"zipf": 1.0}}}]}]
+  })"));
+  ASSERT_EQ(plan.items.size(), 3u);
+  ASSERT_EQ(plan.plans.size(), 2u);
+  EXPECT_EQ(plan.plans[1].name, "b");
+  EXPECT_EQ(plan.items[2].id, "b/z1");
+  EXPECT_EQ(plan.items[2].cell, "b/z1");
+
+  EXPECT_THROW(plan.append(SweepPlan::from_text(R"({"name": "b"})")),
+               SpecError);
+  EXPECT_THROW(plan.append(SweepPlan::from_text("{}")), SpecError);
+}
+
 TEST(SweepPlan, EmptyAxesGiveOneBaseRun) {
   const SweepPlan plan =
       SweepPlan::from_text(R"({"base": {"seed": 9}})");
@@ -103,21 +142,85 @@ TEST(Sweep, MergedArtifactCarriesRunsCellsAndTotals) {
   EXPECT_GT(result.total_committed, 0u);
 
   const json::Value doc = json::parse(merge_to_json(plan, result));
-  EXPECT_EQ(doc.find("schema")->as_string(), "faastcc.sweep.v1");
+  EXPECT_EQ(doc.find("schema")->as_string(), "faastcc.sweep.v2");
   ASSERT_EQ(doc.find("runs")->items.size(), 8u);
   const json::Value& first = doc.find("runs")->items[0];
   EXPECT_EQ(first.find("id")->as_string(), "clean/z0.8/s1");
+  EXPECT_EQ(first.find("cell")->as_string(), "clean/z0.8");
   EXPECT_TRUE(first.find("result")->find("oracle")->find("checked")
                   ->as_bool());
-  // 2 configs x 2 zipf points = 4 cells, each aggregating 2 seeds.
-  ASSERT_EQ(doc.find("cells")->items.size(), 4u);
-  for (const json::Value& cell : doc.find("cells")->items) {
+  // 2 configs x 2 zipf points = 4 cells in plan order, each aggregating 2
+  // seeds and keyed by the plan's own axes.
+  const std::vector<json::Value>& cells = doc.find("cells")->items;
+  ASSERT_EQ(cells.size(), 4u);
+  EXPECT_EQ(cells[0].find("cell")->as_string(), "clean/z0.8");
+  EXPECT_EQ(cells[3].find("axes")->find("config")->as_string(), "lossy");
+  EXPECT_EQ(cells[3].find("axes")->find("zipf")->as_string(), "z1.2");
+  for (const json::Value& cell : cells) {
     EXPECT_EQ(cell.find("runs")->as_u64(), 2u);
+    EXPECT_EQ(cell.find("checked")->as_u64(), 2u);
     EXPECT_EQ(cell.find("violations")->as_u64(), 0u);
   }
+  // The mean is over the cell's two runs.
+  const std::vector<json::Value>& runs = doc.find("runs")->items;
+  const auto latency = [](const json::Value& v) {
+    return v.find("result")->find("summary")->find("latency_med_ms")
+        ->as_double();
+  };
+  EXPECT_DOUBLE_EQ(
+      cells[0].find("mean")->find("latency_med_ms")->as_double(),
+      (latency(runs[0]) + latency(runs[1])) / 2);
   EXPECT_EQ(doc.find("totals")->find("runs")->as_u64(), 8u);
   EXPECT_EQ(doc.find("totals")->find("committed")->as_u64(),
             result.total_committed);
+}
+
+TEST(Sweep, CellsAreKeyedByThePlansOwnAxes) {
+  // Each axis moves a knob that is not part of the run identity (static
+  // transactions, cache capacity, a client mechanism flag); every value
+  // must still get its own cell.
+  const SweepPlan plan = SweepPlan::from_text(R"({
+    "name": "knobs",
+    "title": "knobs outside the run identity",
+    "base": {
+      "system": "faastcc",
+      "cluster": {"partitions": 2, "compute_nodes": 2, "clients": 2,
+                  "dags_per_client": 3},
+      "workload": {"num_keys": 32}
+    },
+    "axes": [
+      {"name": "txns", "values": [
+        {"label": "dynamic"},
+        {"label": "static", "set": {"workload": {"static_txns": true}}}]},
+      {"name": "cache", "values": [
+        {"label": "inf"},
+        {"label": "c8", "set": {"cluster": {"cache_capacity": 8}}}]},
+      {"name": "promises", "values": [
+        {"label": "on"},
+        {"label": "off", "set": {"faastcc": {"use_promises": false}}}]}
+    ],
+    "paper": {"tables": [{"metric": "latency_med_ms", "paper": {"x": 1.5}}]}
+  })");
+  SweepOptions opts;
+  opts.jobs = 2;
+  const json::Value doc =
+      json::parse(merge_to_json(plan, run_sweep(plan, opts)));
+  const std::vector<json::Value>& cells = doc.find("cells")->items;
+  ASSERT_EQ(cells.size(), 8u);
+  EXPECT_EQ(cells[0].find("cell")->as_string(), "knobs/dynamic/inf/on");
+  EXPECT_EQ(cells[7].find("cell")->as_string(), "knobs/static/c8/off");
+  for (const json::Value& cell : cells) {
+    EXPECT_EQ(cell.find("runs")->as_u64(), 1u);
+    EXPECT_EQ(cell.find("plan")->as_string(), "knobs");
+  }
+  // The plan's self-description, paper block included, reaches the
+  // artifact verbatim.
+  const json::Value& info = doc.find("plans")->items.at(0);
+  EXPECT_EQ(info.find("name")->as_string(), "knobs");
+  EXPECT_EQ(info.find("title")->as_string(), "knobs outside the run identity");
+  EXPECT_EQ(info.find("axes")->items.size(), 3u);
+  EXPECT_EQ(json::to_text(*info.find("paper"), true),
+            json::to_text(plan.plans[0].paper, true));
 }
 
 TEST(Sweep, ViolationsAreReportedInPlanOrder) {

@@ -1,17 +1,23 @@
 #!/usr/bin/env python3
-"""Compare (or schema-check) BENCH_wallclock.json / BENCH_scale.json files.
+"""Compare (or schema-check) BENCH_wallclock.json and sweep artifacts.
 
 Usage:
     bench_diff.py OLD.json NEW.json     # print per-system before/after table
     bench_diff.py --check FILE.json     # validate schema, exit 1 on failure
+    bench_diff.py --paper FILE.json     # --check, then paper-vs-measured tables
 
-Both forms dispatch on the file's `schema` field.  Wallclock artifacts
+All forms dispatch on the file's `schema` field.  Wallclock artifacts
 (faastcc.bench_wallclock.v1) get the per-system table below.  Merged sweep
-artifacts (faastcc.sweep.v1, written by tools/tcc_sweep) get a structural
-check instead: every run record and cell aggregate must carry the required
-keys, the totals must equal the recomputed per-run sums, and any run with
-oracle violations fails the check — so a committed BENCH_scale.json always
-represents a clean, internally consistent sweep.
+artifacts (faastcc.sweep.v1 and v2, written by tools/tcc_sweep) get a
+structural check instead: every run record and cell aggregate must carry
+the required keys, the totals must equal the recomputed per-run sums, and
+any run with oracle violations fails the check — so a committed
+BENCH_scale.json always represents a clean, internally consistent sweep.
+
+A v2 artifact also carries each source plan's `paper` block (see
+docs/sweeps.md).  Its `claims` are shape assertions over the cells and are
+gated by --check; its `tables` are rendered by --paper next to the paper's
+reference numbers.
 
 Either form accepts repeated perf-floor assertions:
 
@@ -26,8 +32,9 @@ Sweep artifacts additionally accept per-cell maintenance-message ceilings:
     bench_diff.py --check SWEEP.json \
         --max-cell-messages -/tree4@20ms/p512/z1.40=800000
 
-The label must equal a cell's full label
-(`{config}[/{stab}]/p{partitions}/z{zipf:.2f}`) exactly, and that cell
+The label must equal a cell's full label exactly (v2: the cell id, which
+joins the plan's non-seed axis labels; v1:
+`{config}[/{stab}]/p{partitions}/z{zipf:.2f}`), and that cell
 must average at most CEILING network messages per run.  A label matching
 no cell fails and lists the cells present in the file: substring matching
 was dropped because an ambiguous label silently gated whichever cells
@@ -73,7 +80,7 @@ REQUIRED_CONFIG_KEYS = {
 }
 
 
-SWEEP_SCHEMA = "faastcc.sweep.v1"
+SWEEP_SCHEMAS = ("faastcc.sweep.v1", "faastcc.sweep.v2")
 
 SWEEP_RUN_KEYS = {
     "id": str,
@@ -88,6 +95,25 @@ SWEEP_RUN_KEYS = {
     "result": dict,
 }
 
+SWEEP_V2_RUN_KEYS = {
+    "cell": str,
+    "dag_size": int,
+}
+
+# v2 cells are keyed by the plan's own axes and average every summary field.
+SWEEP_V2_CELL_KEYS = {
+    "cell": str,
+    "plan": str,
+    "axes": dict,
+    "runs": int,
+    "checked": int,
+    "violations": int,
+    "committed": int,
+    "sim_events": int,
+    "messages": int,
+    "mean": dict,
+}
+
 # Optional: present in artifacts written since the stabilization-topology
 # cell dimension landed (keeps topology × gossip-period sweep cells
 # distinct) and, for stale_drops, since cells began carrying the
@@ -97,6 +123,7 @@ OPTIONAL_SWEEP_CELL_KEYS = {
     "stale_drops": int,
 }
 
+# v1 cells (keyed by system, config, stab, partitions, nodes and zipf).
 SWEEP_CELL_KEYS = {
     "system": str,
     "config": str,
@@ -168,20 +195,29 @@ def check(doc, path):
     return doc
 
 
+def require(obj, keys, where):
+    for key, ty in keys.items():
+        value = obj.get(key)
+        if not isinstance(value, ty) or isinstance(value, bool):
+            fail(f"{where}.{key} missing or not {ty}")
+
+
 def check_sweep(doc, path):
-    """Validate a merged sweep artifact (faastcc.sweep.v1)."""
+    """Validate a merged sweep artifact (faastcc.sweep.v1 or v2)."""
+    v2 = doc.get("schema") == SWEEP_SCHEMAS[1]
     runs = doc.get("runs")
     if not isinstance(runs, list) or not runs:
         fail(f"{path}: missing or empty runs array")
     seen_ids = set()
+    runs_per_cell = {}
     committed = events = messages = violations = 0
     for i, run in enumerate(runs):
         if not isinstance(run, dict):
             fail(f"{path}: runs[{i}] is not an object")
-        for key, ty in SWEEP_RUN_KEYS.items():
-            value = run.get(key)
-            if not isinstance(value, ty) or isinstance(value, bool):
-                fail(f"{path}: runs[{i}].{key} missing or not {ty}")
+        require(run, SWEEP_RUN_KEYS, f"{path}: runs[{i}]")
+        if v2:
+            require(run, SWEEP_V2_RUN_KEYS, f"{path}: runs[{i}]")
+            runs_per_cell[run["cell"]] = runs_per_cell.get(run["cell"], 0) + 1
         if run["id"] in seen_ids:
             fail(f"{path}: duplicate run id {run['id']!r}")
         seen_ids.add(run["id"])
@@ -204,17 +240,22 @@ def check_sweep(doc, path):
         fail(f"{path}: missing or empty cells array")
     cell_runs = 0
     for i, cell in enumerate(cells):
-        for key, ty in SWEEP_CELL_KEYS.items():
-            value = cell.get(key)
-            if not isinstance(value, ty) or isinstance(value, bool):
-                fail(f"{path}: cells[{i}].{key} missing or not {ty}")
-        for key, ty in OPTIONAL_SWEEP_CELL_KEYS.items():
-            value = cell.get(key)
-            if value is not None and not isinstance(value, ty):
-                fail(f"{path}: cells[{i}].{key} not {ty}")
+        if v2:
+            require(cell, SWEEP_V2_CELL_KEYS, f"{path}: cells[{i}]")
+            if cell["runs"] != runs_per_cell.get(cell["cell"]):
+                fail(f"{path}: cell {cell['cell']!r} counts {cell['runs']} "
+                     f"runs, the file has {runs_per_cell.get(cell['cell'])}")
+        else:
+            require(cell, SWEEP_CELL_KEYS, f"{path}: cells[{i}]")
+            for key, ty in OPTIONAL_SWEEP_CELL_KEYS.items():
+                value = cell.get(key)
+                if value is not None and not isinstance(value, ty):
+                    fail(f"{path}: cells[{i}].{key} not {ty}")
         cell_runs += cell["runs"]
     if cell_runs != len(runs):
         fail(f"{path}: cells cover {cell_runs} runs, file has {len(runs)}")
+    if v2 and not isinstance(doc.get("plans"), list):
+        fail(f"{path}: missing plans array")
 
     totals = doc.get("totals")
     if not isinstance(totals, dict):
@@ -232,21 +273,153 @@ def check_sweep(doc, path):
                 f"{path}: totals.{key} is {totals.get(key)}, "
                 f"recomputed {want}"
             )
+    claims = check_claims(doc, path) if v2 else 0
     print(
         f"{path}: ok ({len(runs)} runs, {committed} DAGs committed, "
-        f"{events} sim events, 0 violations)"
+        f"{events} sim events, 0 violations"
+        + (f", {claims} paper claims hold)" if claims else ")")
     )
     return doc
 
 
+# ---- paper blocks (v2): claims and reference tables -----------------------
+
+CELL_COUNTS = ("runs", "checked", "violations", "committed", "sim_events",
+               "messages")
+
+
+class Cells:
+    """The cells of one plan in a v2 artifact, addressable by their axes."""
+
+    def __init__(self, doc, plan):
+        self.plan = plan
+        self.cells = [c for c in doc["cells"] if c["plan"] == plan["name"]]
+        self.first_run = {}
+        for run in doc["runs"]:
+            self.first_run.setdefault(run["cell"], run)
+
+    def label(self, cell):
+        """The cell's axis labels without the plan prefix (paper keys)."""
+        return "/".join(cell["axes"][a] for a in self.plan["axes"])
+
+    def select(self, where):
+        """Cells whose axes match `where` (axis -> label or list of labels)."""
+        def matches(cell):
+            for axis, want in (where or {}).items():
+                labels = want if isinstance(want, list) else [want]
+                if cell["axes"].get(axis) not in labels:
+                    return False
+            return True
+        return [c for c in self.cells if matches(c)]
+
+    def raw(self, cell, metric):
+        if metric in CELL_COUNTS:
+            return cell[metric]
+        if metric not in cell["mean"]:
+            fail(f"plan {self.plan['name']!r}: no metric {metric!r}")
+        return cell["mean"][metric]
+
+    def value(self, cell, spec):
+        """spec["metric"] of the cell, divided by the run field named by
+        spec["per"] and by the same value of the cell that spec["over"]
+        names (the cell's axes with some labels replaced)."""
+        v = self.raw(cell, spec["metric"])
+        if "per" in spec:
+            v /= self.first_run[cell["cell"]][spec["per"]]
+        if "over" in spec:
+            axes = dict(cell["axes"], **spec["over"])
+            ref = [c for c in self.cells if c["axes"] == axes]
+            if len(ref) != 1:
+                fail(f"plan {self.plan['name']!r}: no reference cell "
+                     f"{axes} for {cell['cell']!r}")
+            v /= self.value(ref[0], {k: x for k, x in spec.items()
+                                     if k != "over"})
+        return v
+
+
+def check_claims(doc, path):
+    """Evaluate every plan's paper claims; fail listing the ones that do
+    not hold.  A bound is a number or the name of another metric of the
+    same cell (e.g. "eq": "runs")."""
+    failures = []
+    count = 0
+    for plan in doc["plans"]:
+        cells = Cells(doc, plan)
+        for claim in (plan.get("paper") or {}).get("claims", []):
+            count += 1
+            selected = cells.select(claim.get("cells"))
+            if not selected:
+                failures.append(f"{claim['claim']}: selects no cell")
+            for cell in selected:
+                v = cells.value(cell, claim)
+                for op in ("eq", "min", "max"):
+                    if op not in claim:
+                        continue
+                    bound = claim[op]
+                    if isinstance(bound, str):
+                        bound = cells.raw(cell, bound)
+                    ok = {"eq": abs(v - bound) <= 1e-9 * max(1, abs(bound)),
+                          "min": v >= bound, "max": v <= bound}[op]
+                    if not ok:
+                        failures.append(
+                            f"{claim['claim']}: {cell['cell']} has "
+                            f"{v:.6g}, needs {op} {bound:.6g}")
+    if failures:
+        fail(f"{path}: paper claims do not hold:\n  "
+             + "\n  ".join(failures))
+    return count
+
+
+def num(v):
+    return f"{v:.0f}" if abs(v) >= 1e4 else f"{v:.4g}"
+
+
+def render_paper(doc):
+    """Print each plan's reference tables: measured vs the paper."""
+    for plan in doc["plans"]:
+        paper = plan.get("paper") or {}
+        cells = Cells(doc, plan)
+        print(f"\n== {plan['name']}: {plan['title']}")
+        for table in paper.get("tables", []):
+            refs = table.get("paper", {})
+            print(f"\n{table['figure']} — {table['what']}")
+            header = f"{'cell':<28} {'measured':>12}"
+            if refs:
+                header += f" {'paper':>12} {'sim/paper':>10}"
+            print(header)
+            print("-" * len(header))
+            for cell in cells.select(table.get("cells")):
+                label = cells.label(cell)
+                v = cells.value(cell, table)
+                line = f"{label:<28} {num(v):>12}"
+                if label in refs:
+                    ref = refs[label]
+                    ratio = f"{v / ref:>10.2f}" if ref else f"{'-':>10}"
+                    line += f" {num(ref):>12} {ratio}"
+                elif refs:
+                    line += f" {'-':>12} {'-':>10}"
+                print(line)
+
+
+def cell_key(cell):
+    if "cell" in cell:
+        return cell["cell"]
+    return (
+        cell["system"], cell["config"], cell.get("stab", ""),
+        cell["partitions"], cell["compute_nodes"], cell["zipf"],
+    )
+
+
+def cell_mean(cell, name):
+    """Seed-averaged metric of a cell: v2 `mean.name`, v1 `name_mean`."""
+    if "mean" in cell:
+        return cell["mean"][name]
+    return cell[f"{name}_mean"]
+
+
 def diff_sweep(old, new):
     """Per-cell before/after table for two merged sweep artifacts."""
-    def key(cell):
-        return (
-            cell["system"], cell["config"], cell.get("stab", ""),
-            cell["partitions"], cell["compute_nodes"], cell["zipf"],
-        )
-
+    key = cell_key
     old_cells = {key(c): c for c in old["cells"]}
     shared = [c for c in new["cells"] if key(c) in old_cells]
     if not shared:
@@ -268,10 +441,10 @@ def diff_sweep(old, new):
                     f"{label}.{checksum}: {o[checksum]} -> {cell[checksum]}"
                 )
         print(
-            f"{label:<34} {o['throughput_mean']:>9.0f} {'->':^4} "
-            f"{cell['throughput_mean']:>9.0f} "
-            f"{o['latency_p99_ms_mean']:>8.3f} {'->':^4} "
-            f"{cell['latency_p99_ms_mean']:>8.3f}"
+            f"{label:<34} {cell_mean(o, 'throughput'):>9.0f} {'->':^4} "
+            f"{cell_mean(cell, 'throughput'):>9.0f} "
+            f"{cell_mean(o, 'latency_p99_ms'):>8.3f} {'->':^4} "
+            f"{cell_mean(cell, 'latency_p99_ms'):>8.3f}"
         )
     if mismatched:
         fail(
@@ -281,6 +454,8 @@ def diff_sweep(old, new):
 
 
 def cell_label(cell):
+    if "cell" in cell:
+        return cell["cell"]
     stab = cell.get("stab")
     mid = f"/{stab}" if stab else ""
     return (
@@ -406,11 +581,14 @@ def main(argv):
     floors = {}
     ceilings = {}
     check_mode = False
+    paper_mode = False
     i = 1
     while i < len(argv):
         arg = argv[i]
         if arg == "--check":
             check_mode = True
+        elif arg == "--paper":
+            check_mode = paper_mode = True
         elif arg == "--min-events-per-sec":
             if i + 1 >= len(argv):
                 fail("--min-events-per-sec needs a SYSTEM=FLOOR argument")
@@ -435,9 +613,13 @@ def main(argv):
 
     if check_mode and len(args) == 1:
         doc = load(args[0])
-        if doc.get("schema") == SWEEP_SCHEMA:
+        if doc.get("schema") in SWEEP_SCHEMAS:
             check_sweep(doc, args[0])
             enforce_cell_ceilings(doc, args[0], ceilings)
+            if paper_mode:
+                if doc["schema"] != SWEEP_SCHEMAS[1]:
+                    fail(f"{args[0]}: --paper needs a v2 sweep artifact")
+                render_paper(doc)
             return
         doc = check(doc, args[0])
         enforce_floors(doc, args[0], floors)
@@ -446,8 +628,8 @@ def main(argv):
     if not check_mode and len(args) == 2:
         old_doc, new_doc = load(args[0]), load(args[1])
         if (
-            old_doc.get("schema") == SWEEP_SCHEMA
-            or new_doc.get("schema") == SWEEP_SCHEMA
+            old_doc.get("schema") in SWEEP_SCHEMAS
+            or new_doc.get("schema") in SWEEP_SCHEMAS
         ):
             check_sweep(old_doc, args[0])
             check_sweep(new_doc, args[1])

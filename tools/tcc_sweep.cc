@@ -1,15 +1,22 @@
-// tcc_sweep: run a declarative sweep plan across worker processes and
+// tcc_sweep: run declarative sweep plans across worker processes and
 // write the deterministically merged artifact.
 //
 //   tcc_sweep --plan=plans/scale.json --jobs=8 --out=BENCH_scale.json
+//   tcc_sweep --plan=plans/paper --jobs=3 --out=BENCH_paper.json
 //
+// --plan takes comma-separated files and directories (a directory stands
+// for its *.json files in name order).  Several plans run as one sweep and
+// merge into one artifact; each must carry a distinct "name".
 // The merged artifact is byte-identical for a given plan regardless of
 // --jobs or completion order; wall-clock goes to stderr only.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "harness/configs.h"
 #include "harness/flags.h"
@@ -28,6 +35,19 @@ bool read_file(const std::string& path, std::string* out) {
   return true;
 }
 
+// The plan files a --plan entry names: itself, or a directory's *.json.
+std::vector<std::string> plan_files(const std::string& entry) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  if (!fs::is_directory(entry, ec)) return {entry};
+  std::vector<std::string> files;
+  for (const fs::directory_entry& f : fs::directory_iterator(entry, ec)) {
+    if (f.path().extension() == ".json") files.push_back(f.path().string());
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -40,7 +60,8 @@ int main(int argc, char** argv) {
 
   harness::Flags flags("tcc_sweep",
                        "parallel sweep runner over RunSpec plans");
-  flags.str("plan", "sweep plan file (faastcc.sweep_plan.v1)", &plan_path);
+  flags.str("plan", "sweep plan files or directories, comma-separated",
+            &plan_path);
   flags.str("out", "write merged artifact here (default: stdout)", &out_path);
   flags.integer("jobs", "max concurrent worker processes", &jobs);
   flags.boolean("verbose", "per-run progress lines on stderr", &verbose);
@@ -68,14 +89,22 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::string plan_text;
-  if (!read_file(plan_path, &plan_text)) {
-    std::fprintf(stderr, "tcc_sweep: cannot read %s\n", plan_path.c_str());
-    return 2;
-  }
-
   try {
-    const harness::SweepPlan plan = harness::SweepPlan::from_text(plan_text);
+    harness::SweepPlan plan;
+    for (const std::string& entry : harness::Flags::split_csv(plan_path)) {
+      for (const std::string& path : plan_files(entry)) {
+        std::string plan_text;
+        if (!read_file(path, &plan_text)) {
+          std::fprintf(stderr, "tcc_sweep: cannot read %s\n", path.c_str());
+          return 2;
+        }
+        plan.append(harness::SweepPlan::from_text(plan_text));
+      }
+    }
+    if (plan.items.empty()) {
+      std::fprintf(stderr, "tcc_sweep: no plan in %s\n", plan_path.c_str());
+      return 2;
+    }
     if (dump_plan) {
       for (const harness::SweepItem& item : plan.items) {
         std::printf("%s\n", item.id.c_str());
