@@ -52,24 +52,21 @@ FaasTccCache::FaasTccCache(net::Network& network, net::Address self,
 }
 
 const FaasTccCache::Entry* FaasTccCache::peek(Key k) const {
-  auto it = entries_.find(k);
-  return it == entries_.end() ? nullptr : &it->second;
+  return entries_.find(k);
 }
 
 void FaasTccCache::prewarm(const VersionedValue& vv, bool subscribed) {
   if (params_.capacity == 0 || entries_.size() >= params_.capacity) return;
-  if (entries_.count(vv.key) != 0) return;
-  bytes_ += vv.value.size() + kEntryOverhead;
   // Open only when the caller registered a subscription: without pushes
   // the cache would extend this entry's promise past successors it never
   // hears about (chaos_prewarm_open re-enables exactly that bug).
   const bool open = subscribed || params_.chaos_prewarm_open;
-  entries_.emplace(vv.key, Entry{vv.value, vv.ts, vv.promise, open});
-  lru_.touch(vv.key);
-  if (subscribed) {
-    sub_desired_[vv.key] = true;
-    sub_active_.insert(vv.key);
+  if (!entries_.try_emplace(vv.key, vv.value, vv.ts, vv.promise, open,
+                            subscribed, subscribed)
+           .second) {
+    return;
   }
+  bytes_ += vv.value.size() + kEntryOverhead;
   stable_est_ = std::max(stable_est_, vv.promise);
 }
 
@@ -88,56 +85,49 @@ void FaasTccCache::insert_or_update(const TccReadResp::Entry& entry) {
   // successor yet.  The partition re-announces the key on subscribe and
   // the next push (or an unchanged refresh) reopens the entry.
   if (params_.capacity == 0) return;
-  auto it = entries_.find(entry.key);
-  if (it == entries_.end()) {
+  auto [e, inserted] =
+      entries_.try_emplace(entry.key, entry.value, entry.ts, entry.promise);
+  if (inserted) {
     bytes_ += entry.value.size() + kEntryOverhead;
-    entries_.emplace(entry.key,
-                     Entry{entry.value, entry.ts, entry.promise, false});
-    lru_.touch(entry.key);
     // Keep the entry fresh via the storage notification service.
     request_subscribe({entry.key});
     return;
   }
-  auto& e = it->second;
-  if (entry.ts > e.ts) {
+  if (entry.ts > e->ts) {
     bytes_ += entry.value.size();
-    bytes_ -= e.value.size();
-    e = Entry{entry.value, entry.ts, entry.promise, false};
-  } else if (entry.ts == e.ts) {
-    e.promise = std::max(e.promise, entry.promise);
+    bytes_ -= e->value.size();
+    e->value = entry.value;
+    e->ts = entry.ts;
+    e->promise = entry.promise;
+    e->open = false;
+  } else if (entry.ts == e->ts) {
+    e->promise = std::max(e->promise, entry.promise);
   }
   // An older version never replaces a newer cached one (§4.6: the reply is
   // returned without updating the cache).
-  lru_.touch(entry.key);
+  entries_.touch(entry.key);
 }
 
 void FaasTccCache::evict_to_capacity() {
   std::vector<Key> evicted;
   while (entries_.size() > params_.capacity) {
-    auto victim = lru_.least_recent();
-    assert(victim.has_value());
-    auto it = entries_.find(*victim);
-    bytes_ -= it->second.value.size() + kEntryOverhead;
-    entries_.erase(it);
-    lru_.erase(*victim);
-    evicted.push_back(*victim);
+    const Key victim = *entries_.least_recent();
+    bytes_ -= entries_.find(victim)->value.size() + kEntryOverhead;
+    entries_.erase(victim);
+    evicted.push_back(victim);
     counters_.evictions.inc();
   }
-  if (!evicted.empty()) request_unsubscribe(std::move(evicted));
+  // The entries, and with them their subscription flags, are gone.
+  if (!evicted.empty()) request_ctl(false, std::move(evicted));
 }
 
 void FaasTccCache::request_subscribe(std::vector<Key> keys) {
-  for (Key k : keys) sub_desired_[k] = true;
-  ctl_queue_.push_back(CtlOp{true, std::move(keys)});
-  if (!ctl_busy_) sim::spawn(ctl_drain());
+  for (Key k : keys) entries_.find(k)->sub_desired = true;
+  request_ctl(true, std::move(keys));
 }
 
-void FaasTccCache::request_unsubscribe(std::vector<Key> keys) {
-  for (Key k : keys) {
-    sub_desired_[k] = false;
-    sub_active_.erase(k);
-  }
-  ctl_queue_.push_back(CtlOp{false, std::move(keys)});
+void FaasTccCache::request_ctl(bool subscribe, std::vector<Key> keys) {
+  ctl_queue_.push_back(CtlOp{subscribe, std::move(keys)});
   if (!ctl_busy_) sim::spawn(ctl_drain());
 }
 
@@ -155,9 +145,9 @@ sim::Task<void> FaasTccCache::ctl_drain() {
       const bool acked = co_await storage_.subscribe(op.keys, seq);
       if (acked) {
         for (Key k : op.keys) {
-          // Still desired (no unsubscribe raced in behind us)?
-          auto it = sub_desired_.find(k);
-          if (it != sub_desired_.end() && it->second) sub_active_.insert(k);
+          // Still desired (no eviction raced in behind us)?
+          Entry* e = entries_.find(k);
+          if (e != nullptr && e->sub_desired) e->sub_active = true;
         }
       }
     } else {
@@ -173,12 +163,11 @@ void FaasTccCache::handle_push_gap(PartitionId p) {
   // The lost push may have carried the only announcement of a successor:
   // no open entry of this partition may keep extending its promise.
   std::vector<Key> resub;
-  for (auto& [k, e] : entries_) {
-    if (storage_.topology().partition_of(k) != p) continue;
+  entries_.for_each([&](Key k, Entry& e) {
+    if (storage_.topology().partition_of(k) != p) return;
     e.open = false;
-    auto it = sub_desired_.find(k);
-    if (it != sub_desired_.end() && it->second) resub.push_back(k);
-  }
+    if (e.sub_desired) resub.push_back(k);
+  });
   // Resubscribing makes the partition re-announce each key's latest
   // version on its next push, which reopens the entries that survived.
   if (!resub.empty()) {
@@ -211,11 +200,11 @@ void FaasTccCache::rehome(const routing::RoutingTable& old_table,
   }
   std::vector<Key> resub;
   size_t moved = 0;
-  for (auto& [k, e] : entries_) {
+  entries_.for_each([&](Key k, Entry& e) {
     const PartitionId op = old_table.partition_of(k);
     const PartitionId np = new_table.partition_of(k);
     if (op == np && old_table.partitions[np] == new_table.partitions[np]) {
-      continue;
+      return;
     }
     // The old owner dropped our subscription together with the chain (or,
     // on a promotion, died with it).  The cached promise stays valid — it
@@ -223,11 +212,10 @@ void FaasTccCache::rehome(const routing::RoutingTable& old_table,
     // floor keeps the new owner above it — but without a live
     // subscription the entry must close.
     e.open = false;
-    sub_active_.erase(k);
+    e.sub_active = false;
     ++moved;
-    auto it = sub_desired_.find(k);
-    if (it != sub_desired_.end() && it->second) resub.push_back(k);
-  }
+    if (e.sub_desired) resub.push_back(k);
+  });
   counters_.rehomed_keys.inc(moved);
   if (metrics_ != nullptr && moved > 0) {
     metrics_->counter("cache.rehomed_keys").inc(moved);
@@ -267,9 +255,8 @@ sim::Task<Buffer> FaasTccCache::on_read(Buffer req, net::Address) {
   std::vector<size_t> to_fetch;
   for (size_t i = 0; i < q.keys.size(); ++i) {
     const Key k = q.keys[i];
-    auto it = entries_.find(k);
-    if (it != entries_.end()) {
-      const auto& e = it->second;
+    if (const Entry* found = entries_.find(k); found != nullptr) {
+      const Entry& e = *found;
       const Timestamp promise = effective_promise(k, e);
       // The no-promises ablation admits and narrows with the bare version
       // timestamp: narrowing with the full promise would leak promise
@@ -282,7 +269,7 @@ sim::Task<Buffer> FaasTccCache::on_read(Buffer req, net::Address) {
         if (!params_.chaos_ignore_interval) {
           resp.interval.narrow(e.ts, admit_promise);
         }
-        lru_.touch(k);
+        entries_.touch(k);
         continue;
       }
     }
@@ -326,10 +313,9 @@ sim::Task<Buffer> FaasTccCache::on_read(Buffer req, net::Address) {
     cached_ts.reserve(to_fetch.size());
     for (size_t idx : to_fetch) {
       const Key k = q.keys[idx];
-      auto it = entries_.find(k);
+      const Entry* e = entries_.find(k);
       keys.push_back(k);
-      cached_ts.push_back(it == entries_.end() ? Timestamp::min()
-                                               : it->second.ts);
+      cached_ts.push_back(e == nullptr ? Timestamp::min() : e->ts);
     }
     storage::TccStorageClient::ReadAccounting acct;
     // Open flags in a response generated before a push gap are stale (the
@@ -362,8 +348,8 @@ sim::Task<Buffer> FaasTccCache::on_read(Buffer req, net::Address) {
         break;
       }
       if (entry.status == TccReadResp::Status::kUnchanged) {
-        auto it = entries_.find(entry.key);
-        if (it == entries_.end() || it->second.ts != entry.ts) {
+        const Entry* e = entries_.find(entry.key);
+        if (e == nullptr || e->ts != entry.ts) {
           // Evicted or replaced while the request was in flight: the
           // "unchanged" answer no longer has a local value to attach.
           // Retry without advertising a cached version.
@@ -392,19 +378,17 @@ sim::Task<Buffer> FaasTccCache::on_read(Buffer req, net::Address) {
       const size_t idx = to_fetch[j];
       auto& entry = storage_resp.entries[j];
       if (entry.status == TccReadResp::Status::kUnchanged) {
-        auto it = entries_.find(entry.key);
-        assert(it != entries_.end());  // guaranteed by the trial merge
-        it->second.promise = std::max(it->second.promise, entry.promise);
+        Entry* e = entries_.find(entry.key);
+        assert(e != nullptr);  // guaranteed by the trial merge
+        e->promise = std::max(e->promise, entry.promise);
         // Reopen only when the subscription is confirmed live and no push
         // gap interleaved with this storage round: otherwise the "open"
         // flag may predate a successor whose announcement was lost.
-        it->second.open =
-            it->second.open ||
-            (entry.open && gap_epoch_ == epoch_before &&
-             sub_active_.count(entry.key) != 0);
-        resp.entries[idx] = VersionedValue{entry.key, it->second.value,
-                                           it->second.ts, it->second.promise};
-        lru_.touch(entry.key);
+        e->open = e->open || (entry.open && gap_epoch_ == epoch_before &&
+                              e->sub_active);
+        resp.entries[idx] =
+            VersionedValue{entry.key, e->value, e->ts, e->promise};
+        entries_.touch(entry.key);
       } else {
         resp.entries[idx] =
             VersionedValue{entry.key, entry.value, entry.ts, entry.promise};
@@ -484,22 +468,24 @@ void FaasTccCache::apply_push(PartitionId partition, uint64_t seq,
     slot = std::max(slot, stable);
   }
   for (const auto& vv : updates) {
-    auto it = entries_.find(vv.key);
-    if (it == entries_.end()) {
+    Entry* e = entries_.find(vv.key);
+    if (e == nullptr) {
       // Evicted since we subscribed; the unsubscribe is in flight.
       counters_.pushes_stale.inc();
       continue;
     }
-    const bool may_open = in_order && sub_active_.count(vv.key) != 0;
-    auto& e = it->second;
-    if (vv.ts > e.ts) {
+    const bool may_open = in_order && e->sub_active;
+    if (vv.ts > e->ts) {
       bytes_ += vv.value.size();
-      bytes_ -= e.value.size();
-      e = Entry{vv.value, vv.ts, vv.promise, may_open};
+      bytes_ -= e->value.size();
+      e->value = vv.value;
+      e->ts = vv.ts;
+      e->promise = vv.promise;
+      e->open = may_open;
       counters_.pushes_applied.inc();
-    } else if (vv.ts == e.ts) {
-      e.promise = std::max(e.promise, vv.promise);
-      if (may_open) e.open = true;
+    } else if (vv.ts == e->ts) {
+      e->promise = std::max(e->promise, vv.promise);
+      if (may_open) e->open = true;
       counters_.pushes_applied.inc();
     } else {
       counters_.pushes_stale.inc();

@@ -18,11 +18,9 @@
 #pragma once
 
 #include <deque>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "cache/cache_messages.h"
-#include "cache/lru_index.h"
+#include "common/key_table.h"
 #include "common/metrics.h"
 #include "net/rpc.h"
 #include "storage/storage_client.h"
@@ -87,10 +85,18 @@ class FaasTccCache {
     // No successor known as of `promise`: the promise may be extended by a
     // later stable time of the owning partition.
     bool open = false;
+    // Subscription state.  Only cached keys are subscribed (on insert) and
+    // eviction unsubscribes them, so the state lives on the entry:
+    // `sub_desired` — a subscribe was requested and not cancelled;
+    // `sub_active` — every partition acknowledged it (implies desired).
+    // Only an active subscription may open the entry: an unconfirmed one
+    // delivers no pushes, so extending promises on it would be unsound.
+    bool sub_desired = false;
+    bool sub_active = false;
   };
 
   // Test access.
-  bool has(Key k) const { return entries_.count(k) != 0; }
+  bool has(Key k) const { return entries_.contains(k); }
   const Entry* peek(Key k) const;
   Timestamp partition_stable(PartitionId p) const {
     return partition_stable_.at(p);
@@ -132,9 +138,10 @@ class FaasTccCache {
   // Ordered control channel to the storage layer: (un)subscribe requests
   // are queued and sent one at a time with increasing sequence numbers, so
   // a duplicated/delayed retry can never resurrect a cancelled
-  // subscription at a partition.
+  // subscription at a partition.  Subscribed keys must be cached; evicted
+  // keys are unsubscribed after their entry (and its state) is gone.
   void request_subscribe(std::vector<Key> keys);
-  void request_unsubscribe(std::vector<Key> keys);
+  void request_ctl(bool subscribe, std::vector<Key> keys);
   sim::Task<void> ctl_drain();
   // A push-channel sequence gap: the lost push may have announced a
   // successor version, so every open entry of the partition must close
@@ -151,8 +158,8 @@ class FaasTccCache {
   CacheParams params_;
   Metrics* metrics_;
   obs::Tracer* tracer_ = nullptr;
-  std::unordered_map<Key, Entry> entries_;
-  LruIndex lru_;
+  // Cached entries in LRU order.
+  KeyTable<Entry> entries_;
   size_t bytes_ = 0;
   // Highest global stable time observed anywhere; monotone per partition,
   // so always a safe read snapshot.
@@ -166,12 +173,6 @@ class FaasTccCache {
   // Bumped on every push gap; an in-flight storage read that started
   // before a gap must not reopen entries from its stale "open" flags.
   uint64_t gap_epoch_ = 0;
-  // Subscription state: keys we want subscribed, and keys whose
-  // subscription every partition has acknowledged.  Only acknowledged
-  // subscriptions make entries open — an unconfirmed one delivers no
-  // pushes, so extending promises on it would be unsound.
-  std::unordered_map<Key, bool> sub_desired_;
-  std::unordered_set<Key> sub_active_;
   struct CtlOp {
     bool subscribe;
     std::vector<Key> keys;

@@ -1,7 +1,6 @@
 #include "cache/hydro_cache.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "common/log.h"
 #include "sim/future.h"
@@ -29,16 +28,16 @@ void HydroCache::on_push(Buffer msg, net::Address) {
   auto push = decode_message<storage::EvGossipMsg>(msg);
   rpc_.recycle(std::move(msg));
   for (storage::EvItem& item : push.items) {
-    auto it = entries_.find(item.key);
-    if (it == entries_.end()) continue;  // evicted; unsubscribe in flight
-    if (item.version.counter <= it->second.counter) continue;
+    Entry* e = entries_.find(item.key);
+    if (e == nullptr) continue;  // evicted; unsubscribe in flight
+    if (item.version.counter <= e->counter) continue;
     HydroStored stored = decode_message<HydroStored>(
         Buffer(item.payload.begin(), item.payload.end()));
-    bytes_ -= it->second.footprint();
-    it->second = Entry{std::move(stored.value), item.version.counter,
-                       item.written_at, std::move(stored.deps)};
-    bytes_ += it->second.footprint();
-    insert_stubs(it->second.deps);
+    bytes_ -= e->footprint();
+    *e = Entry{std::move(stored.value), item.version.counter,
+               item.written_at, std::move(stored.deps)};
+    bytes_ += e->footprint();
+    insert_stubs(e->deps);
     counters_.pushes_applied.inc();
   }
 }
@@ -77,37 +76,30 @@ HydroCache::Fit HydroCache::check(const DepMap& base, const DepMap& delta,
 void HydroCache::prewarm(Key k, Value value, uint64_t counter,
                          SimTime written_at) {
   if (params_.capacity == 0 || entries_.size() >= params_.capacity) return;
-  if (entries_.count(k) != 0) return;
-  Entry e{std::move(value), counter, written_at, {}};
-  bytes_ += e.footprint();
-  entries_.emplace(k, std::move(e));
-  lru_.touch(k);
+  auto [e, inserted] = entries_.try_emplace(k, std::move(value), counter,
+                                            written_at, DepList{});
+  if (inserted) bytes_ += e->footprint();
 }
 
 void HydroCache::insert_entry(Key k, Entry e) {
   if (params_.capacity == 0) return;
   insert_stubs(e.deps);
   // A full entry supersedes a stub.
-  if (auto st = stubs_.find(k); st != stubs_.end()) {
-    stubs_.erase(st);
-    stub_lru_.erase(k);
-    bytes_ -= kStubBytes;
-  }
-  auto it = entries_.find(k);
-  if (it == entries_.end()) {
+  if (stubs_.erase(k)) bytes_ -= kStubBytes;
+  if (Entry* cur = entries_.find(k); cur == nullptr) {
     bytes_ += e.footprint();
-    entries_.emplace(k, std::move(e));
+    entries_.try_emplace(k, std::move(e));
     sim::spawn(storage_.subscribe({k}));
   } else {
-    if (e.counter <= it->second.counter) {
-      lru_.touch(k);
+    if (e.counter <= cur->counter) {
+      entries_.touch(k);
       return;
     }
-    bytes_ -= it->second.footprint();
+    bytes_ -= cur->footprint();
     bytes_ += e.footprint();
-    it->second = std::move(e);
+    *cur = std::move(e);
+    entries_.touch(k);
   }
-  lru_.touch(k);
   evict_to_capacity();
 }
 
@@ -116,19 +108,16 @@ void HydroCache::insert_stubs(const DepList& deps) {
   const size_t stub_cap =
       params_.capacity == SIZE_MAX ? SIZE_MAX : params_.capacity * 4;
   for (const StoredDep& d : deps) {
-    if (entries_.count(d.key) != 0) continue;
-    auto [it, inserted] = stubs_.emplace(d.key, Stub{d.counter, d.written_at});
+    if (entries_.contains(d.key)) continue;
+    auto [st, inserted] = stubs_.try_emplace(d.key, d.counter, d.written_at);
     if (inserted) {
       bytes_ += kStubBytes;
-    } else if (d.counter > it->second.counter) {
-      it->second = Stub{d.counter, d.written_at};
+    } else {
+      if (d.counter > st->counter) *st = Stub{d.counter, d.written_at};
+      stubs_.touch(d.key);
     }
-    stub_lru_.touch(d.key);
     while (stubs_.size() > stub_cap) {
-      auto victim = stub_lru_.least_recent();
-      assert(victim.has_value());
-      stubs_.erase(*victim);
-      stub_lru_.erase(*victim);
+      stubs_.erase(*stubs_.least_recent());
       bytes_ -= kStubBytes;
     }
   }
@@ -137,13 +126,10 @@ void HydroCache::insert_stubs(const DepList& deps) {
 void HydroCache::evict_to_capacity() {
   std::vector<Key> evicted;
   while (entries_.size() > params_.capacity) {
-    auto victim = lru_.least_recent();
-    assert(victim.has_value());
-    auto it = entries_.find(*victim);
-    bytes_ -= it->second.footprint();
-    entries_.erase(it);
-    lru_.erase(*victim);
-    evicted.push_back(*victim);
+    const Key victim = *entries_.least_recent();
+    bytes_ -= entries_.find(victim)->footprint();
+    entries_.erase(victim);
+    evicted.push_back(victim);
     counters_.evictions.inc();
   }
   if (!evicted.empty()) sim::spawn(storage_.unsubscribe(std::move(evicted)));
@@ -217,14 +203,12 @@ sim::Task<Buffer> HydroCache::on_read(Buffer req, net::Address) {
 
     // Cache attempt.
     if (params_.capacity != 0) {
-      auto it = entries_.find(k);
-      if (it != entries_.end() &&
-          check(ctx, delta, k, it->second.counter, it->second.deps) ==
-              Fit::kOk) {
-        accept(i, k, it->second.value, it->second.counter,
-               it->second.written_at, it->second.deps);
+      const Entry* e = entries_.find(k);
+      if (e != nullptr &&
+          check(ctx, delta, k, e->counter, e->deps) == Fit::kOk) {
+        accept(i, k, e->value, e->counter, e->written_at, e->deps);
         resp.from_cache[i] = true;
-        lru_.touch(k);
+        entries_.touch(k);
         continue;
       }
     }

@@ -16,10 +16,8 @@
 // "dependencies of the dependencies" whose footprint Fig. 8 measures.
 #pragma once
 
-#include <unordered_map>
-
 #include "cache/cache_messages.h"
-#include "cache/lru_index.h"
+#include "common/key_table.h"
 #include "common/metrics.h"
 #include "net/rpc.h"
 #include "storage/storage_client.h"
@@ -58,7 +56,7 @@ class HydroCache {
   };
   const Counters& counters() const { return counters_; }
 
-  bool has(Key k) const { return entries_.count(k) != 0; }
+  bool has(Key k) const { return entries_.contains(k); }
 
   // Direct insert for experiment pre-warming.
   void prewarm(Key k, Value value, uint64_t counter, SimTime written_at);
@@ -103,10 +101,9 @@ class HydroCache {
   HydroCacheParams params_;
   Metrics* metrics_;
   obs::Tracer* tracer_ = nullptr;
-  std::unordered_map<Key, Entry> entries_;
-  std::unordered_map<Key, Stub> stubs_;
-  LruIndex lru_;
-  LruIndex stub_lru_;
+  // Full entries and metadata-only stubs, each in its own LRU order.
+  KeyTable<Entry> entries_;
+  KeyTable<Stub> stubs_;
   size_t bytes_ = 0;
   Counters counters_;
 };

@@ -1,7 +1,5 @@
 #include "cache/plain_cache.h"
 
-#include <cassert>
-
 #include "sim/future.h"
 
 namespace faastcc::cache {
@@ -30,22 +28,19 @@ void PlainCache::on_push(Buffer msg, net::Address) {
   auto push = decode_message<storage::EvGossipMsg>(msg);
   rpc_.recycle(std::move(msg));
   for (storage::EvItem& item : push.items) {
-    auto it = entries_.find(item.key);
-    if (it == entries_.end()) continue;
+    Value* v = entries_.find(item.key);
+    if (v == nullptr) continue;
     bytes_ += item.payload.size();
-    bytes_ -= it->second.size();
-    it->second = std::move(item.payload);
+    bytes_ -= v->size();
+    *v = std::move(item.payload);
   }
 }
 
 void PlainCache::evict_to_capacity() {
   while (entries_.size() > params_.capacity) {
-    auto victim = lru_.least_recent();
-    assert(victim.has_value());
-    auto it = entries_.find(*victim);
-    bytes_ -= it->second.size() + 8;
-    entries_.erase(it);
-    lru_.erase(*victim);
+    const Key victim = *entries_.least_recent();
+    bytes_ -= entries_.find(victim)->size() + 8;
+    entries_.erase(victim);
   }
 }
 
@@ -69,10 +64,10 @@ sim::Task<Buffer> PlainCache::on_read(Buffer req, net::Address) {
   std::vector<size_t> to_fetch;
   for (size_t i = 0; i < q.keys.size(); ++i) {
     const Key k = q.keys[i];
-    auto it = entries_.find(k);
-    if (it != entries_.end() && params_.capacity != 0) {
-      resp.entries[i] = storage::KeyValue{k, it->second};
-      lru_.touch(k);
+    const Value* v = entries_.find(k);
+    if (v != nullptr && params_.capacity != 0) {
+      resp.entries[i] = storage::KeyValue{k, *v};
+      entries_.touch(k);
     } else {
       to_fetch.push_back(i);
     }
@@ -115,16 +110,16 @@ sim::Task<Buffer> PlainCache::on_read(Buffer req, net::Address) {
     if (result.items[j].has_value()) v = result.items[j]->payload;
     resp.entries[idx] = storage::KeyValue{k, v};
     if (params_.capacity != 0) {
-      auto [it, inserted] = entries_.emplace(k, v);
+      auto [cur, inserted] = entries_.try_emplace(k, v);
       if (inserted) {
         bytes_ += v.size() + 8;
         sim::spawn(storage_.subscribe({k}));
       } else {
         bytes_ += v.size();
-        bytes_ -= it->second.size();
-        it->second = v;
+        bytes_ -= cur->size();
+        *cur = v;
+        entries_.touch(k);
       }
-      lru_.touch(k);
       evict_to_capacity();
     }
   }

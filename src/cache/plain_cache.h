@@ -3,10 +3,8 @@
 // comparison.
 #pragma once
 
-#include <unordered_map>
-
 #include "cache/cache_messages.h"
-#include "cache/lru_index.h"
+#include "common/key_table.h"
 #include "common/metrics.h"
 #include "net/rpc.h"
 #include "storage/storage_client.h"
@@ -31,10 +29,8 @@ class PlainCache {
   // Direct insert for experiment pre-warming.
   void prewarm(Key k, Value v) {
     if (params_.capacity == 0 || entries_.size() >= params_.capacity) return;
-    if (entries_.count(k) != 0) return;
-    bytes_ += v.size() + 8;
-    entries_.emplace(k, std::move(v));
-    lru_.touch(k);
+    const size_t size = v.size();
+    if (entries_.try_emplace(k, std::move(v)).second) bytes_ += size + 8;
   }
 
  private:
@@ -47,8 +43,7 @@ class PlainCache {
   PlainCacheParams params_;
   Metrics* metrics_;
   obs::Tracer* tracer_ = nullptr;
-  std::unordered_map<Key, Value> entries_;
-  LruIndex lru_;
+  KeyTable<Value> entries_;  // in LRU order
   size_t bytes_ = 0;
 };
 

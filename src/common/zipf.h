@@ -2,8 +2,10 @@
 //
 // The paper's workloads draw keys from Zipf distributions with exponents
 // 1.0, 1.25 and 1.5 over a 100 000-key dataset.  We precompute the CDF once
-// per (n, theta) pair and sample with a binary search, which is exact and
-// fast enough for tens of millions of draws.
+// per (n, theta) pair and invert it exactly: a guide table over u narrows
+// the search to the few ranks whose CDF crosses u's bucket, and the result
+// is always the rank std::upper_bound over the whole CDF would return, so
+// key draws (and with them every schedule) are unchanged by the table.
 #pragma once
 
 #include <cstdint>
@@ -27,10 +29,19 @@ class ZipfSampler {
   // Probability mass of rank `r` (0-based); exposed for tests.
   double pmf(uint64_t r) const;
 
+  // The rank drawn for uniform variate `u` in [0, 1); sample() is
+  // rank_of(rng.next_double()).  Exposed for tests, with the CDF it
+  // inverts.
+  Key rank_of(double u) const;
+  const std::vector<double>& cdf() const { return cdf_; }
+
  private:
   uint64_t num_keys_;
   double theta_;
   std::vector<double> cdf_;
+  // guide_[b] = upper_bound(cdf_, b / G) for G = guide_.size() - 1 buckets:
+  // the answer for any u in bucket b lies in [guide_[b], guide_[b + 1]].
+  std::vector<uint32_t> guide_;
 };
 
 }  // namespace faastcc

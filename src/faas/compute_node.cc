@@ -126,21 +126,24 @@ void ComputeNode::mark_executed(const JoinKey& key) {
   }
 }
 
+void ComputeNode::mark_aborted(TxnId txn) {
+  if (!aborted_.insert(txn).second) return;
+  aborted_order_.push_back(txn);
+  // Bound the tombstones oldest-first: a wholesale clear would forget the
+  // transactions that just aborted, whose stragglers are still in flight.
+  while (aborted_order_.size() > params_.aborted_dedup_cap) {
+    aborted_.erase(aborted_order_.front());
+    aborted_order_.pop_front();
+  }
+}
+
 void ComputeNode::on_abort_notice(Buffer msg, net::Address) {
   const AbortNoticeMsg n = decode_message<AbortNoticeMsg>(msg);
   rpc_.recycle(std::move(msg));
-  aborted_.insert(n.txn_id);
+  mark_aborted(n.txn_id);
   // Drop any half-assembled joins of the aborted transaction.
-  for (auto it = joins_.begin(); it != joins_.end();) {
-    if (it->first.txn == n.txn_id) {
-      it = joins_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Bound the tombstone set: these only exist to drop in-flight stragglers,
-  // which arrive within a network delay.
-  if (aborted_.size() > 10000) aborted_.clear();
+  joins_.erase(joins_.lower_bound(JoinKey{n.txn_id, 0}),
+               joins_.upper_bound(JoinKey{n.txn_id, UINT32_MAX}));
 }
 
 sim::Task<void> ComputeNode::executor_loop() {
@@ -152,7 +155,7 @@ sim::Task<void> ComputeNode::executor_loop() {
 
 void ComputeNode::send_abort(const TriggerMsg& t) {
   counters_.aborts_raised.inc();
-  aborted_.insert(t.txn_id);
+  mark_aborted(t.txn_id);
   DagDoneMsg done;
   done.txn_id = t.txn_id;
   done.committed = false;
@@ -259,7 +262,7 @@ sim::Task<void> ComputeNode::execute(Work work) {
       done.session = std::move(*session);
       done.result = std::move(result);
     } else {
-      aborted_.insert(t.txn_id);
+      mark_aborted(t.txn_id);
       counters_.aborts_raised.inc();
     }
     rpc_.send(t.client, kDagDone, done, ctx);

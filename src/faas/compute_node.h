@@ -38,6 +38,10 @@ struct ComputeNodeParams {
   // duplicated trigger only matters within the fabric's duplication
   // horizon, so the default is generous; tests shrink it to force races.
   size_t executed_dedup_cap = 1 << 16;
+  // Capacity of the aborted-transaction tombstone window (FIFO eviction).
+  // Tombstones only drop in-flight stragglers of an aborted transaction,
+  // which arrive within a network delay; tests shrink it to force races.
+  size_t aborted_dedup_cap = 10000;
 };
 
 class ComputeNode {
@@ -94,7 +98,7 @@ class ComputeNode {
   struct JoinKey {
     TxnId txn;
     uint32_t fn;
-    bool operator==(const JoinKey&) const = default;
+    auto operator<=>(const JoinKey&) const = default;
   };
   struct JoinKeyHash {
     size_t operator()(const JoinKey& k) const {
@@ -108,7 +112,9 @@ class ComputeNode {
     SimTime created = 0;
     obs::TraceContext trace;  // first-arriving parent's span
   };
-  std::unordered_map<JoinKey, JoinState, JoinKeyHash> joins_;
+  // Ordered by (txn, fn), so an abort notice erases exactly its
+  // transaction's joins.
+  std::map<JoinKey, JoinState> joins_;
   void gc_stale_joins();
   // At-most-once execution per (txn, function): a duplicated trigger for a
   // chain function (or a full set of duplicated parents resurrecting an
@@ -119,8 +125,11 @@ class ComputeNode {
   void mark_executed(const JoinKey& key);
   std::unordered_set<JoinKey, JoinKeyHash> executed_;
   std::deque<JoinKey> executed_order_;
-  // Transactions known to have aborted; late triggers are dropped.
+  // Transactions known to have aborted; late triggers are dropped.  FIFO
+  // window of aborted_dedup_cap tombstones.
+  void mark_aborted(TxnId txn);
   std::unordered_set<TxnId> aborted_;
+  std::deque<TxnId> aborted_order_;
   Counters counters_;
 };
 

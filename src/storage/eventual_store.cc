@@ -59,12 +59,7 @@ sim::Task<Buffer> EvReplica::on_unsubscribe(Buffer req, net::Address from) {
   auto q = decode_message<SubscribeReq>(req);
   rpc_.recycle(std::move(req));
   co_await sim::sleep_for(rpc_.loop(), params_.request_cpu);
-  for (Key k : q.keys) {
-    auto it = subscribers_.find(k);
-    if (it == subscribers_.end()) continue;
-    it->second.erase(from);
-    if (it->second.empty()) subscribers_.erase(it);
-  }
+  for (Key k : q.keys) subscribers_.remove(k, from);
   co_return Buffer{};
 }
 
@@ -74,11 +69,11 @@ sim::Task<void> EvReplica::push_loop() {
     if (dirty_.empty()) continue;
     std::unordered_map<net::Address, EvGossipMsg> batches;
     for (Key k : dirty_) {
-      auto sub_it = subscribers_.find(k);
-      if (sub_it == subscribers_.end()) continue;
+      const auto* subs = subscribers_.find(k);
+      if (subs == nullptr) continue;
       auto data_it = data_.find(k);
       if (data_it == data_.end()) continue;
-      for (net::Address sub : sub_it->second) {
+      for (net::Address sub : *subs) {
         batches[sub].items.push_back(data_it->second);
       }
     }
@@ -94,14 +89,14 @@ bool EvReplica::merge(EvItem item) {
   auto it = data_.find(item.key);
   if (it == data_.end()) {
     payload_bytes_ += item.payload.size();
-    if (subscribers_.count(item.key) != 0) dirty_.insert(item.key);
+    if (subscribers_.contains(item.key)) dirty_.insert(item.key);
     data_.emplace(item.key, std::move(item));
     return true;
   }
   if (item.version <= it->second.version) return false;
   payload_bytes_ -= it->second.payload.size();
   payload_bytes_ += item.payload.size();
-  if (subscribers_.count(item.key) != 0) dirty_.insert(item.key);
+  if (subscribers_.contains(item.key)) dirty_.insert(item.key);
   it->second = std::move(item);
   return true;
 }

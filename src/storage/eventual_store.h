@@ -11,7 +11,6 @@
 // global minimum to garbage-collect dependency metadata.
 #pragma once
 
-#include <set>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -20,6 +19,7 @@
 #include "common/stats.h"
 #include "net/rpc.h"
 #include "storage/messages.h"
+#include "storage/subscribers.h"
 
 namespace faastcc::storage {
 
@@ -69,7 +69,7 @@ class EvReplica {
   // path is the kEvSubscribe RPC).  Caches subscribe at one replica of the
   // owning partition.
   void add_subscriber(Key k, net::Address cache) {
-    subscribers_[k].insert(cache);
+    subscribers_.add(k, cache);
   }
 
  private:
@@ -103,7 +103,7 @@ class EvReplica {
   SimTime global_cut_ = 0;
   SimTime last_gossip_sent_ = 0;
   // Cache notification service.
-  std::unordered_map<Key, std::set<net::Address>> subscribers_;
+  SubscriberTable subscribers_;
   std::unordered_set<Key> dirty_;
   Counters counters_;
 };

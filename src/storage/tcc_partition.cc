@@ -483,7 +483,7 @@ void TccPartition::install_writes(const TccCommitReq& req) {
         oracle_->on_install(id_, kv.key, twin, req.txn, kv.value);
       }
     }
-    if (subscribers_.count(kv.key) != 0) dirty_.insert(kv.key);
+    if (subscribers_.contains(kv.key)) dirty_.insert(kv.key);
   }
   counters_.commits.inc();
 }
@@ -601,10 +601,7 @@ sim::Task<Buffer> TccPartition::on_subscribe(Buffer req, net::Address from) {
 }
 
 void TccPartition::drop_subscriber(Key k, net::Address cache) {
-  auto it = subscribers_.find(k);
-  if (it == subscribers_.end()) return;
-  if (it->second.erase(cache) == 0) return;
-  if (it->second.empty()) subscribers_.erase(it);
+  if (!subscribers_.remove(k, cache)) return;
   auto ref = subscriber_refs_.find(cache);
   if (ref != subscriber_refs_.end() && --ref->second == 0) {
     subscriber_refs_.erase(ref);
@@ -774,8 +771,8 @@ sim::Task<void> TccPartition::push_loop() {
     // Group fresh versions per subscriber.
     std::unordered_map<net::Address, PushMsg> batches;
     for (Key k : dirty_) {
-      auto sub_it = subscribers_.find(k);
-      if (sub_it == subscribers_.end()) continue;
+      const auto* subs = subscribers_.find(k);
+      if (subs == nullptr) continue;
       const auto r = store_.read_at(k, Timestamp::max());
       if (r.version == nullptr) continue;
       VersionedValue vv;
@@ -783,7 +780,7 @@ sim::Task<void> TccPartition::push_loop() {
       vv.value = r.version->value;
       vv.ts = r.version->ts;
       vv.promise = std::max(vv.ts, stable);
-      for (net::Address sub : sub_it->second) {
+      for (net::Address sub : *subs) {
         batches[sub].updates.push_back(vv);
       }
     }
@@ -812,15 +809,15 @@ sim::Task<void> TccPartition::push_loop() {
 void TccPartition::push_round_coalesced(Timestamp stable) {
   std::unordered_map<net::Address, PushBatchMsg> batches;
   for (Key k : dirty_) {
-    auto sub_it = subscribers_.find(k);
-    if (sub_it == subscribers_.end()) continue;
+    const auto* subs = subscribers_.find(k);
+    if (subs == nullptr) continue;
     const auto r = store_.read_at(k, Timestamp::max());
     if (r.version == nullptr) continue;
     PushUpdate u;
     u.key = k;
     u.value = r.version->value;
     u.ts = r.version->ts;
-    for (net::Address sub : sub_it->second) {
+    for (net::Address sub : *subs) {
       batches[sub].updates.push_back(u);
     }
   }
@@ -873,10 +870,9 @@ sim::Task<Buffer> TccPartition::on_migrate_out(Buffer req, net::Address) {
     // Drop pub/sub state for the moved keys: the caches re-home their
     // subscriptions at the new owner when they adopt the fresh table.
     dirty_.erase(key);
-    if (auto sit = subscribers_.find(key); sit != subscribers_.end()) {
-      const std::vector<net::Address> subs(sit->second.begin(),
-                                           sit->second.end());
-      for (net::Address c : subs) drop_subscriber(key, c);
+    if (const auto* subs = subscribers_.find(key); subs != nullptr) {
+      const std::vector<net::Address> copy = *subs;
+      for (net::Address c : copy) drop_subscriber(key, c);
     }
     MigratedChain chain;
     chain.key = key;

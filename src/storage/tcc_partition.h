@@ -31,6 +31,7 @@
 #include "storage/messages.h"
 #include "storage/mv_store.h"
 #include "storage/stabilizer.h"
+#include "storage/subscribers.h"
 
 namespace faastcc::storage {
 
@@ -165,7 +166,7 @@ class TccPartition {
   // Registers a subscriber directly (pre-warm setup path; the protocol
   // path is the kTccSubscribe RPC).
   void add_subscriber(Key k, net::Address cache) {
-    if (subscribers_[k].insert(cache).second) {
+    if (subscribers_.add(k, cache)) {
       if (++subscriber_refs_[cache] == 1) {
         subscriber_addresses_.insert(cache);
       }
@@ -319,7 +320,7 @@ class TccPartition {
   void drop_subscriber(Key k, net::Address cache);
 
   // Pub/sub.
-  std::unordered_map<Key, std::set<net::Address>> subscribers_;
+  SubscriberTable subscribers_;
   std::unordered_map<net::Address, size_t> subscriber_refs_;
   std::set<net::Address> subscriber_addresses_;
   std::unordered_set<Key> dirty_;

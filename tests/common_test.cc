@@ -1,13 +1,16 @@
 // Unit tests for the common module: timestamps, HLC, codec, RNG, Zipf,
-// statistics.
+// statistics, the keyed slab table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <list>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/hlc.h"
+#include "common/key_table.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "common/stats.h"
@@ -298,6 +301,162 @@ TEST(Zipf, SamplesStayInRange) {
   for (int i = 0; i < 10000; ++i) {
     EXPECT_LT(z.sample(r), 10u);
   }
+}
+
+// The guide table must not change a single draw: rank_of(u) is the rank
+// std::upper_bound over the whole CDF returns, for every u.
+class ZipfGuide : public ::testing::TestWithParam<double> {};
+
+Key reference_rank(const ZipfSampler& z, double u) {
+  const auto& cdf = z.cdf();
+  const auto idx = static_cast<uint64_t>(
+      std::upper_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+  return idx < z.num_keys() ? idx : z.num_keys() - 1;
+}
+
+TEST_P(ZipfGuide, MatchesUpperBoundOnDenseGrid) {
+  for (uint64_t n : {1u, 7u, 100u, 20000u}) {
+    const ZipfSampler z(n, GetParam());
+    const int steps = 1 << 18;
+    for (int i = 0; i < steps; ++i) {
+      const double u = static_cast<double>(i) / steps;
+      ASSERT_EQ(z.rank_of(u), reference_rank(z, u)) << "n=" << n << " u=" << u;
+    }
+  }
+}
+
+TEST_P(ZipfGuide, MatchesUpperBoundAtEveryCdfBoundary) {
+  for (uint64_t n : {7u, 100u, 20000u}) {
+    const ZipfSampler z(n, GetParam());
+    const size_t buckets = std::max<uint64_t>(1, n / 8);
+    std::vector<double> us;
+    for (double c : z.cdf()) us.push_back(c);
+    // Bucket edges too: u * buckets may round across them.
+    for (size_t b = 0; b <= buckets; ++b) {
+      us.push_back(static_cast<double>(b) / static_cast<double>(buckets));
+    }
+    for (double edge : us) {
+      for (double u : {std::nextafter(edge, 0.0), edge,
+                       std::nextafter(edge, 2.0)}) {
+        if (u < 0.0 || u >= 1.0) continue;
+        ASSERT_EQ(z.rank_of(u), reference_rank(z, u))
+            << "n=" << n << " u=" << u;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Thetas, ZipfGuide,
+                         ::testing::Values(0.0, 0.6, 1.0, 1.4));
+
+// ---------------------------------------------------------------------------
+// KeyTable
+// ---------------------------------------------------------------------------
+
+// The table against the structures it replaced: an unordered_map for the
+// values and a std::list (front = most recent) for the LRU order.
+class KeyTableReference : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(KeyTableReference, MatchesUnorderedMapAndListLru) {
+  Rng rng(GetParam());
+  KeyTable<uint64_t> table;
+  std::unordered_map<Key, uint64_t> ref;
+  std::list<Key> ref_lru;
+  const auto ref_touch = [&](Key k) {
+    ref_lru.remove(k);
+    ref_lru.push_front(k);
+  };
+  std::vector<Key> victims;
+  std::vector<Key> ref_victims;
+  // A key space a few times the capacity so inserts, hits and evictions
+  // all happen; the capacity walks up (growth) and back down.
+  const Key key_space = 2000;
+  size_t capacity = 64;
+  for (int step = 0; step < 40000; ++step) {
+    // Spread keys over the 64-bit range on some steps, dense on others.
+    Key k = rng.next_u64() % key_space;
+    if (rng.next_u64() % 4 == 0) k *= 0x9E3779B97F4A7C15ull;
+    switch (rng.next_u64() % 6) {
+      case 0:
+      case 1: {  // insert (no-op on a present key)
+        const uint64_t v = rng.next_u64();
+        const auto [got, inserted] = table.try_emplace(k, v);
+        const bool ref_inserted = ref.emplace(k, v).second;
+        ASSERT_EQ(inserted, ref_inserted);
+        ASSERT_EQ(*got, ref.at(k));
+        if (ref_inserted) ref_lru.push_front(k);
+        break;
+      }
+      case 2:  // touch
+        table.touch(k);
+        if (ref.count(k) != 0) ref_touch(k);
+        break;
+      case 3:  // erase
+        ASSERT_EQ(table.erase(k), ref.erase(k) != 0);
+        ref_lru.remove(k);
+        break;
+      case 4: {  // evict to capacity
+        while (table.size() > capacity) {
+          const Key v = *table.least_recent();
+          victims.push_back(v);
+          table.erase(v);
+        }
+        while (ref.size() > capacity) {
+          ref_victims.push_back(ref_lru.back());
+          ref.erase(ref_lru.back());
+          ref_lru.pop_back();
+        }
+        break;
+      }
+      default:  // update in place
+        if (uint64_t* v = table.find(k)) {
+          *v += 1;
+          ref.at(k) += 1;
+        }
+        break;
+    }
+    if (step % 5000 == 4999) capacity = capacity == 64 ? 1500 : 64;
+    ASSERT_EQ(table.size(), ref.size());
+    ASSERT_EQ(table.contains(k), ref.count(k) != 0);
+    const uint64_t* got = table.find(k);
+    ASSERT_EQ(got != nullptr, ref.count(k) != 0);
+    if (got != nullptr) {
+      ASSERT_EQ(*got, ref.at(k));
+    }
+    ASSERT_EQ(table.least_recent().has_value(), !ref_lru.empty());
+    if (!ref_lru.empty()) {
+      ASSERT_EQ(*table.least_recent(), ref_lru.back());
+    }
+  }
+  EXPECT_EQ(victims, ref_victims);
+  EXPECT_GT(victims.size(), 1000u);
+  // Every key findable, and for_each visits exactly the reference contents.
+  std::unordered_map<Key, uint64_t> seen;
+  table.for_each([&](Key k, uint64_t v) { seen.emplace(k, v); });
+  EXPECT_EQ(seen, ref);
+  // Draining by recency yields the reference LRU order, oldest first.
+  while (!table.empty()) {
+    ASSERT_EQ(*table.least_recent(), ref_lru.back());
+    table.erase(ref_lru.back());
+    ref_lru.pop_back();
+  }
+  EXPECT_FALSE(table.least_recent().has_value());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KeyTableReference,
+                         ::testing::Values(1, 2, 3, 4));
+
+TEST(KeyTable, GrowthKeepsEveryKeyAndOrder) {
+  KeyTable<Key> table;
+  const Key n = 100000;
+  for (Key k = 0; k < n; ++k) ASSERT_TRUE(table.try_emplace(k, k * 3).second);
+  EXPECT_EQ(table.size(), n);
+  for (Key k = 0; k < n; ++k) ASSERT_EQ(*table.find(k), k * 3);
+  EXPECT_EQ(table.find(n), nullptr);
+  // Insertion order is recency order: key 0 is the least recent.
+  EXPECT_EQ(*table.least_recent(), 0u);
+  table.touch(0);
+  EXPECT_EQ(*table.least_recent(), 1u);
 }
 
 // ---------------------------------------------------------------------------

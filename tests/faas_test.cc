@@ -249,6 +249,48 @@ TEST(Runtime, UnknownFunctionAborts) {
   EXPECT_FALSE(done.committed);
 }
 
+// Regression: the aborted-transaction tombstones were cleared wholesale
+// when they outgrew their bound, so a straggler trigger of a transaction
+// that had just aborted ran its function anyway.  The bound now evicts
+// oldest-first.
+TEST(Runtime, AbortTombstonesEvictFifoNotWholesale) {
+  harness::ClusterParams p = tiny_params();
+  p.node.aborted_dedup_cap = 4;
+  harness::Cluster cluster(p);
+  cluster.start();
+  const net::Address node = 4000;  // first compute node
+  net::RpcNode client(cluster.network(), 900);
+  std::vector<TxnId> done;
+  client.handle_oneway(kDagDone, [&](Buffer b, net::Address) {
+    done.push_back(decode_message<DagDoneMsg>(b).txn_id);
+  });
+  const auto settle = [&] {
+    cluster.loop().run_until(cluster.loop().now() + milliseconds(50));
+  };
+  // One more abort than the window holds, delivered one at a time (the
+  // fabric's jitter would reorder a burst).
+  const TxnId base = 1'000'000;
+  for (TxnId txn = base + 1; txn <= base + 5; ++txn) {
+    client.send(node, kAbortNotice, AbortNoticeMsg{txn});
+    settle();
+  }
+  TriggerMsg straggler;
+  straggler.client = 900;
+  straggler.spec = DagSpec::chain({fn("no_such_function")});
+  straggler.placement = {node};
+  // The newest tombstone survives: its straggler is dropped unexecuted
+  // (executing it would report the DAG, here as an abort).
+  straggler.txn_id = base + 5;
+  client.send(node, kTrigger, straggler);
+  settle();
+  EXPECT_TRUE(done.empty());
+  // The oldest tombstone was the one evicted: its straggler now runs.
+  straggler.txn_id = base + 1;
+  client.send(node, kTrigger, straggler);
+  settle();
+  EXPECT_EQ(done, std::vector<TxnId>{base + 1});
+}
+
 TEST(Runtime, ResultsFlowDownstream) {
   harness::Cluster cluster(tiny_params());
   cluster.registry().register_function(

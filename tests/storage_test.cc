@@ -537,6 +537,48 @@ TEST_F(TccClusterTest, EmptyPushesCarryStableTimeHeartbeat) {
   for (const auto& p : pushes) EXPECT_EQ(p.partition, 0u);
 }
 
+sim::Task<void> commit_one_write(TccStorageClient& client, Key k,
+                                 bool& committed) {
+  committed = (co_await client.commit(1, one_write(k, "fresh"),
+                                      Timestamp::min()))
+                  .has_value();
+}
+
+TEST(TccPartitionPush, ReachesSubscribersInAscendingAddressOrder) {
+  sim::EventLoop loop;
+  net::NetworkParams np;
+  np.jitter = 0;  // equal delays: delivery order is send order
+  net::Network net(loop, np, Rng(7));
+  TccPartitionParams params;
+  params.gossip_period = milliseconds(2);
+  TccPartition partition(net, 100, 0, {100}, params);
+  net::RpcNode client_rpc(net, 50);
+  TccTopology topo;
+  topo.partitions = {100};
+  TccStorageClient client(client_rpc, topo);
+  partition.start();
+  std::vector<net::Address> reached;
+  std::vector<std::unique_ptr<net::RpcNode>> caches;
+  for (net::Address a = 61; a <= 64; ++a) {
+    caches.push_back(std::make_unique<net::RpcNode>(net, a));
+    caches.back()->handle_oneway(
+        kTccPush, [&reached, a](Buffer b, net::Address) {
+          for (const auto& u : decode_message<PushMsg>(b).updates) {
+            if (u.key == 5) reached.push_back(a);
+          }
+        });
+  }
+  // Subscribers register out of address order, one of them twice.
+  for (net::Address a : {64u, 61u, 63u, 62u, 63u}) {
+    partition.add_subscriber(5, a);
+  }
+  bool committed = false;
+  sim::spawn(commit_one_write(client, 5, committed));
+  loop.run_until(milliseconds(150));  // > one push period
+  ASSERT_TRUE(committed);
+  EXPECT_EQ(reached, (std::vector<net::Address>{61, 62, 63, 64}));
+}
+
 // ---------------------------------------------------------------------------
 // Eventual store
 // ---------------------------------------------------------------------------
