@@ -57,7 +57,7 @@ FaasTccAdapter::FaasTccAdapter(net::RpcNode& rpc, net::Address cache_address,
                                storage::TccTopology topology,
                                FaasTccConfig config, Metrics* metrics,
                                obs::Tracer* tracer,
-                               check::ConsistencyOracle* oracle)
+                               check::HistorySink* oracle)
     : rpc_(rpc),
       cache_address_(cache_address),
       storage_(rpc, std::move(topology), tracer, oracle),
@@ -180,7 +180,7 @@ sim::Task<std::optional<std::vector<Value>>> FaasTccTxn::read(
     if (adapter_.oracle_ != nullptr) {
       adapter_.oracle_->on_read(info_.txn_id, fn_id_, keys[idx],
                                 resp.entries[j].ts, resp.entries[j].promise,
-                                resp.entries[j].value, resp.interval);
+                                resp.entries[j].value);
     }
   }
   co_return out;

@@ -10,7 +10,7 @@
 #include <unordered_map>
 
 #include "cache/cache_messages.h"
-#include "check/oracle.h"
+#include "check/history.h"
 #include "client/snapshot_interval.h"
 #include "client/txn.h"
 #include "common/metrics.h"
@@ -88,7 +88,7 @@ class FaasTccAdapter final : public SystemAdapter {
   FaasTccAdapter(net::RpcNode& rpc, net::Address cache_address,
                  storage::TccTopology topology, FaasTccConfig config,
                  Metrics* metrics, obs::Tracer* tracer = nullptr,
-                 check::ConsistencyOracle* oracle = nullptr);
+                 check::HistorySink* oracle = nullptr);
 
   std::unique_ptr<FunctionTxn> open(const TxnInfo& info,
                                     std::vector<Payload> parent_contexts,
@@ -102,7 +102,7 @@ class FaasTccAdapter final : public SystemAdapter {
   FaasTccConfig config_;
   Metrics* metrics_;
   obs::Tracer* tracer_;
-  check::ConsistencyOracle* oracle_;
+  check::HistorySink* oracle_;
 };
 
 class FaasTccTxn final : public FunctionTxn {

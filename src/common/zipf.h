@@ -6,9 +6,14 @@
 // the search to the few ranks whose CDF crosses u's bucket, and the result
 // is always the rank std::upper_bound over the whole CDF would return, so
 // key draws (and with them every schedule) are unchanged by the table.
+//
+// A sampler is a cheap copyable handle: copies share one immutable table,
+// so a cluster builds it once and hands it to every client.  Sampling is
+// const and draws only from the caller's Rng.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -18,13 +23,14 @@ namespace faastcc {
 
 class ZipfSampler {
  public:
-  // theta == 0 degenerates to the uniform distribution.
+  // Builds a new table; theta == 0 degenerates to the uniform
+  // distribution.
   ZipfSampler(uint64_t num_keys, double theta);
 
   Key sample(Rng& rng) const;
 
-  uint64_t num_keys() const { return num_keys_; }
-  double theta() const { return theta_; }
+  uint64_t num_keys() const { return table_->num_keys; }
+  double theta() const { return table_->theta; }
 
   // Probability mass of rank `r` (0-based); exposed for tests.
   double pmf(uint64_t r) const;
@@ -33,15 +39,18 @@ class ZipfSampler {
   // rank_of(rng.next_double()).  Exposed for tests, with the CDF it
   // inverts.
   Key rank_of(double u) const;
-  const std::vector<double>& cdf() const { return cdf_; }
+  const std::vector<double>& cdf() const { return table_->cdf; }
 
  private:
-  uint64_t num_keys_;
-  double theta_;
-  std::vector<double> cdf_;
-  // guide_[b] = upper_bound(cdf_, b / G) for G = guide_.size() - 1 buckets:
-  // the answer for any u in bucket b lies in [guide_[b], guide_[b + 1]].
-  std::vector<uint32_t> guide_;
+  struct Table {
+    uint64_t num_keys;
+    double theta;
+    std::vector<double> cdf;
+    // guide[b] = upper_bound(cdf, b / G) for G = guide.size() - 1 buckets:
+    // the answer for any u in bucket b lies in [guide[b], guide[b + 1]].
+    std::vector<uint32_t> guide;
+  };
+  std::shared_ptr<const Table> table_;
 };
 
 }  // namespace faastcc

@@ -56,7 +56,7 @@ std::unique_ptr<client::SystemAdapter> MakeAdapter(
   return nullptr;
 }
 
-Cluster::Cluster(ClusterParams params)
+Cluster::Cluster(ClusterParams params, check::HistorySink* tap)
     : params_(std::move(params)),
       rng_(params_.seed),
       network_(loop_, params_.net, rng_.fork()),
@@ -69,10 +69,15 @@ Cluster::Cluster(ClusterParams params)
   if (params_.faults.enabled()) {
     network_.set_faults(params_.faults, rng_.fork());
   }
-  // The oracle is pure out-of-band recording (no events, no randomness),
-  // so creating it cannot perturb the run.
+  // The oracle is pure out-of-band checking (no events, no randomness; it
+  // only reads the clock), so creating it cannot perturb the run.
   if (params_.check_consistency && params_.system == SystemKind::kFaasTcc) {
-    oracle_ = std::make_unique<check::ConsistencyOracle>();
+    oracle_ = std::make_unique<check::ConsistencyOracle>(&loop_);
+    history_ = oracle_.get();
+    if (tap != nullptr) {
+      tee_ = std::make_unique<check::TeeSink>(oracle_.get(), tap);
+      history_ = tee_.get();
+    }
   }
   // Topology service (FaaSTCC only).  Constructing it is pure endpoint
   // registration — zero events, zero randomness — so non-elastic runs are
@@ -170,7 +175,7 @@ void Cluster::build_storage() {
       }
       tcc_partitions_.push_back(std::make_unique<storage::TccPartition>(
           network_, topo.partitions[p], static_cast<PartitionId>(p),
-          topo.partitions, tcc_params, &tracer_, oracle_.get()));
+          topo.partitions, tcc_params, &tracer_, history_));
       auto& part = *tcc_partitions_.back();
       part.set_routing(topo_->table());
       part.set_topo_service(kTopoAddr);
@@ -208,7 +213,7 @@ void Cluster::build_storage() {
         }
         tcc_partitions_.push_back(std::make_unique<storage::TccPartition>(
             network_, all[old_n + i], static_cast<PartitionId>(old_n + i),
-            all, tcc_params, &tracer_, oracle_.get()));
+            all, tcc_params, &tracer_, history_));
         auto& joiner = *tcc_partitions_.back();
         joiner.defer_serving();
         joiner.set_topo_service(kTopoAddr);
@@ -234,7 +239,7 @@ void Cluster::build_storage() {
           const net::Address addr = follower_address(p, r);
           tcc_followers_.push_back(std::make_unique<storage::TccPartition>(
               network_, addr, static_cast<PartitionId>(p), topo.partitions,
-              tcc_params, &tracer_, oracle_.get()));
+              tcc_params, &tracer_, history_));
           auto& follower = *tcc_followers_.back();
           // make_follower before set_routing: a follower adopting a table
           // that names it as leader promotes itself, and the role decides
@@ -294,7 +299,7 @@ void Cluster::build_compute() {
         acfg.tcc_topology = tcc_topology();
         acfg.faastcc = params_.faastcc;
         acfg.faastcc.topo_service = kTopoAddr;
-        acfg.oracle = oracle_.get();
+        acfg.oracle = history_;
         break;
       }
       case SystemKind::kHydroCache: {
@@ -339,6 +344,9 @@ void Cluster::build_compute() {
 }
 
 void Cluster::build_clients() {
+  if (params_.clients == 0) return;
+  // One Zipf table for every client: each WorkloadGen holds a handle.
+  const ZipfSampler zipf(params_.workload.num_keys, params_.workload.zipf);
   for (size_t c = 0; c < params_.clients; ++c) {
     workload::ClientParams cp;
     cp.client_id = c;
@@ -348,8 +356,8 @@ void Cluster::build_clients() {
         params_.faults.enabled() ? params_.faults.dag_timeout : Duration{0};
     clients_.push_back(std::make_unique<workload::ClientDriver>(
         network_, kClientBase + static_cast<net::Address>(c), kSchedulerAddr,
-        workload::WorkloadGen(params_.workload, rng_.fork()), cp, &metrics_,
-        &tracer_, oracle_.get()));
+        workload::WorkloadGen(params_.workload, rng_.fork(), zipf), cp,
+        &metrics_, &tracer_, history_));
   }
 }
 
@@ -369,7 +377,7 @@ void Cluster::preload() {
               k, value, init_ts);
         }
       }
-      if (oracle_ != nullptr) oracle_->on_preload(k, init_ts, value);
+      if (history_ != nullptr) history_->on_preload(k, init_ts, value);
     }
     return;
   }

@@ -45,7 +45,7 @@ struct AdapterConfig {
   client::HydroConfig hydro;
   Metrics* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
-  check::ConsistencyOracle* oracle = nullptr;  // FaaSTCC only
+  check::HistorySink* oracle = nullptr;  // FaaSTCC only
   // Replica-selection stream for the eventually consistent systems.  Fork
   // it from the cluster rng in the same order the adapters were previously
   // constructed, or seeds stop reproducing pre-factory runs.
@@ -167,7 +167,9 @@ struct RunResult {
 
 class Cluster {
  public:
-  explicit Cluster(ClusterParams params);
+  // `tap` (FaaSTCC with check_consistency only) receives the same history
+  // as the oracle, e.g. a second checker to compare verdicts against.
+  explicit Cluster(ClusterParams params, check::HistorySink* tap = nullptr);
   ~Cluster();
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
@@ -240,6 +242,9 @@ class Cluster {
   Metrics metrics_;
   obs::Tracer tracer_;
   std::unique_ptr<check::ConsistencyOracle> oracle_;
+  std::unique_ptr<check::TeeSink> tee_;  // oracle + tap, when tapped
+  // What the hook sites record into: the oracle, the tee, or nullptr.
+  check::HistorySink* history_ = nullptr;
   std::shared_ptr<faas::FunctionRegistry> registry_;
   std::unique_ptr<routing::TopologyService> topo_;
   // All reconfiguration state (control endpoint, slot-handoff pipeline,

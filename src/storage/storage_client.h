@@ -11,7 +11,7 @@
 #include <optional>
 #include <vector>
 
-#include "check/oracle.h"
+#include "check/history.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "net/rpc.h"
@@ -58,7 +58,7 @@ class TccStorageClient {
  public:
   TccStorageClient(net::RpcNode& rpc, TccTopology topology,
                    obs::Tracer* tracer = nullptr,
-                   check::ConsistencyOracle* oracle = nullptr)
+                   check::HistorySink* oracle = nullptr)
       : rpc_(rpc), topology_(std::move(topology)), tracer_(tracer),
         oracle_(oracle) {
     // Table-backed clients participate in epoch gating from the start;
@@ -154,7 +154,7 @@ class TccStorageClient {
   net::RpcNode& rpc_;
   TccTopology topology_;
   obs::Tracer* tracer_ = nullptr;
-  check::ConsistencyOracle* oracle_ = nullptr;
+  check::HistorySink* oracle_ = nullptr;
   net::Address topo_service_ = 0;
   Metrics* metrics_ = nullptr;
   TableChangeCallback table_change_cb_;

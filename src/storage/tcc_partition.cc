@@ -14,7 +14,7 @@ TccPartition::TccPartition(net::Network& network, net::Address self,
                            PartitionId id,
                            std::vector<net::Address> all_partitions,
                            TccPartitionParams params, obs::Tracer* tracer,
-                           check::ConsistencyOracle* oracle)
+                           check::HistorySink* oracle)
     : rpc_(network, self),
       id_(id),
       all_partitions_(std::move(all_partitions)),

@@ -20,7 +20,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "check/oracle.h"
+#include "check/history.h"
 #include "common/hlc.h"
 #include "common/metrics.h"
 #include "common/rng.h"
@@ -89,7 +89,7 @@ class TccPartition {
   TccPartition(net::Network& network, net::Address self, PartitionId id,
                std::vector<net::Address> all_partitions,
                TccPartitionParams params, obs::Tracer* tracer = nullptr,
-               check::ConsistencyOracle* oracle = nullptr);
+               check::HistorySink* oracle = nullptr);
 
   // Spawns the gossip, push and GC background loops.  Idempotent: a
   // deferred joiner calls this again through activation.
@@ -330,7 +330,7 @@ class TccPartition {
   std::unordered_map<net::Address, uint64_t> push_seq_out_;
   std::unordered_map<net::Address, uint64_t> ctl_seq_seen_;
   bool ctl_stale(uint64_t seq, net::Address from);
-  check::ConsistencyOracle* oracle_ = nullptr;
+  check::HistorySink* oracle_ = nullptr;
   uint64_t chaos_ticks_ = 0;  // counter for chaos_ignore_dep timestamps
   // Stabilization messages received since the last local gossip round
   // (mesh gossip, tree reports and broadcasts) — the stab.fan_in sample.

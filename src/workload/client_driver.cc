@@ -10,7 +10,7 @@ ClientDriver::ClientDriver(net::Network& network, net::Address self,
                            net::Address scheduler, WorkloadGen workload,
                            ClientParams params, Metrics* metrics,
                            obs::Tracer* tracer,
-                           check::ConsistencyOracle* oracle)
+                           check::HistorySink* oracle)
     : rpc_(network, self),
       scheduler_(scheduler),
       workload_(std::move(workload)),

@@ -5,7 +5,7 @@
 #include <optional>
 #include <unordered_map>
 
-#include "check/oracle.h"
+#include "check/history.h"
 #include "common/metrics.h"
 #include "faas/messages.h"
 #include "net/rpc.h"
@@ -35,7 +35,7 @@ class ClientDriver {
                net::Address scheduler, WorkloadGen workload,
                ClientParams params, Metrics* metrics,
                obs::Tracer* tracer = nullptr,
-               check::ConsistencyOracle* oracle = nullptr);
+               check::HistorySink* oracle = nullptr);
 
   // The closed loop; spawn once.  Sets done() when finished.
   sim::Task<void> run();
@@ -58,7 +58,7 @@ class ClientDriver {
   ClientParams params_;
   Metrics* metrics_;
   obs::Tracer* tracer_;
-  check::ConsistencyOracle* oracle_ = nullptr;
+  check::HistorySink* oracle_ = nullptr;
   Buffer session_;
   TxnId next_txn_;
   std::unordered_map<TxnId, sim::Promise<faas::DagDoneMsg>> pending_;

@@ -92,7 +92,11 @@ struct SinkArgs {
 
 class WorkloadGen {
  public:
+  // Builds its own Zipf table for params.num_keys / params.zipf.
   WorkloadGen(WorkloadParams params, Rng rng);
+  // Shares `zipf`, which must match params.num_keys / params.zipf (a
+  // cluster builds one table for all of its clients).
+  WorkloadGen(WorkloadParams params, Rng rng, ZipfSampler zipf);
 
   // Builds one chain DAG with freshly sampled keys.  `now` only matters to
   // the hotspot-shifting pattern (it decides the current rotation); every

@@ -303,6 +303,23 @@ TEST(Zipf, SamplesStayInRange) {
   }
 }
 
+// Copies are handles over one immutable table: a cluster builds the table
+// once and every client's generator shares it, drawing exactly what a
+// private table would.
+TEST(Zipf, CopiesShareOneTableAndDrawIdenticalRanks) {
+  const ZipfSampler own(100000, 1.0);
+  const ZipfSampler shared = own;
+  EXPECT_EQ(own.cdf().data(), shared.cdf().data());
+  const ZipfSampler rebuilt(100000, 1.0);
+  EXPECT_NE(own.cdf().data(), rebuilt.cdf().data());
+  Rng a(5), b(5), c(5);
+  for (int i = 0; i < 20000; ++i) {
+    const Key k = own.sample(a);
+    ASSERT_EQ(shared.sample(b), k);
+    ASSERT_EQ(rebuilt.sample(c), k);
+  }
+}
+
 // The guide table must not change a single draw: rank_of(u) is the rank
 // std::upper_bound over the whole CDF returns, for every u.
 class ZipfGuide : public ::testing::TestWithParam<double> {};

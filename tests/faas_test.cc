@@ -457,6 +457,23 @@ TEST(Workload, DynamicDagsDeclareNothing) {
   EXPECT_TRUE(dag.declared_read_set.empty());
 }
 
+TEST(Workload, SharedZipfTableGeneratesTheSameDags) {
+  workload::WorkloadParams p;
+  p.num_keys = 5000;
+  p.zipf = 1.2;
+  const ZipfSampler zipf(p.num_keys, p.zipf);
+  workload::WorkloadGen own(p, Rng(11));
+  workload::WorkloadGen shared(p, Rng(11), zipf);
+  for (int i = 0; i < 200; ++i) {
+    const auto a = own.next_dag();
+    const auto b = shared.next_dag();
+    ASSERT_EQ(a.functions.size(), b.functions.size());
+    for (size_t f = 0; f < a.functions.size(); ++f) {
+      ASSERT_EQ(a.functions[f].args, b.functions[f].args) << "dag " << i;
+    }
+  }
+}
+
 TEST(Workload, ArgsRoundTrip) {
   workload::StepArgs sa;
   sa.keys = {1, 2, 3};

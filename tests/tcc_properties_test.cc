@@ -386,6 +386,25 @@ TEST(ChaosOracle, DoubleInstallIsCaughtAsDuplicate) {
                             Violation::Kind::kDuplicateInstall));
 }
 
+// The online oracle flags the twin version when it is installed, so the
+// violation carries a sim time inside the measured run, not the end of it.
+TEST(ChaosOracle, DoubleInstallIsStampedWhenItHappens) {
+  ClusterParams p = oracle_params(23);
+  p.tcc.chaos_double_install = true;
+  Cluster cluster(p);
+  cluster.run();
+  const SimTime end = cluster.loop().now();
+  const auto vs = cluster.oracle()->check();
+  bool stamped = false;
+  for (const Violation& v : vs) {
+    if (v.kind != Violation::Kind::kDuplicateInstall) continue;
+    EXPECT_GE(v.at, p.warmup) << v.detail;
+    EXPECT_LT(v.at, end) << v.detail;
+    stamped = true;
+  }
+  EXPECT_TRUE(stamped);
+}
+
 TEST(ChaosOracle, IgnoredDependencyIsCaughtAsCausalOrder) {
   ClusterParams p = oracle_params(24);
   p.tcc.chaos_ignore_dep = true;
