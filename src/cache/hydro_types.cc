@@ -179,11 +179,7 @@ void DepMap::flush_slow() const {
         ++i;  // shadowed: the overlay entry replaces this record
       }
       uint8_t rec[kDepWireBytes];
-      std::memcpy(rec, &kp, 8);
-      std::memcpy(rec + 8, &d.counter, 8);
-      std::memcpy(rec + 16, &d.written_at, 8);
-      rec[24] = d.read ? 1 : 0;
-      rec[25] = d.read ? 0 : d.level;
+      store_record(rec, kp, d);
       buf.insert(buf.end(), rec, rec + kDepWireBytes);
     }
     if (i < n) {
@@ -478,11 +474,7 @@ void DepMap::merge(const DepMap& other) {
     uint32_t cnt = 0;
     auto append = [&](Key k, const Dep& d) {
       uint8_t rec[kDepWireBytes];
-      std::memcpy(rec, &k, 8);
-      std::memcpy(rec + 8, &d.counter, 8);
-      std::memcpy(rec + 16, &d.written_at, 8);
-      rec[24] = d.read ? 1 : 0;
-      rec[25] = d.read ? 0 : d.level;
+      store_record(rec, k, d);
       buf.insert(buf.end(), rec, rec + kDepWireBytes);
       ++cnt;
     };

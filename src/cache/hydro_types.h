@@ -34,16 +34,22 @@
 //     them: `lookup` binary-searches the fixed-width records directly and
 //     re-encoding is one bulk copy.  Mutations of a raw-backed map go to
 //     the same pending overlay (shadowing same-key records); the fold, the
-//     prune (`filter`), the merge and the export traversal (`for_each`)
-//     all operate at the record level with bulk copies, so a context can
-//     live its entire decode → update → prune → re-ship cycle without
-//     ever being parsed into entries or touching the interner.
+//     prune (`filter`) and the merge operate at the record level with bulk
+//     copies, so a context can live its entire decode → update → prune →
+//     re-ship cycle without ever being parsed into entries or touching the
+//     interner.
+//   * Reads never fold.  `for_each`, `encode` and the pruned export
+//     `encode_if` walk the image (or entry node) and the overlay as one
+//     merged sorted stream, so shipping a context — with a read request,
+//     downstream, or as a session — writes each record once, straight
+//     into the message, instead of folding and re-copying first.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -205,9 +211,8 @@ class DepMap {
     });
   }
   // Folds the point-insert overlay into the main node (no-op when empty).
-  // A compacted map copies as a pure refcount bump; callers that are about
-  // to take a shipped copy compact first so the fold happens once, in
-  // place, instead of once per copy through the shared-node slow path.
+  // A compacted map copies as a pure refcount bump.  Encoding and
+  // traversal do not need it: they walk node and overlay merged.
   void compact() const { flush(); }
 
   // General one-pass prune: keeps entries satisfying keep(key, entry).
@@ -224,78 +229,102 @@ class DepMap {
   size_t size_hint() const { return wire_bytes(); }
 
   // Canonical encoding: entries sorted by raw key.  Stable across
-  // insertion orders, merge histories and stdlib implementations.  A
-  // raw-backed map folds its overlay (a bulk raw-level merge) and then
-  // re-emits its wire image with one bulk copy (it IS the canonical
-  // encoding).
+  // insertion orders, merge histories and stdlib implementations.  The
+  // overlay is never folded: the raw image (or entry node) and the pending
+  // overlay are walked as one merged sorted stream straight into the
+  // writer, unshadowed raw runs as bulk copies.  A raw-backed map with no
+  // overlay re-emits its wire image with one copy (it IS the encoding).
   template <typename W>
   void encode(W& w) const {
-    flush();
-    if (raw_) {
-      if constexpr (requires { w.put_span(raw_.data, raw_.size); }) {
-        w.put_span(raw_.data, raw_.size);
-        return;
-      }
-      materialize();
+    if constexpr (std::is_same_v<W, BufWriter>) {
+      RecordWriter out(w);
+      walk([&out](const uint8_t* recs,
+                  size_t n) { out.append_records(recs, n); },
+           [&out](Key k, const Dep& d) { out.append(k, d); });
+      out.finish();
+    } else {
+      // Tallying writer (CountingWriter): records are fixed-width, so the
+      // size is arithmetic — never walk a 10^3-entry map just to count it.
+      w.put_u32(static_cast<uint32_t>(size()));
+      w.put_span(nullptr, size() * kDepWireBytes);
     }
-    encode_entries(w);
   }
 
-  // Ascending-key traversal that never materializes a raw-backed map:
-  // calls f(Key, const Dep&) for every entry.  `key_id` is NOT populated
-  // for entries visited on the raw path — the callback already gets the
-  // raw key.  This is the export/projection workhorse (metadata byte
-  // accounting, commit dependency-list assembly, session-past rebuilds).
+  // Ascending-key traversal that neither folds the overlay nor
+  // materializes a raw-backed map: calls f(Key, const Dep&) for every
+  // entry.  `key_id` is NOT populated for entries visited on the raw path
+  // — the callback already gets the raw key.  This is the export/
+  // projection workhorse (metadata byte accounting, commit dependency-list
+  // assembly, session rebuilds).
   template <typename F>
   void for_each(F&& f) const {
-    flush();
-    if (raw_) {
-      const uint8_t* p = raw_records();
-      const uint8_t* end = p + raw_count() * kDepWireBytes;
-      for (; p != end; p += kDepWireBytes) {
-        f(raw_u64(p + kRawKeyOff), parse_raw(p));
-      }
-      return;
-    }
-    for (const Dep& d : entries()) f(key_of(d), d);
+    walk(
+        [&f](const uint8_t* recs, size_t cnt) {
+          for (const uint8_t* p = recs; p != recs + cnt * kDepWireBytes;
+               p += kDepWireBytes) {
+            f(raw_u64(p + kRawKeyOff), parse_raw(p));
+          }
+        },
+        f);
   }
   static DepMap decode(BufReader& r);
 
-  // Assembles a map directly in canonical wire form from entries appended
-  // in ascending key order (each key at most once).  Rebuild paths that
-  // stream a sorted source — the session-past projection, pruned exports —
-  // skip the per-entry search/insert machinery entirely: the result is
-  // raw-backed, so it also ships and re-encodes as one bulk copy.
-  class RawBuilder {
+  // Streams canonical records into a BufWriter: the u32 count slot is
+  // written up front and patched by finish().  Appends must come in
+  // ascending key order, each key at most once — the shape of a pruned or
+  // re-levelled traversal of a sorted map, which can thus be written
+  // straight into the message it ships in instead of being built as a map
+  // first and copied.
+  class RecordWriter {
    public:
-    explicit RawBuilder(size_t max_entries) {
-      buf_.reserve(4 + max_entries * kDepWireBytes);
-      buf_.resize(4);
+    explicit RecordWriter(BufWriter& w) : w_(w), count_at_(w.size()) {
+      w.put_u32(0);
     }
-    void append(Key k, uint64_t counter, SimTime written_at, bool read,
-                uint8_t level) {
-      const size_t off = buf_.size();
-      buf_.resize(off + kDepWireBytes);
-      uint8_t* p = buf_.data() + off;
-      std::memcpy(p, &k, 8);
-      std::memcpy(p + 8, &counter, 8);
-      std::memcpy(p + 16, &written_at, 8);
-      p[24] = read ? 1 : 0;
-      p[25] = read ? 0 : level;  // canonical form: read entries at level 0
+    void append(Key k, const Dep& d) {
+      store_record(w_.extend(kDepWireBytes), k, d);
       ++count_;
     }
-    DepMap finish() && {
-      DepMap m;
-      if (count_ == 0) return m;
-      std::memcpy(buf_.data(), &count_, 4);
-      m.raw_ = RawImage::own(std::move(buf_));
-      return m;
+    // `n` whole canonical records, copied in bulk.
+    void append_records(const uint8_t* recs, size_t n) {
+      w_.put_span(recs, n * kDepWireBytes);
+      count_ += static_cast<uint32_t>(n);
+    }
+    // Patches the count; returns it.
+    uint32_t finish() {
+      w_.patch_u32(count_at_, count_);
+      return count_;
     }
 
    private:
-    Buffer buf_;
+    BufWriter& w_;
+    size_t count_at_;
     uint32_t count_ = 0;
   };
+
+  // One-pass pruned export: encodes exactly the entries satisfying
+  // keep(key, entry), as encode() of the map after retain(keep) would,
+  // without folding the overlay or building the pruned map.  Kept runs of
+  // raw records are copied in bulk.  Returns the number of entries
+  // written.
+  template <typename Pred>
+  uint32_t encode_if(BufWriter& w, Pred&& keep) const {
+    RecordWriter out(w);
+    walk(
+        [&](const uint8_t* recs, size_t cnt) {
+          const uint8_t* run = recs;
+          const uint8_t* end = recs + cnt * kDepWireBytes;
+          for (const uint8_t* p = recs; p != end; p += kDepWireBytes) {
+            if (keep(raw_u64(p + kRawKeyOff), parse_raw(p))) continue;
+            out.append_records(run, (p - run) / kDepWireBytes);
+            run = p + kDepWireBytes;
+          }
+          out.append_records(run, (end - run) / kDepWireBytes);
+        },
+        [&](Key k, const Dep& d) {
+          if (keep(k, d)) out.append(k, d);
+        });
+    return out.finish();
+  }
 
   const_iterator begin() const {
     materialize();
@@ -371,41 +400,56 @@ class DepMap {
   }
   void materialize_slow() const;
 
-  template <typename W>
-  void encode_entries(W& w) const {
-    flush();
-    const Entries& es = entries();
-    w.put_u32(static_cast<uint32_t>(es.size()));
+  // Writes one canonical 26-byte record (read entries at level 0).
+  static void store_record(uint8_t* p, Key k, const Dep& d) {
+    std::memcpy(p + kRawKeyOff, &k, 8);
+    std::memcpy(p + kRawCounterOff, &d.counter, 8);
+    std::memcpy(p + kRawWrittenAtOff, &d.written_at, 8);
+    p[kRawReadOff] = d.read ? 1 : 0;
+    p[kRawLevelOff] = d.read ? 0 : d.level;
+  }
+
+  // The merged ascending-key walk behind encode/for_each/encode_if: the
+  // main representation and the pending overlay as one sorted stream,
+  // without folding.  On a raw-backed map, raw_run(recs, n) receives each
+  // maximal run of records no overlay entry shadows, and entry(key, dep)
+  // each overlay entry in place of the record it shadows.  On an entry
+  // node, entry() receives every node and overlay entry (disjoint keys).
+  template <typename RawRun, typename Entry>
+  void walk(RawRun&& raw_run, Entry&& entry) const {
     const KeyInterner& interner = KeyInterner::instance();
-    if constexpr (requires(W& ww) { ww.extend(size_t{0}); }) {
-      // Contexts run to thousands of entries and are re-encoded at every
-      // function hop; one bounds check for the whole record block beats
-      // five per entry.  Offsets match the canonical 26-byte record.
-      uint8_t* p = w.extend(es.size() * kDepWireBytes);
-      for (const Dep& d : es) {
-        const Key k = interner.key_of(d.key_id);
-        std::memcpy(p, &k, 8);
-        std::memcpy(p + 8, &d.counter, 8);
-        std::memcpy(p + 16, &d.written_at, 8);
-        p[24] = d.read ? 1 : 0;
-        p[25] = d.level;
-        p += kDepWireBytes;
+    if (raw_) {
+      const uint8_t* recs = raw_records();
+      const size_t n = raw_count();
+      size_t i = 0;
+      for (const Dep& d : pending_) {
+        const Key kp = interner.key_of(d.key_id);
+        const size_t run = i;
+        while (i < n && raw_u64(recs + i * kDepWireBytes + kRawKeyOff) < kp) {
+          ++i;
+        }
+        if (i > run) raw_run(recs + run * kDepWireBytes, i - run);
+        if (i < n && raw_u64(recs + i * kDepWireBytes + kRawKeyOff) == kp) {
+          ++i;  // shadowed: the overlay entry replaces this record
+        }
+        entry(kp, d);
       }
-    } else if constexpr (requires(W& ww) {
-                           ww.put_span(static_cast<const uint8_t*>(nullptr),
-                                       size_t{0});
-                         }) {
-      // Tallying writer (CountingWriter): records are fixed-width, so the
-      // size is arithmetic — never walk a 10^3-entry map just to count it.
-      w.put_span(nullptr, es.size() * kDepWireBytes);
-    } else {
-      for (const Dep& d : es) {
-        w.put_u64(interner.key_of(d.key_id));
-        w.put_u64(d.counter);
-        w.put_i64(d.written_at);
-        w.put_bool(d.read);
-        w.put_u8(d.level);
+      if (i < n) raw_run(recs + i * kDepWireBytes, n - i);
+      return;
+    }
+    const Entries& es = entries();
+    size_t j = 0;
+    for (const Dep& d : es) {
+      const Key k = interner.key_of(d.key_id);
+      for (; j < pending_.size(); ++j) {
+        const Key kp = interner.key_of(pending_[j].key_id);
+        if (kp > k) break;
+        entry(kp, pending_[j]);
       }
+      entry(k, d);
+    }
+    for (; j < pending_.size(); ++j) {
+      entry(interner.key_of(pending_[j].key_id), pending_[j]);
     }
   }
 

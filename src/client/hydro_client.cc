@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 namespace faastcc::client {
 
@@ -83,6 +84,20 @@ std::unique_ptr<FunctionTxn> HydroAdapter::open(
   return std::make_unique<HydroTxn>(*this, info, std::move(ctx));
 }
 
+HydroTxn::HydroTxn(HydroAdapter& adapter, TxnInfo info, HydroContext context)
+    : adapter_(adapter),
+      info_(std::move(info)),
+      ctx_(std::move(context)),
+      restricted_(info_.is_static &&
+                  adapter_.config_.static_metadata_optimization) {
+  if (restricted_) {
+    relevant_.insert(info_.declared_read_set.begin(),
+                     info_.declared_read_set.end());
+    relevant_.insert(info_.declared_write_set.begin(),
+                     info_.declared_write_set.end());
+  }
+}
+
 sim::Task<std::optional<std::vector<Value>>> HydroTxn::read(
     std::vector<Key> keys) {
   std::vector<Value> out(keys.size());
@@ -102,7 +117,7 @@ sim::Task<std::optional<std::vector<Value>>> HydroTxn::read(
   cache::HydroReadReq req;
   req.keys.reserve(missing.size());
   for (size_t idx : missing) req.keys.push_back(keys[idx]);
-  ctx_.deps.compact();  // so the attached copy shares the node wholesale
+  // Shares the main node; the encode walks node and overlay without a fold.
   req.context = ctx_.deps;
 
   obs::Tracer* tracer = adapter_.tracer_;
@@ -126,6 +141,7 @@ sim::Task<std::optional<std::vector<Value>>> HydroTxn::read(
   if (resp.abort) co_return std::nullopt;
 
   ctx_.global_cut = std::max(ctx_.global_cut, resp.global_cut);
+  export_memo_.reset();
   for (size_t j = 0; j < missing.size(); ++j) {
     const size_t idx = missing[j];
     const auto& e = resp.entries[j];
@@ -144,90 +160,98 @@ sim::Task<std::optional<std::vector<Value>>> HydroTxn::read(
 
 void HydroTxn::write(Key k, Value v) { ctx_.write_set[k] = std::move(v); }
 
-cache::DepMap HydroTxn::shipped_deps() const {
-  ctx_.deps.compact();  // fold pending once, in place, before the copy
-  cache::DepMap shipped = ctx_.deps;
-  const SimTime horizon =
-      std::min(ctx_.global_cut,
-               adapter_.rpc_.now() - adapter_.config_.dep_gc_window);
-  if (info_.is_static && adapter_.config_.static_metadata_optimization) {
-    // One pass for GC + declared-set pruning; read markers are exempt from
-    // both (they drive conflict aborts while the transaction runs).
-    std::unordered_set<Key> relevant(info_.declared_read_set.begin(),
-                                     info_.declared_read_set.end());
-    relevant.insert(info_.declared_write_set.begin(),
-                    info_.declared_write_set.end());
-    shipped.retain([&](Key k, const cache::Dep& d) {
-      return d.read || (d.written_at >= horizon && relevant.count(k) != 0);
-    });
-  } else {
-    shipped.gc_before(horizon);
-  }
-  return shipped;
+SimTime HydroTxn::gc_horizon() const {
+  return std::min(ctx_.global_cut,
+                  adapter_.rpc_.now() - adapter_.config_.dep_gc_window);
 }
 
 Buffer HydroTxn::export_context() const {
-  HydroContext out;
-  out.deps = shipped_deps();
-  out.lamport = ctx_.lamport;
-  out.global_cut = ctx_.global_cut;
-  out.write_set = ctx_.write_set;
-  return encode_message(out);
+  // One pass: the shipped entries stream from the context (raw image and
+  // overlay merged, never folded) straight into the encoding, with kept
+  // raw runs copied in bulk — no pruned copy of the map is built.
+  ExportMemo memo;
+  memo.horizon = gc_horizon();
+  memo.oldest_kept = std::numeric_limits<SimTime>::max();
+  BufWriter w;
+  w.reserve(encoded_size(ctx_));  // the unpruned size bounds the export
+  ctx_.encode(w, [&](BufWriter& ww) {
+    memo.entries = ctx_.deps.encode_if(ww, [&](Key k, const cache::Dep& d) {
+      if (!shipped(k, d, memo.horizon)) return false;
+      if (!d.read) memo.oldest_kept = std::min(memo.oldest_kept, d.written_at);
+      return true;
+    });
+  });
+  export_memo_ = memo;
+  return w.take();
 }
 
 size_t HydroTxn::metadata_bytes() const {
-  // Same number as shipped_deps().wire_bytes(), but computed by counting
-  // the surviving entries instead of materializing the pruned copy — this
-  // runs per function execution (twice when tracing), and the copy was a
-  // measurable share of HydroCache wall time.
-  const SimTime horizon =
-      std::min(ctx_.global_cut,
-               adapter_.rpc_.now() - adapter_.config_.dep_gc_window);
-  const bool restricted =
-      info_.is_static && adapter_.config_.static_metadata_optimization;
-  std::unordered_set<Key> relevant;
-  if (restricted) {
-    relevant.insert(info_.declared_read_set.begin(),
-                    info_.declared_read_set.end());
-    relevant.insert(info_.declared_write_set.begin(),
-                    info_.declared_write_set.end());
+  const SimTime horizon = gc_horizon();
+  // The horizon only advances.  The last export's count still holds until
+  // it passes the oldest non-read entry that export kept.
+  if (export_memo_ && horizon >= export_memo_->horizon &&
+      horizon <= export_memo_->oldest_kept) {
+    return 4 + export_memo_->entries * cache::kDepWireBytes;
   }
   size_t n = 0;
   ctx_.deps.for_each([&](Key k, const cache::Dep& d) {
-    if (!d.read && d.written_at < horizon) return;
-    // Read markers survive restrict_to (they drive conflict aborts), so
-    // only non-read entries are subject to the declared-set pruning.
-    if (restricted && !d.read && relevant.count(k) == 0) return;
-    ++n;
+    if (shipped(k, d, horizon)) ++n;
   });
   return 4 + n * cache::kDepWireBytes;
 }
 
-// The context as carried into the client's next transaction: everything
-// becomes validation-only history (level 2, no read markers), pruned
-// against the stable cut.
-cache::DepMap HydroTxn::session_past(SimTime horizon) const {
-  // Entries stream out of the sorted context in ascending key order, so
-  // the session map is assembled directly in canonical wire form — the
-  // per-entry search/insert machinery would be pure overhead here.
-  cache::DepMap::RawBuilder past(ctx_.deps.size());
-  ctx_.deps.for_each([&](Key k, const cache::Dep& d) {
-    if (d.written_at < horizon) return;
-    past.append(k, d.counter, d.written_at, false, 2);
+// The session carries the context into the client's next transaction:
+// everything becomes validation-only history (level 2, no read markers),
+// pruned against the stable cut, and the client's own writes enter at
+// level 1 — they are the nearest dependencies of whatever it does next.
+Buffer encode_hydro_session(const HydroContext& ctx, uint64_t lamport,
+                            SimTime horizon,
+                            const std::vector<storage::EvVersion>& versions,
+                            SimTime now) {
+  assert(versions.empty() || versions.size() == ctx.write_set.size());
+  HydroSession s;
+  s.lamport = lamport;
+  s.global_cut = ctx.global_cut;
+  BufWriter w;
+  w.reserve(encoded_size(s) +
+            (ctx.deps.size() + versions.size()) * cache::kDepWireBytes);
+  s.encode(w, [&](BufWriter& ww) {
+    cache::DepMap::RecordWriter out(ww);
+    auto own = ctx.write_set.begin();  // parallel to `versions`
+    size_t i = 0;
+    auto put_own = [&] {
+      out.append(own->first, cache::Dep{versions[i].counter, now, 0, false, 1});
+      ++own;
+      ++i;
+    };
+    ctx.deps.for_each([&](Key k, const cache::Dep& d) {
+      while (i < versions.size() && own->first < k) put_own();
+      const bool past = d.written_at >= horizon;
+      if (i < versions.size() && own->first == k) {
+        // A write over a past entry: require(k, version, now, 1) on it.
+        const uint64_t c = versions[i].counter;
+        if (!past || c > d.counter) {
+          put_own();
+          return;
+        }
+        out.append(k, cache::Dep{d.counter, d.written_at, 0, false,
+                                 static_cast<uint8_t>(c == d.counter ? 1 : 2)});
+        ++own;
+        ++i;
+        return;
+      }
+      if (past) out.append(k, cache::Dep{d.counter, d.written_at, 0, false, 2});
+    });
+    while (i < versions.size()) put_own();
+    out.finish();
   });
-  return std::move(past).finish();
+  return w.take();
 }
 
 sim::Task<std::optional<Buffer>> HydroTxn::commit() {
-  const SimTime gc_horizon =
-      std::min(ctx_.global_cut,
-               adapter_.rpc_.now() - adapter_.config_.dep_gc_window);
+  const SimTime horizon = gc_horizon();
   if (ctx_.write_set.empty()) {
-    HydroSession s;
-    s.lamport = ctx_.lamport;
-    s.global_cut = ctx_.global_cut;
-    s.deps = session_past(gc_horizon);
-    co_return encode_message(s);
+    co_return encode_hydro_session(ctx_, ctx_.lamport, horizon, {}, 0);
   }
 
   // Build the stored dependency list: versions this transaction read
@@ -310,19 +334,11 @@ sim::Task<std::optional<Buffer>> HydroTxn::commit() {
   // Unreachable replica through the retry budget: abort the DAG.
   if (!versions.has_value()) co_return std::nullopt;
 
-  HydroSession session;
-  session.lamport = counter;
-  session.global_cut = ctx_.global_cut;
-  session.deps = session_past(gc_horizon);
-  size_t i = 0;
-  for (const auto& [k, v] : ctx_.write_set) {
-    session.lamport = std::max(session.lamport, (*versions)[i].counter);
-    // The client's own writes stay at level 1: they are the nearest
-    // dependencies of whatever it does next.
-    session.deps.require(k, (*versions)[i].counter, now, 1);
-    ++i;
+  uint64_t lamport = counter;
+  for (const storage::EvVersion& v : *versions) {
+    lamport = std::max(lamport, v.counter);
   }
-  co_return encode_message(session);
+  co_return encode_hydro_session(ctx_, lamport, horizon, *versions, now);
 }
 
 }  // namespace faastcc::client

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -43,8 +44,15 @@ struct HydroContext {
 
   template <typename W>
   void encode(W& w) const {
+    encode(w, [this](W& ww) { deps.encode(ww); });
+  }
+  // The same layout with the dependency block written by put_deps(w):
+  // HydroTxn::export_context streams the pruned view of `deps` through it
+  // instead of building the pruned map first.
+  template <typename W, typename PutDeps>
+  void encode(W& w, PutDeps&& put_deps) const {
     w.put_u8(kWireVersion);
-    deps.encode(w);
+    put_deps(w);
     w.put_u64(lamport);
     w.put_i64(global_cut);
     w.put_u32(static_cast<uint32_t>(write_set.size()));
@@ -78,8 +86,7 @@ class HydroAdapter final : public SystemAdapter {
 
 class HydroTxn final : public FunctionTxn {
  public:
-  HydroTxn(HydroAdapter& adapter, TxnInfo info, HydroContext context)
-      : adapter_(adapter), info_(std::move(info)), ctx_(std::move(context)) {}
+  HydroTxn(HydroAdapter& adapter, TxnInfo info, HydroContext context);
 
   sim::Task<std::optional<std::vector<Value>>> read(
       std::vector<Key> keys) override;
@@ -89,16 +96,35 @@ class HydroTxn final : public FunctionTxn {
   sim::Task<std::optional<Buffer>> commit() override;
 
  private:
-  // The dependency map as it would be shipped downstream: GC'd against the
-  // stable cut and, for static transactions, restricted to the declared
-  // read/write set.
-  cache::DepMap shipped_deps() const;
-  cache::DepMap session_past(SimTime horizon) const;
-
+  // Dependencies older than this are globally visible: GC'd from shipped
+  // metadata and from the session.
+  SimTime gc_horizon() const;
+  // Whether entry (k, d) is shipped downstream at `horizon`: not GC'd and,
+  // for static transactions, in the declared read/write set.  Read markers
+  // are exempt from both (they drive conflict aborts while the transaction
+  // runs).
+  bool shipped(Key k, const cache::Dep& d, SimTime horizon) const {
+    if (d.read) return true;
+    return d.written_at >= horizon &&
+           (!restricted_ || relevant_.count(k) != 0);
+  }
   HydroAdapter& adapter_;
   TxnInfo info_;
   HydroContext ctx_;
   std::unordered_map<Key, Value> read_set_;
+  // Static metadata optimization: the declared read/write set.
+  bool restricted_ = false;
+  std::unordered_set<Key> relevant_;
+  // What the last export_context() shipped, so metadata_bytes() reuses its
+  // count instead of rescanning: the entry count, the horizon it was cut
+  // at and the oldest non-read entry it kept.  Reset when a read changes
+  // the context.
+  struct ExportMemo {
+    SimTime horizon = 0;
+    SimTime oldest_kept = 0;
+    size_t entries = 0;
+  };
+  mutable std::optional<ExportMemo> export_memo_;
 };
 
 // Session blob: the client's full accumulated causal past (COPS-style —
@@ -115,11 +141,27 @@ struct HydroSession {
 
   template <typename W>
   void encode(W& w) const {
+    encode(w, [this](W& ww) { deps.encode(ww); });
+  }
+  // Dependency block written by put_deps(w) (see HydroContext::encode).
+  template <typename W, typename PutDeps>
+  void encode(W& w, PutDeps&& put_deps) const {
     w.put_u64(lamport);
     w.put_i64(global_cut);
-    deps.encode(w);
+    put_deps(w);
   }
   static HydroSession decode(BufReader& r);
 };
+
+// The session a commit of `ctx` hands the client, encoded: the context's
+// entries written at or after `horizon` as level-2 history, plus the
+// transaction's writes at level 1 (written at `now`), where `versions[i]`
+// is the installed version of the i-th write-set key (empty on a read-only
+// commit).  Streams the sorted context and write set straight into the
+// encoding; the session map is never built.
+Buffer encode_hydro_session(const HydroContext& ctx, uint64_t lamport,
+                            SimTime horizon,
+                            const std::vector<storage::EvVersion>& versions,
+                            SimTime now);
 
 }  // namespace faastcc::client

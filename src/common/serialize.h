@@ -64,6 +64,13 @@ class BufWriter {
     return buf_.data() + off;
   }
 
+  // Overwrites an already-written u32 at byte `offset`: a streamed block
+  // whose count is known only once it has been written (see
+  // DepMap::RecordWriter) reserves the slot up front and fills it in last.
+  void patch_u32(size_t offset, uint32_t v) {
+    std::memcpy(buf_.data() + offset, &v, sizeof(v));
+  }
+
   size_t size() const { return buf_.size(); }
   Buffer take() { return std::move(buf_); }
   const Buffer& data() const { return buf_; }

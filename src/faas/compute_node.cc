@@ -274,17 +274,17 @@ sim::Task<void> ComputeNode::execute(Work work) {
   Buffer context = txn->export_context();
   charge_compute(context_cost(context.size()));
   co_await sim::sleep_for(rpc_.loop(), context_cost(context.size()));
+  const size_t md =
+      metrics_ != nullptr || tracer_ != nullptr ? txn->metadata_bytes() : 0;
   if (metrics_ != nullptr) {
-    const auto md = static_cast<double>(txn->metadata_bytes());
     for (size_t i = 0; i < fn.children.size(); ++i) {
-      metrics_->metadata_bytes.add(md);
+      metrics_->metadata_bytes.add(static_cast<double>(md));
     }
   }
   if (tracer_ != nullptr) {
     tracer_->annotate(span, "context_bytes",
                       static_cast<uint64_t>(context.size()));
-    tracer_->annotate(span, "metadata_bytes",
-                      static_cast<uint64_t>(txn->metadata_bytes()));
+    tracer_->annotate(span, "metadata_bytes", static_cast<uint64_t>(md));
   }
   // One message, re-sent per child: send() encodes from a const ref, so the
   // (potentially large) spec/context/result fields are never copied per

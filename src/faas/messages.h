@@ -15,29 +15,18 @@ enum FaasMethod : uint16_t {
   kAbortNotice = 63,  // one-way aborting node -> downstream nodes
 };
 
+// The session blobs below are Payloads, like TriggerMsg's: decoded from a
+// shared message buffer they alias the wire bytes, so a HydroCache session
+// (tens of KB) is copied only by the encode of each hop.
 struct StartDagMsg {
   TxnId txn_id = 0;
   net::Address client = 0;
-  Buffer session;  // system-specific blob from the client's previous commit
+  Payload session;  // system-specific blob from the client's previous commit
   DagSpec spec;
 
   template <typename W>
-  void encode(W& w) const {
-    w.put_u64(txn_id);
-    w.put_u32(client);
-    w.put_bytes(std::string_view(reinterpret_cast<const char*>(session.data()),
-                                 session.size()));
-    spec.encode(w);
-  }
-  static StartDagMsg decode(BufReader& r) {
-    StartDagMsg m;
-    m.txn_id = r.get_u64();
-    m.client = r.get_u32();
-    const std::string_view s = r.get_bytes_view();
-    m.session.assign(s.begin(), s.end());
-    m.spec = DagSpec::decode(r);
-    return m;
-  }
+  void encode(W& w) const;
+  static StartDagMsg decode(BufReader& r);
 };
 
 // Invocation trigger: carries everything a node needs to run one function
@@ -71,8 +60,8 @@ struct TriggerMsg {
 struct DagDoneMsg {
   TxnId txn_id = 0;
   bool committed = false;
-  Buffer session;  // valid when committed
-  Buffer result;   // sink function output
+  Payload session;  // valid when committed
+  Buffer result;    // sink function output
 
   template <typename W>
   void encode(W& w) const;
@@ -95,7 +84,8 @@ inline void put_buffer(W& w, const Buffer& b) {
 
 inline Buffer get_buffer(BufReader& r) {
   const std::string_view s = r.get_bytes_view();
-  return Buffer(s.begin(), s.end());
+  const auto* p = reinterpret_cast<const uint8_t*>(s.data());
+  return Buffer(p, p + s.size());
 }
 
 template <typename W>
@@ -108,11 +98,30 @@ inline void put_payload(W& w, const Payload& p) {
 // reader the payload aliases the message buffer; otherwise it owns a copy.
 inline Payload get_payload(BufReader& r) {
   const std::string_view s = r.get_bytes_view();
+  if (s.empty()) return Payload();
   const auto* p = reinterpret_cast<const uint8_t*>(s.data());
   if (const auto& owner = r.owner()) {
     return Payload(owner, p, s.size());
   }
-  return Payload(Buffer(p, p + s.size()));
+  auto copy = std::make_shared<const Buffer>(p, p + s.size());
+  return Payload(copy, copy->data(), copy->size());
+}
+
+template <typename W>
+inline void StartDagMsg::encode(W& w) const {
+  w.put_u64(txn_id);
+  w.put_u32(client);
+  put_payload(w, session);
+  spec.encode(w);
+}
+
+inline StartDagMsg StartDagMsg::decode(BufReader& r) {
+  StartDagMsg m;
+  m.txn_id = r.get_u64();
+  m.client = r.get_u32();
+  m.session = get_payload(r);
+  m.spec = DagSpec::decode(r);
+  return m;
 }
 
 template <typename W>
@@ -149,7 +158,7 @@ template <typename W>
 inline void DagDoneMsg::encode(W& w) const {
   w.put_u64(txn_id);
   w.put_bool(committed);
-  put_buffer(w, session);
+  put_payload(w, session);
   put_buffer(w, result);
 }
 
@@ -157,7 +166,7 @@ inline DagDoneMsg DagDoneMsg::decode(BufReader& r) {
   DagDoneMsg m;
   m.txn_id = r.get_u64();
   m.committed = r.get_bool();
-  m.session = get_buffer(r);
+  m.session = get_payload(r);
   m.result = get_buffer(r);
   return m;
 }

@@ -22,8 +22,11 @@ Scheduler::Scheduler(net::Network& network, net::Address self,
 }
 
 void Scheduler::on_start(Buffer msg, net::Address) {
-  StartDagMsg start = decode_message<StartDagMsg>(msg);
-  rpc_.recycle(std::move(msg));
+  // Shared-ownership decode (as ComputeNode::on_trigger): the session
+  // aliases the wire bytes and rides on into the root trigger uncopied, so
+  // the buffer goes to the shared count instead of back to the pool.
+  StartDagMsg start = decode_message<StartDagMsg>(
+      std::make_shared<const Buffer>(std::move(msg)));
   // A repeated txn id is a fabric-duplicated kStartDag (clients never
   // reuse ids across attempts).  Dispatching it again would launch a ghost
   // copy of the whole DAG with freshly chosen placements, so the per-node

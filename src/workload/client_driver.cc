@@ -25,7 +25,10 @@ ClientDriver::ClientDriver(net::Network& network, net::Address self,
 }
 
 void ClientDriver::on_done(Buffer msg, net::Address) {
-  faas::DagDoneMsg done = decode_message<faas::DagDoneMsg>(msg);
+  // Shared-ownership decode: the session aliases the wire bytes and is
+  // kept as the next StartDag's session without a copy.
+  faas::DagDoneMsg done = decode_message<faas::DagDoneMsg>(
+      std::make_shared<const Buffer>(std::move(msg)));
   auto it = pending_.find(done.txn_id);
   if (it == pending_.end()) {
     // Expected under faults: a duplicated completion, or the real one

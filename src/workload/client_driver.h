@@ -59,7 +59,7 @@ class ClientDriver {
   Metrics* metrics_;
   obs::Tracer* tracer_;
   check::HistorySink* oracle_ = nullptr;
-  Buffer session_;
+  Payload session_;
   TxnId next_txn_;
   std::unordered_map<TxnId, sim::Promise<faas::DagDoneMsg>> pending_;
   bool done_ = false;

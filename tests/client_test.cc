@@ -3,6 +3,8 @@
 // eventual baseline.
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "client/eventual_client.h"
 #include "client/faastcc_client.h"
 #include "client/hydro_client.h"
@@ -334,6 +336,178 @@ TEST_F(HydroOpenTest, DynamicShipsFullMetadata) {
   auto txn = adapter_.open(info_, {encode_message(parent)}, Buffer{});
   ASSERT_NE(txn, nullptr);
   EXPECT_GE(txn->metadata_bytes(), 100 * cache::kDepWireBytes);
+}
+
+// The two-step export that export_context() streams in one pass, kept as
+// the reference: prune a copy of the dependency map (GC for dynamic
+// transactions, GC plus declared-set pruning for static ones; read markers
+// exempt from both), then encode the context around it.
+Buffer reference_export(const HydroContext& ctx, const TxnInfo& info,
+                        SimTime horizon) {
+  HydroContext out;
+  out.deps = ctx.deps;
+  out.deps.compact();
+  if (info.is_static) {
+    std::unordered_set<Key> relevant(info.declared_read_set.begin(),
+                                     info.declared_read_set.end());
+    relevant.insert(info.declared_write_set.begin(),
+                    info.declared_write_set.end());
+    out.deps.retain([&](Key k, const cache::Dep& d) {
+      return d.read || (d.written_at >= horizon && relevant.count(k) != 0);
+    });
+  } else {
+    out.deps.gc_before(horizon);
+  }
+  out.lamport = ctx.lamport;
+  out.global_cut = ctx.global_cut;
+  out.write_set = ctx.write_set;
+  return encode_message(out);
+}
+
+class HydroExport : public HydroOpenTest {};
+
+TEST_F(HydroExport, OnePassMatchesReference) {
+  // now = 100 s and a 15 s GC window: the horizon is min(global_cut, 85 s).
+  loop_.run_until(seconds(100));
+  const SimTime now_minus_window = seconds(100) - HydroConfig{}.dep_gc_window;
+  constexpr Key kKeys = 400;
+  Rng rng(77);
+  auto random_deps = [&](cache::DepMap& m, size_t n, bool any_reads) {
+    for (size_t i = 0; i < n; ++i) {
+      const Key k = rng.next_below(kKeys);
+      const uint64_t c = 1 + rng.next_below(50);
+      const auto at = static_cast<SimTime>(rng.next_below(seconds(100)));
+      if (any_reads && rng.next_bool(0.2)) {
+        m.mark_read(k, c, at);
+      } else {
+        m.require(k, c, at, static_cast<uint8_t>(rng.next_below(3)));
+      }
+    }
+  };
+  enum Shape { kRawWithOverlay, kRep, kEmpty, kAllCollected };
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto shape = static_cast<Shape>(trial % 4);
+    HydroContext ctx;
+    ctx.lamport = rng.next_below(1000);
+    ctx.global_cut = static_cast<SimTime>(rng.next_below(seconds(100)));
+    for (size_t i = rng.next_below(4); i > 0; --i) {
+      ctx.write_set[rng.next_below(kKeys)] = "w" + std::to_string(i);
+    }
+    switch (shape) {
+      case kRawWithOverlay: {
+        random_deps(ctx.deps, 300, true);
+        ctx = decode_message<HydroContext>(encode_message(ctx));
+        random_deps(ctx.deps, rng.next_below(40), true);  // the overlay
+        break;
+      }
+      case kRep:
+        random_deps(ctx.deps, 300, true);
+        break;
+      case kEmpty:
+        break;
+      case kAllCollected:
+        // Everything written before the horizon, nothing read.
+        ctx.global_cut = seconds(100);
+        for (Key k = 0; k < 50; ++k) ctx.deps.require(k, 1, k, 1);
+        break;
+    }
+    TxnInfo info;
+    info.is_static = rng.next_bool(0.5);
+    for (Key k = 0; k < kKeys; ++k) {
+      if (rng.next_bool(0.1)) info.declared_read_set.push_back(k);
+      if (rng.next_bool(0.05)) info.declared_write_set.push_back(k);
+    }
+    const SimTime horizon = std::min(ctx.global_cut, now_minus_window);
+    const Buffer want = reference_export(ctx, info, horizon);
+    HydroTxn txn(adapter_, info, ctx);
+    const size_t scanned = txn.metadata_bytes();  // before any export
+    EXPECT_EQ(txn.export_context(), want) << "trial " << trial;
+    const auto shipped = decode_message<HydroContext>(want);
+    EXPECT_EQ(scanned, shipped.deps.wire_bytes()) << "trial " << trial;
+    EXPECT_EQ(txn.metadata_bytes(), shipped.deps.wire_bytes())
+        << "trial " << trial;
+    if (shape == kAllCollected) {
+      EXPECT_TRUE(shipped.deps.empty()) << "trial " << trial;
+    }
+  }
+}
+
+// metadata_bytes() reuses the last export's count only while the advancing
+// GC horizon has not passed an entry that export kept.
+TEST_F(HydroExport, MetadataBytesFollowTheHorizon) {
+  HydroContext ctx;
+  ctx.global_cut = seconds(1000);  // the horizon is now - 15 s
+  for (Key k = 1; k <= 50; ++k) ctx.deps.require(k, 1, seconds(k), 1);
+  ctx.deps.mark_read(99, 1, 0);  // read markers never age out
+  HydroTxn txn(adapter_, info_, ctx);
+  auto expect_bytes = [&](size_t entries) {
+    EXPECT_EQ(txn.metadata_bytes(), 4 + entries * cache::kDepWireBytes)
+        << "at " << loop_.now();
+  };
+  loop_.run_until(seconds(19) + milliseconds(500));  // keys 5..50 survive
+  txn.export_context();
+  expect_bytes(46 + 1);
+  loop_.run_until(seconds(20));  // horizon 5 s: key 5 still kept
+  expect_bytes(46 + 1);
+  loop_.run_until(seconds(40));  // horizon 25 s: keys 25..50
+  expect_bytes(26 + 1);
+}
+
+// The session build encode_hydro_session() streams, kept as the
+// reference: collect the surviving past into a map as level-2 history,
+// apply each write as a level-1 requirement, then encode.
+Buffer reference_session(const HydroContext& ctx, uint64_t lamport,
+                         SimTime horizon,
+                         const std::vector<storage::EvVersion>& versions,
+                         SimTime now) {
+  HydroSession s;
+  s.lamport = lamport;
+  s.global_cut = ctx.global_cut;
+  ctx.deps.for_each([&](Key k, const cache::Dep& d) {
+    if (d.written_at >= horizon) s.deps.require(k, d.counter, d.written_at, 2);
+  });
+  size_t i = 0;
+  for (const auto& [k, v] : ctx.write_set) {
+    s.deps.require(k, versions[i++].counter, now, 1);
+  }
+  return encode_message(s);
+}
+
+TEST_F(HydroExport, SessionMatchesReference) {
+  constexpr Key kKeys = 200;
+  Rng rng(91);
+  for (int trial = 0; trial < 200; ++trial) {
+    HydroContext ctx;
+    ctx.global_cut = static_cast<SimTime>(rng.next_below(1000));
+    for (int i = 0; i < 150; ++i) {
+      const Key k = rng.next_below(kKeys);
+      const uint64_t c = 1 + rng.next_below(20);
+      const auto at = static_cast<SimTime>(rng.next_below(1000));
+      if (rng.next_bool(0.2)) {
+        ctx.deps.mark_read(k, c, at);
+      } else {
+        ctx.deps.require(k, c, at, static_cast<uint8_t>(rng.next_below(3)));
+      }
+    }
+    if (trial % 2 == 0) {  // raw-backed, with an overlay on top
+      ctx = decode_message<HydroContext>(encode_message(ctx));
+      ctx.deps.require(kKeys + 1, 1, 999, 1);
+    }
+    const bool read_only = trial % 5 == 0;
+    std::vector<storage::EvVersion> versions;
+    if (!read_only) {
+      for (size_t i = 1 + rng.next_below(6); i > 0; --i) {
+        ctx.write_set[rng.next_below(kKeys + 4)] = "w";
+      }
+      for (size_t i = 0; i < ctx.write_set.size(); ++i) {
+        versions.push_back(storage::EvVersion{1 + rng.next_below(20), 1});
+      }
+    }
+    const auto horizon = static_cast<SimTime>(rng.next_below(1000));
+    EXPECT_EQ(encode_hydro_session(ctx, 7, horizon, versions, 5000),
+              reference_session(ctx, 7, horizon, versions, 5000))
+        << "trial " << trial;
+  }
 }
 
 TEST(HydroSessionCodec, RoundTrips) {

@@ -19,6 +19,8 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <tuple>
 #include <unordered_set>
 #include <vector>
 
@@ -455,6 +457,52 @@ TEST(DepMapProperties, DecodeCanonicalizesUnsortedInput) {
   BufReader scan(canon);
   scan.get_u32();
   EXPECT_EQ(scan.get_u64(), 2u);  // re-encoded in key order
+}
+
+// encode() and for_each() walk the main representation and the pending
+// overlay as one merged stream instead of folding first: the result must
+// equal the traversal and encoding of the compacted map, and the overlay
+// must still be pending afterwards.  A map decoded through a shared-
+// ownership reader aliases the wire buffer, so a fold (which rebuilds the
+// image in a buffer of its own) is visible as that buffer losing a holder.
+TEST(DepMapProperties, FoldFreeWalkMatchesCompactedMap) {
+  using Entry = std::tuple<Key, uint64_t, SimTime, bool, uint8_t>;
+  auto traversal = [](const DepMap& m) {
+    std::vector<Entry> out;
+    m.for_each([&](Key k, const Dep& d) {
+      out.emplace_back(k, d.counter, d.written_at, d.read, d.level);
+    });
+    return out;
+  };
+  Rng rng(2024);
+  for (int trial = 0; trial < 100; ++trial) {
+    auto wire =
+        std::make_shared<const Buffer>(encoded(build_map(random_ops(rng, 60))));
+    DepMap raw = [&wire] {  // raw-backed, aliasing `wire`
+      BufReader r(wire);
+      return DepMap::decode(r);
+    }();
+    DepMap rep = build_map(random_ops(rng, 60));  // entry node + overlay
+    for (const Op& op : random_ops(rng, rng.next_below(12))) {
+      apply(raw, op);
+      apply(rep, op);
+    }
+    // A key the image lacks always lands in the overlay.
+    raw.mark_read(kKeySpace + 1, 1, 1);
+    ASSERT_EQ(wire.use_count(), 2) << "decode did not alias the wire";
+    for (const DepMap* m : {&raw, &rep}) {
+      const std::vector<Entry> walked = traversal(*m);
+      const Buffer bytes = encoded(*m);
+      DepMap folded = *m;
+      folded.compact();
+      EXPECT_EQ(walked, traversal(folded)) << "trial " << trial;
+      EXPECT_EQ(bytes, encoded(folded)) << "trial " << trial;
+      EXPECT_EQ(bytes.size(), m->wire_bytes()) << "trial " << trial;
+    }
+    EXPECT_EQ(wire.use_count(), 2) << "walk folded the overlay";
+    raw.compact();
+    EXPECT_EQ(wire.use_count(), 1) << "fold probe is blind";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -486,26 +486,60 @@ TEST(MessageRoundTrip, TriggerMsgSharedDecodeAliasesPayloads) {
   EXPECT_EQ(d.session.bytes(), Buffer({1, 2, 3}));
 }
 
+// The same for the session a client hands the scheduler and the one the
+// sink hands back: shared-ownership decode aliases the wire bytes.
+TEST(MessageRoundTrip, StartAndDoneSharedDecodeAliasSessions) {
+  faas::StartDagMsg s;
+  s.txn_id = 1;
+  s.session = Buffer{1, 2, 3};
+  s.spec.functions.push_back(faas::FunctionSpec{"f", {}, {}});
+  auto start_wire = std::make_shared<const Buffer>(encode_message(s));
+  const auto ds = decode_message<faas::StartDagMsg>(start_wire);
+  ASSERT_EQ(ds.session.size(), 3u);
+  EXPECT_TRUE(ds.session.data() >= start_wire->data() &&
+              ds.session.data() < start_wire->data() + start_wire->size());
+  EXPECT_EQ(ds.session.owner().get(), start_wire.get());
+
+  faas::DagDoneMsg done;
+  done.txn_id = 1;
+  done.committed = true;
+  done.session = Buffer{4, 5};
+  done.result = {6};
+  auto done_wire = std::make_shared<const Buffer>(encode_message(done));
+  const uint8_t* lo = done_wire->data();
+  const uint8_t* hi = lo + done_wire->size();
+  const auto dd = decode_message<faas::DagDoneMsg>(done_wire);
+  ASSERT_EQ(dd.session.size(), 2u);
+  EXPECT_TRUE(dd.session.data() >= lo && dd.session.data() < hi);
+  EXPECT_EQ(dd.session.owner().get(), done_wire.get());
+  EXPECT_EQ(dd.result, Buffer({6}));
+  // The views outlive the caller's reference to the wire buffers.
+  start_wire.reset();
+  done_wire.reset();
+  EXPECT_EQ(ds.session.bytes(), Buffer({1, 2, 3}));
+  EXPECT_EQ(dd.session.bytes(), Buffer({4, 5}));
+}
+
 TEST(MessageRoundTrip, StartAndDone) {
   faas::StartDagMsg s;
   s.txn_id = 5;
   s.client = 6;
-  s.session = {1, 2, 3};
+  s.session = Buffer{1, 2, 3};
   s.spec.functions.push_back(faas::FunctionSpec{"f", {}, {}});
   check_wire_size(s);
   const auto ds = decode_message<faas::StartDagMsg>(encode_message(s));
   EXPECT_EQ(ds.txn_id, 5u);
-  EXPECT_EQ(ds.session, s.session);
+  EXPECT_EQ(ds.session.bytes(), s.session.bytes());
 
   faas::DagDoneMsg done;
   done.txn_id = 5;
   done.committed = true;
-  done.session = {4};
+  done.session = Buffer{4};
   done.result = {5, 5};
   check_wire_size(done);
   const auto dd = decode_message<faas::DagDoneMsg>(encode_message(done));
   EXPECT_TRUE(dd.committed);
-  EXPECT_EQ(dd.session, done.session);
+  EXPECT_EQ(dd.session.bytes(), done.session.bytes());
   EXPECT_EQ(dd.result, done.result);
 }
 

@@ -249,7 +249,7 @@ TEST(SessionOrder, CommitTimestampsIncreasePerClient) {
         co_return Buffer{};
       });
 
-  Buffer session;
+  Payload session;
   for (int i = 0; i < 10; ++i) {
     last.reset();
     faas::StartDagMsg start;
