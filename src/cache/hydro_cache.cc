@@ -6,6 +6,17 @@
 #include "sim/future.h"
 
 namespace faastcc::cache {
+namespace {
+
+// Decodes a stored payload in place: the value is copied out, the
+// dependency list parsed straight from the payload bytes.
+HydroStored decode_stored(const Value& payload) {
+  BufReader r(reinterpret_cast<const uint8_t*>(payload.data()),
+              payload.size());
+  return HydroStored::decode(r);
+}
+
+}  // namespace
 
 HydroCache::HydroCache(net::Network& network, net::Address self,
                        storage::EvTopology topology, Rng rng,
@@ -31,8 +42,7 @@ void HydroCache::on_push(Buffer msg, net::Address) {
     Entry* e = entries_.find(item.key);
     if (e == nullptr) continue;  // evicted; unsubscribe in flight
     if (item.version.counter <= e->counter) continue;
-    HydroStored stored = decode_message<HydroStored>(
-        Buffer(item.payload.begin(), item.payload.end()));
+    HydroStored stored = decode_stored(item.payload);
     bytes_ -= e->footprint();
     *e = Entry{std::move(stored.value), item.version.counter,
                item.written_at, std::move(stored.deps)};
@@ -42,35 +52,40 @@ void HydroCache::on_push(Buffer msg, net::Address) {
   }
 }
 
-bool HydroCache::ctx_lookup(const DepMap& base, const DepMap& delta, Key k,
-                            Dep& out) {
-  if (delta.lookup(k, out)) return true;
-  return base.lookup(k, out);
-}
-
-HydroCache::Fit HydroCache::check(const DepMap& base, const DepMap& delta,
-                                  Key key, uint64_t counter,
-                                  const DepList& deps) {
-  // lookup() keeps the shipped context in its raw wire form: the handful
-  // of probes below must not force parsing a 10^3-entry map.
-  Dep need;
-  if (ctx_lookup(base, delta, key, need)) {
+HydroCache::Fit HydroCache::check(const DepMap& ctx, Key key,
+                                  uint64_t counter, const DepList& deps) {
+  // One forward pass: the key-sorted list walks the context with a
+  // Seeker, the candidate's own key probed at its place in that order.
+  // The shipped context stays in raw wire form — never parsed.  A
+  // too-old verdict outranks a conflict, so a conflict found before the
+  // key is reached only returns once the key has passed.
+  DepMap::Seeker seeker(ctx);
+  bool key_checked = false;
+  bool conflict = false;
+  auto too_old = [&] {
+    key_checked = true;
     // HydroCache only requires a version "equal or greater" than the one
     // in the dependency list (§2); newer is acceptable, and its own
     // dependencies are validated below.
-    if (counter < need.counter) return Fit::kTooOld;
-  }
+    Dep need;
+    return seeker.seek(key, need) && counter < need.counter;
+  };
   for (const StoredDep& d : deps) {
+    if (!key_checked && key <= d.key) {
+      if (too_old()) return Fit::kTooOld;
+      if (conflict) return Fit::kConflict;
+    }
     Dep have;
-    if (ctx_lookup(base, delta, d.key, have) && have.read &&
-        have.counter < d.counter) {
+    if (seeker.seek(d.key, have) && have.read && have.counter < d.counter) {
       // This version causally requires a newer version of a key the
       // transaction has already read: it is "too new" and the LWW store
       // cannot serve anything older.
-      return Fit::kConflict;
+      if (key_checked) return Fit::kConflict;
+      conflict = true;
     }
   }
-  return Fit::kOk;
+  if (!key_checked && too_old()) return Fit::kTooOld;
+  return conflict ? Fit::kConflict : Fit::kOk;
 }
 
 void HydroCache::prewarm(Key k, Value value, uint64_t counter,
@@ -158,27 +173,15 @@ sim::Task<Buffer> HydroCache::on_read(Buffer req, net::Address) {
   resp.entries.resize(q.keys.size());
   resp.from_cache.assign(q.keys.size(), false);
 
-  // The shipped context stays in its raw wire form for the whole request
-  // (it is probed a handful of times, never shipped back).  This request's
-  // own updates go into a small overlay, seeded with the base entry before
-  // the first update of a key so overlay entries carry the combined state.
-  const DepMap ctx = std::move(q.context);
-  DepMap delta;
+  // The shipped context, updated in place: it keeps its raw wire image
+  // (aliasing the request buffer, never parsed) and this request's own
+  // reads and their dependencies land in its overlay, shadowing the
+  // records they strengthen.  It is validated against, never shipped back.
+  DepMap ctx = std::move(q.context);
   bool storage_contacted = false;
   double episode_rounds = 0;
   size_t episode_bytes = 0;
 
-  auto seed = [&](Key k) {
-    if (delta.find(k) != nullptr) return;
-    Dep b;
-    if (ctx.lookup(k, b)) {
-      if (b.read) {
-        delta.mark_read(k, b.counter, b.written_at);
-      } else {
-        delta.require(k, b.counter, b.written_at, b.level);
-      }
-    }
-  };
   auto accept = [&](size_t i, Key k, const Value& value, uint64_t counter,
                     SimTime written_at, const DepList& deps) {
     HydroReadEntry& out = resp.entries[i];
@@ -187,15 +190,8 @@ sim::Task<Buffer> HydroCache::on_read(Buffer req, net::Address) {
     out.counter = counter;
     out.written_at = written_at;
     out.deps = deps;
-    seed(k);
-    delta.mark_read(k, counter, written_at);
-    for (const StoredDep& d : deps) {
-      // A stored dependency at level L becomes a context entry at L+1;
-      // level-2 entries are kept for validation but never re-stored.
-      seed(d.key);
-      delta.require(d.key, d.counter, d.written_at,
-                    static_cast<uint8_t>(std::min<int>(d.level + 1, 2)));
-    }
+    ctx.mark_read(k, counter, written_at);
+    ctx.require_all(deps);
   };
 
   for (size_t i = 0; i < q.keys.size() && !resp.abort; ++i) {
@@ -205,7 +201,7 @@ sim::Task<Buffer> HydroCache::on_read(Buffer req, net::Address) {
     if (params_.capacity != 0) {
       const Entry* e = entries_.find(k);
       if (e != nullptr &&
-          check(ctx, delta, k, e->counter, e->deps) == Fit::kOk) {
+          check(ctx, k, e->counter, e->deps) == Fit::kOk) {
         accept(i, k, e->value, e->counter, e->written_at, e->deps);
         resp.from_cache[i] = true;
         entries_.touch(k);
@@ -231,7 +227,7 @@ sim::Task<Buffer> HydroCache::on_read(Buffer req, net::Address) {
         // Key unknown to this replica.  If the transaction does not
         // require any particular version, serve the implicit initial
         // value; otherwise wait for replication.
-        if (Dep need; !ctx_lookup(ctx, delta, k, need) || need.counter == 0) {
+        if (Dep need; !ctx.lookup(k, need) || need.counter == 0) {
           accept(i, k, Value{}, 0, 0, DepList{});
           done = true;
           break;
@@ -240,9 +236,8 @@ sim::Task<Buffer> HydroCache::on_read(Buffer req, net::Address) {
         continue;
       }
       const storage::EvItem& item = *result.items[0];
-      HydroStored stored = decode_message<HydroStored>(
-          Buffer(item.payload.begin(), item.payload.end()));
-      const Fit fit = check(ctx, delta, k, item.version.counter, stored.deps);
+      HydroStored stored = decode_stored(item.payload);
+      const Fit fit = check(ctx, k, item.version.counter, stored.deps);
       if (fit == Fit::kTooOld) {
         // Stale replica: retry (possibly another replica) after a short
         // backoff — the §4.1 multi-round pattern.
@@ -262,7 +257,7 @@ sim::Task<Buffer> HydroCache::on_read(Buffer req, net::Address) {
       break;
     }
     if (!done && !resp.abort) {
-      if (Dep need; ctx_lookup(ctx, delta, k, need)) {
+      if (Dep need; ctx.lookup(k, need)) {
         LOG_DEBUG("hydro round exhaustion key=" << k << " need=" << need.counter
                   << " read=" << need.read << " level=" << int(need.level));
       }

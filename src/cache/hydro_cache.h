@@ -61,6 +61,16 @@ class HydroCache {
   // Direct insert for experiment pre-warming.
   void prewarm(Key k, Value value, uint64_t counter, SimTime written_at);
 
+  enum class Fit { kOk, kTooOld, kConflict };
+  // Validates version `counter` of `key`, stored with `deps`, against the
+  // transaction context `ctx`: the shipped map, with this request's own
+  // reads and their dependencies in its overlay (see on_read).  kTooOld
+  // when the context requires a newer version of `key`; kConflict when a
+  // dependency requires a newer version of a key the transaction already
+  // read; the first takes precedence.
+  static Fit check(const DepMap& ctx, Key key, uint64_t counter,
+                   const DepList& deps);
+
  private:
   struct Entry {
     Value value;
@@ -80,17 +90,6 @@ class HydroCache {
 
   sim::Task<Buffer> on_read(Buffer req, net::Address from);
   void on_push(Buffer msg, net::Address from);
-
-  enum class Fit { kOk, kTooOld, kConflict };
-  // The transaction context as seen mid-request: the shipped map (`base`,
-  // kept in raw wire form — the cache never pays to parse it) plus a small
-  // overlay (`delta`) holding this request's own reads and their
-  // dependencies.  A key present in the overlay is authoritative: it was
-  // seeded with the base entry before its first update (see on_read).
-  static bool ctx_lookup(const DepMap& base, const DepMap& delta, Key k,
-                         Dep& out);
-  static Fit check(const DepMap& base, const DepMap& delta, Key key,
-                   uint64_t counter, const DepList& deps);
 
   void insert_entry(Key k, Entry e);
   void insert_stubs(const DepList& deps);

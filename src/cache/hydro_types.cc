@@ -38,6 +38,30 @@ inline Dep normalized(const Dep& d) {
   return out;
 }
 
+// require()'s update of an existing entry: a newer counter replaces the
+// version (a read entry's level stays pinned at 0); the same counter keeps
+// the minimum level.  The read flag is sticky.  Returns whether `cur`
+// changed.
+inline bool raise(Dep& cur, uint64_t counter, SimTime written_at,
+                  uint8_t level) {
+  if (counter > cur.counter) {
+    cur.counter = counter;
+    cur.written_at = written_at;
+    cur.level = cur.read ? 0 : level;
+    return true;
+  }
+  if (counter == cur.counter && !cur.read && level < cur.level) {
+    cur.level = level;
+    return true;
+  }
+  return false;
+}
+
+// The context level of a stored dependency (see DepMap::require_all).
+inline uint8_t context_level(const StoredDep& d) {
+  return static_cast<uint8_t>(std::min<int>(d.level + 1, 2));
+}
+
 }  // namespace
 
 const DepMap::Entries& DepMap::empty_entries() {
@@ -280,36 +304,75 @@ void DepMap::require(Key k, uint64_t counter, SimTime written_at,
                k);
     return;
   }
+  // Most requirements re-assert what the context already carries: a
+  // no-op leaves the entry (or raw record) untouched.
+  Dep cur = at(loc);
+  if (!raise(cur, counter, written_at, level)) return;
   if (loc.where == Loc::kRaw) {
-    // Raw-backed: a strengthening update shadows the record via the
-    // overlay; a no-op (the common case — most requirements re-assert
-    // what the context already carries) leaves the record in place.
-    Dep cur = parse_raw(raw_records() + loc.idx * kDepWireBytes);
-    if (counter > cur.counter) {
-      cur.counter = counter;
-      cur.written_at = written_at;
-      cur.level = cur.read ? 0 : level;
-    } else if (counter == cur.counter && !cur.read && level < cur.level) {
-      cur.level = level;
-    } else {
-      return;
-    }
+    // Raw-backed: the update shadows the record via the overlay.
     cur.key_id = KeyInterner::instance().intern(k);
     promote(cur, k);
-    return;
+  } else {
+    mutable_at(loc) = cur;
   }
-  const Dep& cur = loc.where == Loc::kRep ? (*rep_)[loc.idx] : pending_[loc.idx];
-  if (counter > cur.counter) {
-    Dep& d = mutable_at(loc);
-    d.counter = counter;
-    d.written_at = written_at;
-    // Canonical form: a read entry's level is pinned at 0 (no consumer
-    // distinguishes it, and pinning makes merge order-insensitive).
-    d.level = d.read ? 0 : level;
-  } else if (counter == cur.counter && !cur.read && level < cur.level) {
-    mutable_at(loc).level = level;
+}
+
+void DepMap::require_all(const DepList& deps) {
+  if (deps.empty()) return;
+  KeyInterner& interner = KeyInterner::instance();
+  const std::vector<StoredDep>& list = deps.items();
+  // In-place updates below change no key, so the Seeker stays valid.
+  Seeker seeker(*this);
+  // Entries the overlay does not hold yet (new keys, and updates shadowing
+  // raw records), collected in key order and merged in after the pass.
+  Entries& add = scratch();
+  add.clear();
+  uint32_t shadows = 0;
+  for (size_t i = 0; i < list.size();) {
+    const Key k = list[i].key;
+    const Loc loc = seeker.next(k);
+    // Every list entry for k, in list order, as require() would apply it.
+    bool changed = loc.where == Loc::kNone;
+    Dep cur;
+    if (changed) {
+      cur = Dep{list[i].counter, list[i].written_at, 0, false,
+                context_level(list[i])};
+      ++i;
+    } else {
+      cur = at(loc);
+    }
+    for (; i < list.size() && list[i].key == k; ++i) {
+      changed |= raise(cur, list[i].counter, list[i].written_at,
+                       context_level(list[i]));
+    }
+    if (!changed) continue;
+    if (loc.where == Loc::kPending || loc.where == Loc::kRep) {
+      mutable_at(loc) = cur;
+      continue;
+    }
+    if (loc.where == Loc::kRaw) ++shadows;
+    cur.key_id = interner.intern(k);
+    add.push_back(cur);
   }
-  // The read flag reflects whether *some* version was read; it is sticky.
+  if (add.empty()) return;
+  // Disjoint sorted runs: interleave from the back, in place.
+  const size_t np = pending_.size();
+  pending_.resize(np + add.size());
+  size_t a = np;
+  size_t b = add.size();
+  size_t out = pending_.size();
+  while (b > 0) {
+    if (a > 0 && interner.key_of(pending_[a - 1].key_id) >
+                     interner.key_of(add[b - 1].key_id)) {
+      pending_[--out] = pending_[--a];
+    } else {
+      pending_[--out] = add[--b];
+    }
+  }
+  overlap_ += shadows;
+  // The fold rule of insert_new/promote, applied once for the batch.
+  const size_t threshold = std::max(kPendingFlushThreshold, size() / 4);
+  if (pending_.size() >= threshold) flush();
 }
 
 void DepMap::mark_read(Key k, uint64_t counter, SimTime written_at) {
@@ -406,6 +469,40 @@ bool DepMap::lookup(Key k, Dep& out) const {
   if (d == nullptr) return false;
   out = *d;
   return true;
+}
+
+DepMap::Loc DepMap::Seeker::next(Key k) {
+#ifndef NDEBUG
+  assert(k >= last_ && "Seeker keys must be non-decreasing");
+  last_ = k;
+#endif
+  const KeyInterner& interner = KeyInterner::instance();
+  // The overlay first: on a raw-backed map it shadows same-key records.
+  const Entries& pending = m_.pending_;
+  if (!pending.empty()) {
+    pending_at_ =
+        gallop(pending_at_, pending.size(), k, entry_keys(interner, pending));
+    if (pending_at_ < pending.size() &&
+        interner.key_of(pending[pending_at_].key_id) == k) {
+      return Loc{Loc::kPending, pending_at_};
+    }
+  }
+  if (m_.raw_) {
+    const size_t n = m_.raw_count();
+    base_at_ =
+        gallop(base_at_, n, k, [this](size_t i) { return m_.raw_key(i); });
+    if (base_at_ < n && m_.raw_key(base_at_) == k) {
+      return Loc{Loc::kRaw, base_at_};
+    }
+    return Loc{};
+  }
+  if (m_.rep_ == nullptr) return Loc{};
+  const Entries& es = *m_.rep_;
+  base_at_ = gallop(base_at_, es.size(), k, entry_keys(interner, es));
+  if (base_at_ < es.size() && interner.key_of(es[base_at_].key_id) == k) {
+    return Loc{Loc::kRep, base_at_};
+  }
+  return Loc{};
 }
 
 void DepMap::merge(const DepMap& other) {

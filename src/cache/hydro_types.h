@@ -31,13 +31,19 @@
 //     Fig. 7 byte accounting identical to the hash-map representation.
 //   * Because the wire image is canonical and sorted, a decoded map keeps
 //     the raw bytes as its representation (`raw_`) instead of parsing
-//     them: `lookup` binary-searches the fixed-width records directly and
+//     them: lookups search the fixed-width records directly and
 //     re-encoding is one bulk copy.  Mutations of a raw-backed map go to
 //     the same pending overlay (shadowing same-key records); the fold, the
 //     prune (`filter`) and the merge operate at the record level with bulk
 //     copies, so a context can live its entire decode → update → prune →
 //     re-ship cycle without ever being parsed into entries or touching the
 //     interner.
+//   * Validation is a sorted merge.  Stored dependency lists (`DepList`)
+//     are key-sorted like the map, so the consistency check walks a
+//     candidate's list against the context with one forward `Seeker`
+//     (galloping over overlay and image) instead of binary-searching per
+//     entry, and `require_all` applies a whole list as one merge into the
+//     overlay.  `lookup` remains for isolated point queries.
 //   * Reads never fold.  `for_each`, `encode` and the pruned export
 //     `encode_if` walk the image (or entry node) and the overlay as one
 //     merged sorted stream, so shipping a context — with a read request,
@@ -150,6 +156,8 @@ class KeyInterner {
   std::vector<Key> keys_;
 };
 
+class DepList;
+
 class DepMap {
  public:
   // Iteration yields (raw key, entry) pairs in ascending key order — the
@@ -177,15 +185,26 @@ class DepMap {
   void require(Key k, uint64_t counter, SimTime written_at, uint8_t level);
   // Records that the transaction read `k` at `counter` (level 0).
   void mark_read(Key k, uint64_t counter, SimTime written_at);
+  // require(d.key, d.counter, d.written_at, min(d.level + 1, 2)) for every
+  // entry of a key-sorted stored list, in list order — a stored
+  // dependency at level L becomes a context entry at L + 1, and level-2
+  // entries are kept for validation but never re-stored.  Applied as one
+  // sorted merge: a forward pass over list, overlay and image (or entry
+  // node), then one merge of the new overlay entries.
+  void require_all(const DepList& deps);
 
   const Dep* find(Key k) const;
   // Materialization-free point query: a raw-backed map (fresh off the
   // wire) is binary-searched record-by-record; otherwise equivalent to
   // find().  `out.key_id` is NOT populated on the raw path — the caller
-  // already has the key.  This is the consistency-check entry point: the
-  // receiving cache probes a shipped context a few times and discards it,
-  // so it must never pay for parsing every entry.
+  // already has the key.  A shipped context is probed and discarded, so it
+  // must never pay for parsing every entry; walks of a sorted key
+  // sequence use a Seeker instead.
   bool lookup(Key k, Dep& out) const;
+  // Forward-only point queries over a non-decreasing key sequence (see
+  // the definition below the class).
+  class Seeker;
+
   size_t size() const {
     if (raw_) return raw_count() + pending_.size() - overlap_;
     return entries().size() + pending_.size();
@@ -375,6 +394,39 @@ class DepMap {
   const uint8_t* raw_records() const { return raw_.data + 4; }
   size_t raw_count() const { return (raw_.size - 4) / kDepWireBytes; }
 
+  // First index i >= from with key_at(i) >= k, for keys ascending over
+  // [0, n): exponential steps from `from`, then a binary search of the
+  // last step.  A short hop — the common case when a sorted list walks a
+  // dense context — costs a probe or two.
+  template <typename KeyAt>
+  static size_t gallop(size_t from, size_t n, Key k, KeyAt&& key_at) {
+    if (from >= n || key_at(from) >= k) return from;
+    size_t lo = from;  // key_at(lo) < k
+    size_t step = 1;
+    while (lo + step < n && key_at(lo + step) < k) {
+      lo += step;
+      step *= 2;
+    }
+    size_t hi = std::min(lo + step, n);  // hi == n or key_at(hi) >= k
+    ++lo;
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (key_at(mid) < k) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+  Key raw_key(size_t i) const {
+    return raw_u64(raw_records() + i * kDepWireBytes + kRawKeyOff);
+  }
+  // gallop()'s key_at over a vector of entries.
+  static auto entry_keys(const KeyInterner& interner, const Entries& es) {
+    return [&interner, &es](size_t i) { return interner.key_of(es[i].key_id); };
+  }
+
   // Where a key lives: the main node, the overlay, a raw wire record, or
   // nowhere.
   struct Loc {
@@ -382,6 +434,14 @@ class DepMap {
     size_t idx = 0;
   };
   Loc locate(Key k) const;
+  // The entry at `loc` (never kNone); `key_id` is 0 for a raw record, as
+  // in lookup().
+  Dep at(Loc loc) const {
+    if (loc.where == Loc::kRaw) {
+      return parse_raw(raw_records() + loc.idx * kDepWireBytes);
+    }
+    return loc.where == Loc::kRep ? (*rep_)[loc.idx] : pending_[loc.idx];
+  }
   Dep& mutable_at(Loc loc);
   void insert_new(Dep d, Key k);
   // Shadows raw record `k` with an updated overlay entry.
@@ -549,6 +609,34 @@ class DepMap {
   mutable uint32_t overlap_ = 0;
 };
 
+// Forward-only point queries: seek(k, out) answers lookup(k, out) for a
+// non-decreasing sequence of keys, galloping on from the previous position
+// in the overlay and in the image (or entry node) instead of searching
+// each from scratch.  Walking a key-sorted DepList against a context is
+// thus one merge.  Mutations that add or remove keys invalidate it.
+class DepMap::Seeker {
+ public:
+  explicit Seeker(const DepMap& m) : m_(m) {}
+  bool seek(Key k, Dep& out) {
+    const Loc loc = next(k);
+    if (loc.where == Loc::kNone) return false;
+    out = m_.at(loc);
+    return true;
+  }
+
+ private:
+  friend class DepMap;
+  // locate(k) for k no smaller than the previous key.
+  Loc next(Key k);
+
+  const DepMap& m_;
+  size_t pending_at_ = 0;
+  size_t base_at_ = 0;  // raw record or entry-node index
+#ifndef NDEBUG
+  Key last_ = 0;
+#endif
+};
+
 // A dependency list entry as stored alongside a value.  Level 0 entries
 // are the writer's reads and co-written siblings; level 1 entries are the
 // direct dependencies of those reads.
@@ -580,13 +668,16 @@ struct StoredDep {
 // instead of being vector-copied at each hop.  Wire format is identical to
 // the storage::put_vec/get_vec encoding it replaces (u32 count + entries),
 // so Fig. 7 / Fig. 8 byte accounting is unchanged.
+//
+// Entries are in non-decreasing key order (the order commits write them),
+// which is what lets validation walk a list against a context as one
+// merge (DepMap::Seeker, DepMap::require_all).  An unsorted input is
+// stable-sorted on construction, so equal keys keep their relative order.
 class DepList {
  public:
   DepList() = default;
   DepList(std::vector<StoredDep> deps)  // NOLINT(google-explicit-constructor)
-      : list_(deps.empty() ? nullptr
-                           : std::make_shared<const std::vector<StoredDep>>(
-                                 std::move(deps))) {}
+      : list_(deps.empty() ? nullptr : sorted(std::move(deps))) {}
 
   size_t size() const { return list_ ? list_->size() : 0; }
   bool empty() const { return size() == 0; }
@@ -613,6 +704,17 @@ class DepList {
   }
 
  private:
+  static std::shared_ptr<const std::vector<StoredDep>> sorted(
+      std::vector<StoredDep> deps) {
+    auto by_key = [](const StoredDep& a, const StoredDep& b) {
+      return a.key < b.key;
+    };
+    if (!std::is_sorted(deps.begin(), deps.end(), by_key)) {
+      std::stable_sort(deps.begin(), deps.end(), by_key);
+    }
+    return std::make_shared<const std::vector<StoredDep>>(std::move(deps));
+  }
+
   std::shared_ptr<const std::vector<StoredDep>> list_;
 };
 

@@ -148,10 +148,9 @@ sim::Task<std::optional<std::vector<Value>>> HydroTxn::read(
     out[idx] = e.value;
     read_set_.emplace(keys[idx], e.value);
     ctx_.deps.mark_read(e.key, e.counter, e.written_at);
+    ctx_.deps.require_all(e.deps);
     ctx_.lamport = std::max(ctx_.lamport, e.counter);
     for (const auto& d : e.deps) {
-      ctx_.deps.require(d.key, d.counter, d.written_at,
-                        static_cast<uint8_t>(std::min<int>(d.level + 1, 2)));
       ctx_.lamport = std::max(ctx_.lamport, d.counter);
     }
   }
@@ -254,10 +253,10 @@ sim::Task<std::optional<Buffer>> HydroTxn::commit() {
     co_return encode_hydro_session(ctx_, ctx_.lamport, horizon, {}, 0);
   }
 
-  // Build the stored dependency list: versions this transaction read
-  // (level 0) and their direct dependencies (level 1).  Level-2 entries
-  // exist in the context for validation but are not re-stored — this is
-  // what keeps stored metadata bounded.
+  // Build the stored dependency list, in key order: versions this
+  // transaction read (level 0) and their direct dependencies (level 1).
+  // Level-2 entries exist in the context for validation but are not
+  // re-stored — this is what keeps stored metadata bounded.
   std::vector<cache::StoredDep> deps;
   ctx_.deps.for_each([&](Key k, const cache::Dep& d) {
     if (ctx_.write_set.count(k) != 0) return;  // superseded by our write
@@ -280,13 +279,19 @@ sim::Task<std::optional<Buffer>> HydroTxn::commit() {
                 return a.key < b.key;
               });
     deps.resize(adapter_.config_.stored_dep_cap);
+    std::sort(deps.begin(), deps.end(),
+              [](const cache::StoredDep& a, const cache::StoredDep& b) {
+                return a.key < b.key;
+              });
   }
 
   const uint64_t counter = ctx_.lamport + 1;
   const SimTime now = adapter_.rpc_.now();
 
   // Co-written siblings: every key written by this transaction depends on
-  // the others, which is how readers detect torn visibility.
+  // the others, which is how readers detect torn visibility.  Written-set
+  // keys are never in `deps`, so each list is a merge of two disjoint
+  // key-sorted runs.
   std::vector<cache::StoredDep> siblings;
   siblings.reserve(ctx_.write_set.size());
   for (const auto& [k, v] : ctx_.write_set) {
@@ -298,10 +303,14 @@ sim::Task<std::optional<Buffer>> HydroTxn::commit() {
   for (const auto& [k, v] : ctx_.write_set) {
     cache::HydroStored stored;
     stored.value = v;
-    std::vector<cache::StoredDep> list = deps;
-    for (const auto& s : siblings) {
+    std::vector<cache::StoredDep> list;
+    list.reserve(deps.size() + siblings.size() - 1);
+    auto d = deps.begin();
+    for (const cache::StoredDep& s : siblings) {
+      for (; d != deps.end() && d->key < s.key; ++d) list.push_back(*d);
       if (s.key != k) list.push_back(s);
     }
+    list.insert(list.end(), d, deps.end());
     stored.deps = cache::DepList(std::move(list));
     storage::EvItem item;
     item.key = k;

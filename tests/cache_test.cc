@@ -597,8 +597,12 @@ class HydroCacheTest : public ::testing::Test {
   }
 
   sim::Task<HydroReadResp> cache_read(Key k, DepMap ctx) {
+    co_return co_await cache_read_keys(std::vector<Key>(1, k), std::move(ctx));
+  }
+
+  sim::Task<HydroReadResp> cache_read_keys(std::vector<Key> keys, DepMap ctx) {
     HydroReadReq req;
-    req.keys.push_back(k);
+    req.keys = std::move(keys);
     req.context = std::move(ctx);
     co_return co_await client_rpc_.call<HydroReadResp>(200, kHydroRead, req);
   }
@@ -729,6 +733,77 @@ TEST_F(HydroCacheTest, PushRefreshesSubscribedEntry) {
     EXPECT_FALSE(resp.abort);
     EXPECT_EQ(resp.entries[0].value, "v2");
     EXPECT_EQ(cache_->counters().storage_fetch_rounds.value(), rounds);
+  });
+}
+
+// Within one request, what accepting key 1 adds to the context — its
+// dependencies, its read marker — constrains the candidates for key 2.
+
+// Plain helpers: braced lists inside coroutine bodies trip GCC.
+std::vector<Key> two_keys() { return {1, 2}; }
+std::vector<StoredDep> deps_of(StoredDep d) { return {d}; }
+
+// A context as shipped: decoded off the wire, with entries unrelated to
+// the keys read.
+DepMap shipped_context() {
+  DepMap ctx;
+  ctx.require(50, 1, 10, 1);
+  ctx.mark_read(60, 1, 10);
+  const Buffer wire = encode_message(ctx);
+  BufReader r(wire);
+  return DepMap::decode(r);
+}
+
+TEST_F(HydroCacheTest, DependencyAcceptedEarlierInRequestRejectsStaleEntry) {
+  run([&]() -> sim::Task<void> {
+    // Key 2 is cached at counter 3 (unsubscribed, so no push refreshes
+    // it); key 1's stored version depends on key 2 @ counter 8.
+    cache_->prewarm(2, "old", 3, 0);
+    co_await put(2, "new", {}, 8);
+    co_await put(1, "v1", deps_of(StoredDep{2, 8, 100, 0}), 5);
+    co_await sim::sleep_for(loop_, milliseconds(20));
+    auto resp = co_await cache_read_keys(two_keys(), shipped_context());
+    EXPECT_FALSE(resp.abort);
+    EXPECT_EQ(resp.entries[0].counter, 5u);
+    EXPECT_FALSE(resp.from_cache[1]) << "stale cached key 2 was served";
+    EXPECT_EQ(resp.entries[1].value, "new");
+    EXPECT_GE(resp.entries[1].counter, 8u);
+  });
+}
+
+TEST_F(HydroCacheTest, ReadAcceptedEarlierInRequestMakesCandidateConflict) {
+  run([&]() -> sim::Task<void> {
+    // Key 2's only version depends on key 1 @ counter 9, but the store
+    // holds key 1 @ counter 5: reading 1 first leaves no consistent key 2.
+    co_await put(1, "v1", {}, 5);
+    co_await put(2, "v2", deps_of(StoredDep{1, 9, 100, 0}), 4);
+    co_await sim::sleep_for(loop_, milliseconds(20));
+    co_await cache_read(2, DepMap{});  // caches key 2 with its dependency
+    EXPECT_TRUE(cache_->has(2));
+    auto resp = co_await cache_read_keys(two_keys(), shipped_context());
+    EXPECT_TRUE(resp.abort);
+    EXPECT_GT(cache_->counters().conflict_aborts.value(), 0u);
+  });
+}
+
+TEST_F(HydroCacheTest, EmptyContextRequestStillAcceptsAndRecords) {
+  run([&]() -> sim::Task<void> {
+    cache_->prewarm(2, "old", 3, 0);
+    co_await put(2, "new", {}, 8);
+    std::vector<StoredDep> deps = deps_of(StoredDep{2, 8, 100, 0});
+    deps.push_back(StoredDep{7, 1, 100, 1});
+    co_await put(1, "v1", deps, 5);
+    co_await sim::sleep_for(loop_, milliseconds(20));
+    auto resp = co_await cache_read_keys(two_keys(), DepMap{});
+    EXPECT_FALSE(resp.abort);
+    EXPECT_EQ(resp.entries[0].key, 1u);
+    EXPECT_EQ(resp.entries[0].value, "v1");
+    EXPECT_EQ(resp.entries[0].counter, 5u);
+    EXPECT_EQ(resp.entries[0].deps.size(), 2u);
+    EXPECT_EQ(resp.entries[1].key, 2u);
+    EXPECT_EQ(resp.entries[1].value, "new");
+    EXPECT_GE(resp.entries[1].counter, 8u);
+    EXPECT_FALSE(resp.from_cache[1]) << "stale cached key 2 was served";
   });
 }
 

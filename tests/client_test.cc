@@ -3,6 +3,9 @@
 // eventual baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <tuple>
 #include <unordered_set>
 
 #include "client/eventual_client.h"
@@ -10,6 +13,7 @@
 #include "client/hydro_client.h"
 #include "client/snapshot_interval.h"
 #include "common/rng.h"
+#include "storage/eventual_store.h"
 
 namespace faastcc::client {
 namespace {
@@ -507,6 +511,100 @@ TEST_F(HydroExport, SessionMatchesReference) {
     EXPECT_EQ(encode_hydro_session(ctx, 7, horizon, versions, 5000),
               reference_session(ctx, 7, horizon, versions, 5000))
         << "trial " << trial;
+  }
+}
+
+// Commits against a one-replica eventual store, then reads back the
+// dependency list stored with each written key.
+class HydroCommitTest : public ::testing::Test {
+ protected:
+  HydroCommitTest()
+      : net_(loop_, net::NetworkParams{}, Rng(1)),
+        rpc_(net_, 1),
+        replica_(net_, 100, 0, {}, {100}, storage::EventualStoreParams{}) {
+    replica_.start();
+  }
+
+  // Commits `ctx` with `writes` under `config`; returns each written key's
+  // stored list as (key, counter, level) triples.
+  std::map<Key, std::vector<std::tuple<Key, uint64_t, int>>> commit(
+      HydroConfig config, HydroContext ctx, const std::vector<Key>& writes) {
+    HydroAdapter adapter(rpc_, 2, storage::EvTopology{{{100}}}, Rng(3), config,
+                         nullptr);
+    HydroTxn txn(adapter, TxnInfo{}, std::move(ctx));
+    for (Key k : writes) txn.write(k, "w");
+    bool done = false;
+    sim::spawn([](HydroTxn& t, bool& flag) -> sim::Task<void> {
+      EXPECT_TRUE((co_await t.commit()).has_value());
+      flag = true;
+    }(txn, done));
+    while (!done && loop_.now() < seconds(5)) {
+      loop_.run_until(loop_.now() + milliseconds(1));
+    }
+    EXPECT_TRUE(done);
+    std::map<Key, std::vector<std::tuple<Key, uint64_t, int>>> out;
+    for (Key k : writes) {
+      const storage::EvItem* item = replica_.peek(k);
+      EXPECT_NE(item, nullptr) << "key " << k;
+      if (item == nullptr) continue;
+      BufReader r(reinterpret_cast<const uint8_t*>(item->payload.data()),
+                  item->payload.size());
+      for (const cache::StoredDep& d : cache::HydroStored::decode(r).deps) {
+        out[k].emplace_back(d.key, d.counter, d.level);
+      }
+    }
+    return out;
+  }
+
+  sim::EventLoop loop_;
+  net::Network net_;
+  net::RpcNode rpc_;
+  storage::EvReplica replica_;
+};
+
+TEST_F(HydroCommitTest, StoredListsInterleaveSiblingsInKeyOrder) {
+  HydroContext ctx;
+  ctx.lamport = 20;
+  ctx.deps.mark_read(2, 5, 100);
+  ctx.deps.require(4, 6, 100, 1);
+  ctx.deps.mark_read(6, 7, 100);
+  ctx.deps.require(8, 8, 100, 1);
+  ctx.deps.require(9, 9, 100, 2);  // validation-only: never re-stored
+  ctx.deps.mark_read(10, 10, 100);
+  ctx.deps.require(7, 3, 100, 1);  // superseded by this commit's write
+  const auto lists = commit(HydroConfig{}, ctx, {3, 7, 11});
+  using L = std::vector<std::tuple<Key, uint64_t, int>>;
+  // The commit's counter is lamport + 1 = 21; siblings sit at level 0.
+  EXPECT_EQ(lists.at(3),
+            (L{{2, 5, 0}, {4, 6, 1}, {6, 7, 0}, {7, 21, 0}, {8, 8, 1},
+               {10, 10, 0}, {11, 21, 0}}));
+  EXPECT_EQ(lists.at(7),
+            (L{{2, 5, 0}, {3, 21, 0}, {4, 6, 1}, {6, 7, 0}, {8, 8, 1},
+               {10, 10, 0}, {11, 21, 0}}));
+  EXPECT_EQ(lists.at(11),
+            (L{{2, 5, 0}, {3, 21, 0}, {4, 6, 1}, {6, 7, 0}, {7, 21, 0},
+               {8, 8, 1}, {10, 10, 0}}));
+}
+
+TEST_F(HydroCommitTest, CappedStoredListsStayKeySorted) {
+  // Thirty level-1 entries with descending recency by key, and reads of
+  // keys 25 and 5.  A cap of 4 keeps both reads, then the two most recent
+  // level-1 entries (keys 1 and 2), and re-sorts them by key.
+  HydroContext ctx;
+  ctx.lamport = 50;
+  for (Key k = 1; k <= 30; ++k) {
+    ctx.deps.require(k, k, seconds(100) - static_cast<SimTime>(k), 1);
+  }
+  ctx.deps.mark_read(25, 25, 0);
+  ctx.deps.mark_read(5, 5, 0);
+  HydroConfig config;
+  config.stored_dep_cap = 4;
+  const auto lists = commit(config, ctx, {0, 3, 40});
+  using L = std::vector<std::tuple<Key, uint64_t, int>>;
+  EXPECT_EQ(lists.at(3), (L{{0, 51, 0}, {1, 1, 1}, {2, 2, 1}, {5, 5, 0},
+                            {25, 25, 0}, {40, 51, 0}}));
+  for (const auto& [k, list] : lists) {
+    EXPECT_TRUE(std::is_sorted(list.begin(), list.end())) << "key " << k;
   }
 }
 

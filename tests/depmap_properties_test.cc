@@ -24,6 +24,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "cache/hydro_cache.h"
 #include "cache/hydro_types.h"
 #include "common/rng.h"
 
@@ -459,6 +460,25 @@ TEST(DepMapProperties, DecodeCanonicalizesUnsortedInput) {
   EXPECT_EQ(scan.get_u64(), 2u);  // re-encoded in key order
 }
 
+// DepList keeps key order: an unsorted list (on construction, or off the
+// wire) is stable-sorted, so entries with equal keys keep their order.
+TEST(DepMapProperties, DepListDecodeSortsUnsortedInputStably) {
+  BufWriter w;
+  w.put_u32(4);
+  for (const StoredDep& d : {StoredDep{9, 1, 10, 0}, StoredDep{2, 2, 20, 1},
+                             StoredDep{9, 3, 30, 1}, StoredDep{5, 4, 40, 0}}) {
+    d.encode(w);
+  }
+  const Buffer b = w.take();
+  BufReader r(b);
+  const DepList list = DepList::decode(r);
+  std::vector<std::pair<Key, uint64_t>> got;
+  for (const StoredDep& d : list) got.emplace_back(d.key, d.counter);
+  const std::vector<std::pair<Key, uint64_t>> want{{2, 2}, {5, 4}, {9, 1},
+                                                   {9, 3}};
+  EXPECT_EQ(got, want);
+}
+
 // encode() and for_each() walk the main representation and the pending
 // overlay as one merged stream instead of folding first: the result must
 // equal the traversal and encoding of the compacted map, and the overlay
@@ -503,6 +523,165 @@ TEST(DepMapProperties, FoldFreeWalkMatchesCompactedMap) {
     raw.compact();
     EXPECT_EQ(wire.use_count(), 1) << "fold probe is blind";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Sorted-merge validation: Seeker and require_all against their per-key
+// definitions, on every map shape.
+// ---------------------------------------------------------------------------
+
+// Image keys are drawn from [0, kImageKeys), overlay keys from
+// [0, kOverlayKeys) and list keys from [0, kListKeys): a list key can be
+// absent, in the image, in the overlay (new or shadowing), or past both.
+constexpr Key kImageKeys = 48;
+constexpr Key kOverlayKeys = 64;
+constexpr Key kListKeys = 72;
+
+std::vector<Op> random_ops_over(Rng& rng, size_t n, Key keys) {
+  std::vector<Op> ops = random_ops(rng, n);
+  for (Op& op : ops) op.key = rng.next_below(keys);
+  return ops;
+}
+
+enum class Shape { kRawWithOverlay, kEntryNodeWithOverlay, kEmpty };
+
+// A map of the given shape.  The raw image aliases a shared wire buffer,
+// as a context decoded off a request does.
+DepMap shaped_map(Rng& rng, Shape shape) {
+  if (shape == Shape::kEmpty) return DepMap{};
+  DepMap m = build_map(random_ops_over(rng, 40, kImageKeys));
+  if (shape == Shape::kRawWithOverlay) {
+    auto wire = std::make_shared<const Buffer>(encoded(m));
+    BufReader r(wire);
+    m = DepMap::decode(r);
+  } else {
+    m.compact();
+  }
+  // On either shape, new keys below the largest land in the overlay.
+  for (const Op& op : random_ops_over(rng, 1 + rng.next_below(12),
+                                      kOverlayKeys)) {
+    apply(m, op);
+  }
+  return m;
+}
+
+// A key-sorted stored list with duplicated keys; stored levels 0-2 (the
+// context level saturates at 2).
+DepList random_list(Rng& rng, size_t n) {
+  std::vector<StoredDep> v;
+  for (size_t i = 0; i < n; ++i) {
+    const bool repeat = !v.empty() && rng.next_bool(0.25);
+    const Key k = repeat ? v.back().key : rng.next_below(kListKeys);
+    const uint64_t c = 1 + rng.next_below(kMaxCounter);
+    v.push_back(StoredDep{k, c, wa(k, c),
+                          static_cast<uint8_t>(rng.next_below(3))});
+  }
+  return DepList(std::move(v));  // stable-sorted by key
+}
+
+constexpr Shape kShapes[] = {Shape::kRawWithOverlay,
+                             Shape::kEntryNodeWithOverlay, Shape::kEmpty};
+
+TEST(DepMapProperties, SeekerMatchesLookup) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 300; ++trial) {
+    for (Shape shape : kShapes) {
+      const DepMap m = shaped_map(rng, shape);
+      std::vector<Key> keys;
+      for (size_t i = rng.next_below(40); i > 0; --i) {
+        keys.push_back(rng.next_below(kListKeys));
+        if (rng.next_bool(0.2)) keys.push_back(keys.back());  // repeats
+      }
+      std::sort(keys.begin(), keys.end());
+      DepMap::Seeker seeker(m);
+      for (Key k : keys) {
+        Dep want;
+        Dep got;
+        const bool found = m.lookup(k, want);
+        ASSERT_EQ(seeker.seek(k, got), found)
+            << "trial " << trial << " key " << k;
+        if (!found) continue;
+        EXPECT_EQ(got.counter, want.counter) << "trial " << trial;
+        EXPECT_EQ(got.written_at, want.written_at) << "trial " << trial;
+        EXPECT_EQ(got.read, want.read) << "trial " << trial;
+        EXPECT_EQ(got.level, want.level) << "trial " << trial;
+        EXPECT_EQ(got.key_id, want.key_id) << "trial " << trial;
+      }
+    }
+  }
+}
+
+TEST(DepMapProperties, RequireAllMatchesPerKeyRequire) {
+  Rng rng(4343);
+  for (int trial = 0; trial < 300; ++trial) {
+    for (Shape shape : kShapes) {
+      const DepMap m = shaped_map(rng, shape);
+      const Buffer before = encoded(m);
+      // Long lists push the overlay past its fold threshold.
+      const DepList list = random_list(rng, rng.next_bool(0.2)
+                                                ? 200
+                                                : rng.next_below(30));
+      DepMap batch = m;  // both copies share m's node
+      DepMap per_key = m;
+      batch.require_all(list);
+      for (const StoredDep& d : list) {
+        per_key.require(d.key, d.counter, d.written_at,
+                        static_cast<uint8_t>(std::min(d.level + 1, 2)));
+      }
+      ASSERT_EQ(encoded(batch), encoded(per_key)) << "trial " << trial;
+      EXPECT_EQ(batch.size(), per_key.size()) << "trial " << trial;
+      EXPECT_EQ(encoded(m), before)
+          << "require_all wrote through a shared node";
+    }
+  }
+}
+
+// The check HydroCache ran before it walked candidates with a Seeker:
+// one lookup for the key, one per stored dependency.
+HydroCache::Fit per_key_check(const DepMap& ctx, Key key, uint64_t counter,
+                              const DepList& deps) {
+  Dep need;
+  if (ctx.lookup(key, need) && counter < need.counter) {
+    return HydroCache::Fit::kTooOld;
+  }
+  for (const StoredDep& d : deps) {
+    Dep have;
+    if (ctx.lookup(d.key, have) && have.read && have.counter < d.counter) {
+      return HydroCache::Fit::kConflict;
+    }
+  }
+  return HydroCache::Fit::kOk;
+}
+
+TEST(DepMapProperties, SeekerCheckMatchesPerKeyCheck) {
+  Rng rng(4444);
+  std::map<HydroCache::Fit, int> verdicts;
+  int too_old_and_conflict = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    for (Shape shape : kShapes) {
+      const DepMap ctx = shaped_map(rng, shape);
+      const DepList deps = random_list(rng, rng.next_below(12));
+      const Key key = !deps.empty() && rng.next_bool(0.3)
+                          ? deps[rng.next_below(deps.size())].key
+                          : rng.next_below(kListKeys);
+      const uint64_t counter = rng.next_below(kMaxCounter + 1);
+      const HydroCache::Fit want = per_key_check(ctx, key, counter, deps);
+      EXPECT_EQ(HydroCache::check(ctx, key, counter, deps), want)
+          << "trial " << trial << " key " << key;
+      ++verdicts[want];
+      if (want == HydroCache::Fit::kTooOld &&
+          per_key_check(ctx, key, UINT64_MAX, deps) ==
+              HydroCache::Fit::kConflict) {
+        ++too_old_and_conflict;
+      }
+    }
+  }
+  // Every verdict was exercised, and so was a candidate both too old and
+  // conflicting (too old must win).
+  EXPECT_GT(verdicts[HydroCache::Fit::kOk], 0);
+  EXPECT_GT(verdicts[HydroCache::Fit::kTooOld], 0);
+  EXPECT_GT(verdicts[HydroCache::Fit::kConflict], 0);
+  EXPECT_GT(too_old_and_conflict, 0);
 }
 
 // ---------------------------------------------------------------------------

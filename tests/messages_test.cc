@@ -594,6 +594,11 @@ TEST(CountedSize, RemainingMessageTypes) {
   stored.value = random_value(rng);
   stored.deps = cache::DepList({dep, dep});
   check_wire_size(stored);
+  // Duplicate keys are already in key order: the round trip is
+  // byte-identical.
+  EXPECT_EQ(encode_message(
+                decode_message<cache::HydroStored>(encode_message(stored))),
+            encode_message(stored));
 
   cache::HydroReadEntry entry;
   entry.key = 21;
