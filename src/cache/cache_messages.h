@@ -29,22 +29,9 @@ struct CacheReadReq {
                              // the interval.
   std::vector<Key> keys;
 
-  template <typename W>
-  void encode(W& w) const {
-    interval.encode(w);
-    w.put_bool(use_promises);
-    w.put_u32(static_cast<uint32_t>(keys.size()));
-    for (Key k : keys) w.put_u64(k);
-  }
-  static CacheReadReq decode(BufReader& r) {
-    CacheReadReq q;
-    q.interval = client::SnapshotInterval::decode(r);
-    q.use_promises = r.get_bool();
-    const uint32_t n = r.get_u32();
-    q.keys.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) q.keys.push_back(r.get_u64());
-    return q;
-  }
+  static constexpr auto kFields =
+      std::tuple{&CacheReadReq::interval, &CacheReadReq::use_promises,
+                 &CacheReadReq::keys};
 };
 
 struct CacheReadResp {
@@ -53,24 +40,9 @@ struct CacheReadResp {
   std::vector<storage::VersionedValue> entries;  // parallel to request keys
   std::vector<bool> from_cache;                  // parallel to entries
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_bool(abort);
-    interval.encode(w);
-    storage::put_vec(w, entries);
-    w.put_u32(static_cast<uint32_t>(from_cache.size()));
-    for (bool b : from_cache) w.put_bool(b);
-  }
-  static CacheReadResp decode(BufReader& r) {
-    CacheReadResp resp;
-    resp.abort = r.get_bool();
-    resp.interval = client::SnapshotInterval::decode(r);
-    resp.entries = storage::get_vec<storage::VersionedValue>(r);
-    const uint32_t n = r.get_u32();
-    resp.from_cache.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) resp.from_cache.push_back(r.get_bool());
-    return resp;
-  }
+  static constexpr auto kFields =
+      std::tuple{&CacheReadResp::abort, &CacheReadResp::interval,
+                 &CacheReadResp::entries, &CacheReadResp::from_cache};
 };
 
 // ---------------------------------------------------------------------------
@@ -81,20 +53,8 @@ struct HydroReadReq {
   std::vector<Key> keys;
   DepMap context;  // the transaction's accumulated causal requirements
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u32(static_cast<uint32_t>(keys.size()));
-    for (Key k : keys) w.put_u64(k);
-    context.encode(w);
-  }
-  static HydroReadReq decode(BufReader& r) {
-    HydroReadReq q;
-    const uint32_t n = r.get_u32();
-    q.keys.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) q.keys.push_back(r.get_u64());
-    q.context = DepMap::decode(r);
-    return q;
-  }
+  static constexpr auto kFields =
+      std::tuple{&HydroReadReq::keys, &HydroReadReq::context};
 };
 
 struct HydroReadEntry {
@@ -105,23 +65,10 @@ struct HydroReadEntry {
   DepList deps;  // merged into the txn context by the client; shared, not
                  // copied, with the cache entry it came from
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u64(key);
-    w.put_bytes(value);
-    w.put_u64(counter);
-    w.put_i64(written_at);
-    deps.encode(w);
-  }
-  static HydroReadEntry decode(BufReader& r) {
-    HydroReadEntry e;
-    e.key = r.get_u64();
-    e.value = r.get_bytes();
-    e.counter = r.get_u64();
-    e.written_at = r.get_i64();
-    e.deps = DepList::decode(r);
-    return e;
-  }
+  static constexpr auto kFields =
+      std::tuple{&HydroReadEntry::key, &HydroReadEntry::value,
+                 &HydroReadEntry::counter, &HydroReadEntry::written_at,
+                 &HydroReadEntry::deps};
 };
 
 struct HydroReadResp {
@@ -130,24 +77,9 @@ struct HydroReadResp {
   std::vector<bool> from_cache;
   SimTime global_cut = 0;  // latest dependency-GC watermark seen
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_bool(abort);
-    storage::put_vec(w, entries);
-    w.put_u32(static_cast<uint32_t>(from_cache.size()));
-    for (bool b : from_cache) w.put_bool(b);
-    w.put_i64(global_cut);
-  }
-  static HydroReadResp decode(BufReader& r) {
-    HydroReadResp resp;
-    resp.abort = r.get_bool();
-    resp.entries = storage::get_vec<HydroReadEntry>(r);
-    const uint32_t n = r.get_u32();
-    resp.from_cache.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) resp.from_cache.push_back(r.get_bool());
-    resp.global_cut = r.get_i64();
-    return resp;
-  }
+  static constexpr auto kFields =
+      std::tuple{&HydroReadResp::abort, &HydroReadResp::entries,
+                 &HydroReadResp::from_cache, &HydroReadResp::global_cut};
 };
 
 // ---------------------------------------------------------------------------
@@ -157,18 +89,7 @@ struct HydroReadResp {
 struct PlainReadReq {
   std::vector<Key> keys;
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u32(static_cast<uint32_t>(keys.size()));
-    for (Key k : keys) w.put_u64(k);
-  }
-  static PlainReadReq decode(BufReader& r) {
-    PlainReadReq q;
-    const uint32_t n = r.get_u32();
-    q.keys.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) q.keys.push_back(r.get_u64());
-    return q;
-  }
+  static constexpr auto kFields = std::tuple{&PlainReadReq::keys};
 };
 
 struct PlainReadResp {
@@ -178,17 +99,8 @@ struct PlainReadResp {
   bool abort = false;
   std::vector<storage::KeyValue> entries;  // parallel to request keys
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_bool(abort);
-    storage::put_vec(w, entries);
-  }
-  static PlainReadResp decode(BufReader& r) {
-    PlainReadResp resp;
-    resp.abort = r.get_bool();
-    resp.entries = storage::get_vec<storage::KeyValue>(r);
-    return resp;
-  }
+  static constexpr auto kFields =
+      std::tuple{&PlainReadResp::abort, &PlainReadResp::entries};
 };
 
 }  // namespace faastcc::cache

@@ -13,7 +13,7 @@ namespace {
 HydroStored decode_stored(const Value& payload) {
   BufReader r(reinterpret_cast<const uint8_t*>(payload.data()),
               payload.size());
-  return HydroStored::decode(r);
+  return decode_from<HydroStored>(r);
 }
 
 }  // namespace

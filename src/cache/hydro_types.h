@@ -245,8 +245,6 @@ class DepMap {
 
   size_t wire_bytes() const { return 4 + size() * kDepWireBytes; }
 
-  size_t size_hint() const { return wire_bytes(); }
-
   // Canonical encoding: entries sorted by raw key.  Stable across
   // insertion orders, merge histories and stdlib implementations.  The
   // overlay is never folded: the raw image (or entry node) and the pending
@@ -646,28 +644,16 @@ struct StoredDep {
   SimTime written_at = 0;
   uint8_t level = 0;
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u64(key);
-    w.put_u64(counter);
-    w.put_i64(written_at);
-    w.put_u8(level);
-  }
-  static StoredDep decode(BufReader& r) {
-    StoredDep d;
-    d.key = r.get_u64();
-    d.counter = r.get_u64();
-    d.written_at = r.get_i64();
-    d.level = r.get_u8();
-    return d;
-  }
+  static constexpr auto kFields =
+      std::tuple{&StoredDep::key, &StoredDep::counter, &StoredDep::written_at,
+                 &StoredDep::level};
 };
 
 // Immutable, refcounted stored-dependency list.  One decoded or built list
 // is shared by every holder — cache entry, read response, client context —
-// instead of being vector-copied at each hop.  Wire format is identical to
-// the storage::put_vec/get_vec encoding it replaces (u32 count + entries),
-// so Fig. 7 / Fig. 8 byte accounting is unchanged.
+// instead of being vector-copied at each hop.  Wire format is that of a
+// std::vector<StoredDep> (u32 count + entries); the hand codec only adds
+// the sharing and the sort.
 //
 // Entries are in non-decreasing key order (the order commits write them),
 // which is what lets validation walk a list against a context as one
@@ -691,16 +677,10 @@ class DepList {
 
   template <typename W>
   void encode(W& w) const {
-    w.put_u32(static_cast<uint32_t>(size()));
-    for (const StoredDep& d : items()) d.encode(w);
+    encode_to(w, items());
   }
   static DepList decode(BufReader& r) {
-    const uint32_t n = r.get_u32();
-    if (n == 0) return DepList();
-    std::vector<StoredDep> v;
-    v.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) v.push_back(StoredDep::decode(r));
-    return DepList(std::move(v));
+    return DepList(decode_from<std::vector<StoredDep>>(r));
   }
 
  private:
@@ -724,17 +704,8 @@ struct HydroStored {
   Value value;
   DepList deps;
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_bytes(value);
-    deps.encode(w);
-  }
-  static HydroStored decode(BufReader& r) {
-    HydroStored s;
-    s.value = r.get_bytes();
-    s.deps = DepList::decode(r);
-    return s;
-  }
+  static constexpr auto kFields =
+      std::tuple{&HydroStored::value, &HydroStored::deps};
 };
 
 }  // namespace faastcc::cache

@@ -2,16 +2,6 @@
 
 namespace faastcc::client {
 
-EventualContext EventualContext::decode(BufReader& r) {
-  EventualContext c;
-  const uint32_t n = r.get_u32();
-  for (uint32_t i = 0; i < n; ++i) {
-    const Key k = r.get_u64();
-    c.write_set[k] = r.get_bytes();
-  }
-  return c;
-}
-
 EventualAdapter::EventualAdapter(net::RpcNode& rpc, net::Address cache_address,
                                  storage::EvTopology topology, Rng rng,
                                  Metrics* metrics, obs::Tracer* tracer)

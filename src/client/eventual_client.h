@@ -18,15 +18,7 @@ namespace faastcc::client {
 struct EventualContext {
   std::map<Key, Value> write_set;
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u32(static_cast<uint32_t>(write_set.size()));
-    for (const auto& [k, v] : write_set) {
-      w.put_u64(k);
-      w.put_bytes(v);
-    }
-  }
-  static EventualContext decode(BufReader& r);
+  static constexpr auto kFields = std::tuple{&EventualContext::write_set};
 };
 
 class EventualAdapter final : public SystemAdapter {

@@ -24,14 +24,10 @@ FaasTccContext FaasTccContext::decode(BufReader& r) {
   }
   FaasTccContext c;
   if (version == kWireVersionEpoch) c.routing_epoch = r.get_u32();
-  c.interval = SnapshotInterval::decode(r);
-  c.dep_ts = Timestamp(r.get_u64());
+  c.interval = decode_from<SnapshotInterval>(r);
+  c.dep_ts = decode_from<Timestamp>(r);
   c.snapshot_fixed = r.get_bool();
-  const uint32_t n = r.get_u32();
-  for (uint32_t i = 0; i < n; ++i) {
-    const Key k = r.get_u64();
-    c.write_set[k] = r.get_bytes();
-  }
+  c.write_set = decode_from<std::map<Key, Value>>(r);
   return c;
 }
 

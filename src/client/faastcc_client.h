@@ -44,7 +44,8 @@ struct FaasTccConfig {
 // Context passed from function to function: Alg. 1's `context`.
 // The wire encoding is versioned: a leading version byte guards against
 // silent misparsing when future fields are added; decode throws CodecError
-// on a version it does not understand.
+// on a version it does not understand.  Hand codec: the version tag
+// selects the layout.
 struct FaasTccContext {
   static constexpr uint8_t kWireVersion = 1;
   // Version 2 prepends the routing epoch observed by the DAG so far.  It
@@ -71,14 +72,10 @@ struct FaasTccContext {
     } else {
       w.put_u8(kWireVersion);
     }
-    interval.encode(w);
-    w.put_u64(dep_ts.raw());
+    encode_to(w, interval);
+    encode_to(w, dep_ts);
     w.put_bool(snapshot_fixed);
-    w.put_u32(static_cast<uint32_t>(write_set.size()));
-    for (const auto& [k, v] : write_set) {
-      w.put_u64(k);
-      w.put_bytes(v);
-    }
+    encode_to(w, write_set);
   }
   static FaasTccContext decode(BufReader& r);
 };

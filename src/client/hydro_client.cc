@@ -16,11 +16,7 @@ HydroContext HydroContext::decode(BufReader& r) {
   c.deps = cache::DepMap::decode(r);
   c.lamport = r.get_u64();
   c.global_cut = r.get_i64();
-  const uint32_t n = r.get_u32();
-  for (uint32_t i = 0; i < n; ++i) {
-    const Key k = r.get_u64();
-    c.write_set[k] = r.get_bytes();
-  }
+  c.write_set = decode_from<std::map<Key, Value>>(r);
   return c;
 }
 
@@ -315,9 +311,7 @@ sim::Task<std::optional<Buffer>> HydroTxn::commit() {
     storage::EvItem item;
     item.key = k;
     item.version = storage::EvVersion{counter, info_.txn_id};
-    BufWriter w;
-    stored.encode(w);
-    const Buffer payload = w.take();
+    const Buffer payload = encode_message(stored);
     item.payload = Value(std::string_view(
         reinterpret_cast<const char*>(payload.data()), payload.size()));
     items.push_back(std::move(item));

@@ -55,11 +55,7 @@ struct HydroContext {
     put_deps(w);
     w.put_u64(lamport);
     w.put_i64(global_cut);
-    w.put_u32(static_cast<uint32_t>(write_set.size()));
-    for (const auto& [k, v] : write_set) {
-      w.put_u64(k);
-      w.put_bytes(v);
-    }
+    encode_to(w, write_set);
   }
   static HydroContext decode(BufReader& r);
 };

@@ -43,17 +43,8 @@ struct SnapshotInterval {
   friend bool operator==(const SnapshotInterval&,
                          const SnapshotInterval&) = default;
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u64(low.raw());
-    w.put_u64(high.raw());
-  }
-  static SnapshotInterval decode(BufReader& r) {
-    SnapshotInterval si;
-    si.low = Timestamp(r.get_u64());
-    si.high = Timestamp(r.get_u64());
-    return si;
-  }
+  static constexpr auto kFields =
+      std::tuple{&SnapshotInterval::low, &SnapshotInterval::high};
 
   std::string to_string() const;
 };

@@ -4,34 +4,6 @@
 
 namespace faastcc::faas {
 
-FunctionSpec FunctionSpec::decode(BufReader& r) {
-  FunctionSpec f;
-  f.name = r.get_bytes();
-  const std::string_view a = r.get_bytes_view();
-  f.args.assign(a.begin(), a.end());
-  const uint32_t n = r.get_u32();
-  f.children.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) f.children.push_back(r.get_u32());
-  return f;
-}
-
-DagSpec DagSpec::decode(BufReader& r) {
-  DagSpec d;
-  const uint32_t n = r.get_u32();
-  d.functions.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    d.functions.push_back(FunctionSpec::decode(r));
-  }
-  d.is_static = r.get_bool();
-  const uint32_t nr = r.get_u32();
-  d.declared_read_set.reserve(nr);
-  for (uint32_t i = 0; i < nr; ++i) d.declared_read_set.push_back(r.get_u64());
-  const uint32_t nw = r.get_u32();
-  d.declared_write_set.reserve(nw);
-  for (uint32_t i = 0; i < nw; ++i) d.declared_write_set.push_back(r.get_u64());
-  return d;
-}
-
 std::vector<uint32_t> DagSpec::in_degrees() const {
   std::vector<uint32_t> deg(functions.size(), 0);
   for (const auto& f : functions) {

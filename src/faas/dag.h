@@ -19,15 +19,8 @@ struct FunctionSpec {
   Buffer args;                     // opaque, interpreted by the body
   std::vector<uint32_t> children;  // indices into DagSpec::functions
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_bytes(name);
-    w.put_bytes(std::string_view(reinterpret_cast<const char*>(args.data()),
-                                 args.size()));
-    w.put_u32(static_cast<uint32_t>(children.size()));
-    for (uint32_t c : children) w.put_u32(c);
-  }
-  static FunctionSpec decode(BufReader& r);
+  static constexpr auto kFields = std::tuple{
+      &FunctionSpec::name, &FunctionSpec::args, &FunctionSpec::children};
 };
 
 struct DagSpec {
@@ -55,17 +48,9 @@ struct DagSpec {
   // FunctionRegistry::kSyncFunction by every registry.
   bool normalize_sinks();
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u32(static_cast<uint32_t>(functions.size()));
-    for (const auto& f : functions) f.encode(w);
-    w.put_bool(is_static);
-    w.put_u32(static_cast<uint32_t>(declared_read_set.size()));
-    for (Key k : declared_read_set) w.put_u64(k);
-    w.put_u32(static_cast<uint32_t>(declared_write_set.size()));
-    for (Key k : declared_write_set) w.put_u64(k);
-  }
-  static DagSpec decode(BufReader& r);
+  static constexpr auto kFields =
+      std::tuple{&DagSpec::functions, &DagSpec::is_static,
+                 &DagSpec::declared_read_set, &DagSpec::declared_write_set};
 };
 
 }  // namespace faastcc::faas

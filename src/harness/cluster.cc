@@ -386,9 +386,7 @@ void Cluster::preload() {
   if (params_.system == SystemKind::kHydroCache) {
     cache::HydroStored stored;
     stored.value = value;
-    BufWriter w;
-    stored.encode(w);
-    const Buffer b = w.take();
+    const Buffer b = encode_message(stored);
     payload = Value(std::string_view(reinterpret_cast<const char*>(b.data()),
                                      b.size()));
   } else {

@@ -116,28 +116,21 @@ RoutingTable RoutingTable::with_leader_replaced(
 RoutingTable RoutingTable::decode(BufReader& r) {
   RoutingTable t;
   t.epoch = r.get_u32();
-  const uint32_t np = r.get_u32();
-  t.partitions.reserve(np);
-  for (uint32_t i = 0; i < np; ++i) t.partitions.push_back(r.get_u32());
-  const uint32_t ns = r.get_u32();
-  t.slot_owner.reserve(ns);
-  for (uint32_t i = 0; i < ns; ++i) {
-    const uint32_t o = r.get_u32();
-    // Strict decode: a slot owned by a partition the table does not list
-    // is a corrupted or mis-truncated table (e.g. one that survived a
-    // shrink with a dangling owner); serving it would route keys to a
-    // retired endpoint.
-    if (o >= np) throw CodecError("routing table: slot owned by retired partition");
-    t.slot_owner.push_back(o);
+  t.partitions = decode_from<std::vector<PartitionAddress>>(r);
+  t.slot_owner = decode_from<std::vector<uint32_t>>(r);
+  // Strict decode: a slot owned by a partition the table does not list
+  // is a corrupted or mis-truncated table (e.g. one that survived a
+  // shrink with a dangling owner); serving it would route keys to a
+  // retired endpoint.
+  for (uint32_t o : t.slot_owner) {
+    if (o >= t.partitions.size()) {
+      throw CodecError("routing table: slot owned by retired partition");
+    }
   }
   if (r.remaining() > 0) {
-    const uint32_t nr = r.get_u32();
-    if (nr != np) throw CodecError("routing table: replica list count mismatch");
-    t.replicas.resize(nr);
-    for (uint32_t i = 0; i < nr; ++i) {
-      const uint32_t len = r.get_u32();
-      t.replicas[i].reserve(len);
-      for (uint32_t j = 0; j < len; ++j) t.replicas[i].push_back(r.get_u32());
+    t.replicas = decode_from<std::vector<std::vector<PartitionAddress>>>(r);
+    if (t.replicas.size() != t.partitions.size()) {
+      throw CodecError("routing table: replica list count mismatch");
     }
   }
   return t;

@@ -107,29 +107,14 @@ struct RoutingTable {
   // replica section is a trailing optional block so an unreplicated table
   // stays byte-identical to the pre-replication encoding; decode detects
   // it by the reader having bytes left, which is why every message that
-  // embeds a table places it last.
-  size_t size_hint() const {
-    size_t n = 4 + 4 + 4 * partitions.size() + 4 + 4 * slot_owner.size();
-    if (!replicas.empty()) {
-      n += 4;
-      for (const auto& reps : replicas) n += 4 + 4 * reps.size();
-    }
-    return n;
-  }
+  // embeds a table places it last.  Hand codec: decode validates slot
+  // owners against the partition list.
   template <typename W>
   void encode(W& w) const {
     w.put_u32(epoch);
-    w.put_u32(static_cast<uint32_t>(partitions.size()));
-    for (PartitionAddress a : partitions) w.put_u32(a);
-    w.put_u32(static_cast<uint32_t>(slot_owner.size()));
-    for (uint32_t o : slot_owner) w.put_u32(o);
-    if (!replicas.empty()) {
-      w.put_u32(static_cast<uint32_t>(replicas.size()));
-      for (const auto& reps : replicas) {
-        w.put_u32(static_cast<uint32_t>(reps.size()));
-        for (PartitionAddress a : reps) w.put_u32(a);
-      }
-    }
+    encode_to(w, partitions);
+    encode_to(w, slot_owner);
+    if (!replicas.empty()) encode_to(w, replicas);
   }
   static RoutingTable decode(BufReader& r);
 };

@@ -37,21 +37,9 @@ struct TopoPromoteReq {
   PartitionAddress candidate = 0;
   uint32_t epoch = 0;
 
-  size_t size_hint() const { return 4 + 4 + 4; }
-
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u32(partition);
-    w.put_u32(candidate);
-    w.put_u32(epoch);
-  }
-  static TopoPromoteReq decode(BufReader& r) {
-    TopoPromoteReq q;
-    q.partition = r.get_u32();
-    q.candidate = r.get_u32();
-    q.epoch = r.get_u32();
-    return q;
-  }
+  static constexpr auto kFields =
+      std::tuple{&TopoPromoteReq::partition, &TopoPromoteReq::candidate,
+                 &TopoPromoteReq::epoch};
 };
 
 class TopologyService {

@@ -338,8 +338,7 @@ sim::Task<std::optional<Timestamp>> TccStorageClient::commit(
         end_span(false);
         co_return std::nullopt;
       }
-      BufReader r(sized.payload);
-      const TccCommitResp resp = TccCommitResp::decode(r);
+      const auto resp = decode_message<TccCommitResp>(sized.payload);
       if (!resp.ok) {
         // The partition refused the (retried) commit — the txn was aborted
         // or its prepare expired there and the writes were never installed.
@@ -347,11 +346,12 @@ sim::Task<std::optional<Timestamp>> TccStorageClient::commit(
         end_span(false);
         co_return std::nullopt;
       }
-      const Timestamp commit_ts = get_ts(r);
       rpc_.recycle(std::move(sized.payload));
-      if (oracle_ != nullptr) oracle_->on_commit_ack(txn, commit_ts, dep_ts);
+      if (oracle_ != nullptr) {
+        oracle_->on_commit_ack(txn, resp.commit_ts, dep_ts);
+      }
       end_span(true);
-      co_return commit_ts;
+      co_return resp.commit_ts;
     }
   }
 

@@ -505,13 +505,10 @@ sim::Task<Buffer> TccPartition::on_commit(Buffer req, net::Address) {
     // would report commit for writes this partition dropped, so it must be
     // refused (the coordinator then reports the abort to the client).
     counters_.duplicate_commits.inc();
-    TccCommitResp dup_resp;
-    dup_resp.ok =
+    const bool ok =
         rc->second != Timestamp::min() || params_.chaos_ack_expired_commit;
-    BufWriter dup_w;
-    dup_resp.encode(dup_w);
-    put_ts(dup_w, rc->second == Timestamp::min() ? q.commit_ts : rc->second);
-    co_return dup_w.take();
+    co_return rpc_.encode(TccCommitResp{
+        ok, rc->second == Timestamp::min() ? q.commit_ts : rc->second});
   }
   // Ownership recheck after the sleep: the written chains may have been
   // handed to another partition while this commit was in flight.  Refuse
@@ -525,12 +522,7 @@ sim::Task<Buffer> TccPartition::on_commit(Buffer req, net::Address) {
     release_locks(q.txn);
     resolve_pending(q.txn);
     remember_resolved(q.txn, Timestamp::min());
-    TccCommitResp refuse;
-    refuse.ok = false;
-    BufWriter rw;
-    refuse.encode(rw);
-    put_ts(rw, q.commit_ts);
-    co_return rw.take();
+    co_return rpc_.encode(TccCommitResp{false, q.commit_ts});
   }
   if (q.commit_ts == Timestamp::min()) {
     // Single-partition fast path: no prepare round happened; the partition
@@ -558,14 +550,9 @@ sim::Task<Buffer> TccPartition::on_commit(Buffer req, net::Address) {
     // demoted to the behind set rather than blocking the commit forever.
     co_await replicate_commit(q.txn, q.commit_ts, std::move(q.writes));
   }
-  TccCommitResp resp;
-  resp.ok = true;
-  BufWriter w;
-  resp.encode(w);
   // The assigned commit timestamp is returned so the fast path can report
   // it; the general path already knows it.
-  put_ts(w, q.commit_ts);
-  co_return w.take();
+  co_return rpc_.encode(TccCommitResp{true, q.commit_ts});
 }
 
 bool TccPartition::ctl_stale(uint64_t seq, net::Address from) {

@@ -7,24 +7,6 @@
 
 namespace faastcc::workload {
 
-StepArgs StepArgs::decode(BufReader& r) {
-  StepArgs a;
-  const uint32_t n = r.get_u32();
-  a.keys.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) a.keys.push_back(r.get_u64());
-  return a;
-}
-
-SinkArgs SinkArgs::decode(BufReader& r) {
-  SinkArgs a;
-  const uint32_t n = r.get_u32();
-  a.keys.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) a.keys.push_back(r.get_u64());
-  a.write_key = r.get_u64();
-  a.value = r.get_bytes();
-  return a;
-}
-
 WorkloadGen::WorkloadGen(WorkloadParams params, Rng rng)
     : WorkloadGen(params, rng, ZipfSampler(params.num_keys, params.zipf)) {}
 

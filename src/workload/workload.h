@@ -67,12 +67,7 @@ struct WorkloadParams {
 struct StepArgs {
   std::vector<Key> keys;
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u32(static_cast<uint32_t>(keys.size()));
-    for (Key k : keys) w.put_u64(k);
-  }
-  static StepArgs decode(BufReader& r);
+  static constexpr auto kFields = std::tuple{&StepArgs::keys};
 };
 
 struct SinkArgs {
@@ -80,14 +75,8 @@ struct SinkArgs {
   Key write_key = 0;
   Value value;
 
-  template <typename W>
-  void encode(W& w) const {
-    w.put_u32(static_cast<uint32_t>(keys.size()));
-    for (Key k : keys) w.put_u64(k);
-    w.put_u64(write_key);
-    w.put_bytes(value);
-  }
-  static SinkArgs decode(BufReader& r);
+  static constexpr auto kFields =
+      std::tuple{&SinkArgs::keys, &SinkArgs::write_key, &SinkArgs::value};
 };
 
 class WorkloadGen {

@@ -613,9 +613,7 @@ class HydroCacheTest : public ::testing::Test {
     HydroStored stored;
     stored.value = std::move(v);
     stored.deps = std::move(deps);
-    BufWriter w;
-    stored.encode(w);
-    const Buffer payload = w.take();
+    const Buffer payload = encode_message(stored);
     storage::EvItem item;
     item.key = k;
     item.version = storage::EvVersion{counter, 99};

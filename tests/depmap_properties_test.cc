@@ -467,7 +467,7 @@ TEST(DepMapProperties, DepListDecodeSortsUnsortedInputStably) {
   w.put_u32(4);
   for (const StoredDep& d : {StoredDep{9, 1, 10, 0}, StoredDep{2, 2, 20, 1},
                              StoredDep{9, 3, 30, 1}, StoredDep{5, 4, 40, 0}}) {
-    d.encode(w);
+    encode_to(w, d);
   }
   const Buffer b = w.take();
   BufReader r(b);

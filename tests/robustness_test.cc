@@ -327,7 +327,7 @@ TEST(CommitRetry, ExpiredPrepareRefusesRetriedCommit) {
     Buffer raw =
         co_await rpc.call_raw(100, storage::kTccCommit, rpc.encode(commit));
     BufReader r(raw);
-    const auto resp = storage::TccCommitResp::decode(r);
+    const auto resp = decode_from<storage::TccCommitResp>(r);
     EXPECT_FALSE(resp.ok) << "partition acked a commit it dropped";
     EXPECT_EQ(part.store().num_versions(), 0u);
   });
@@ -370,7 +370,7 @@ TEST(CommitRetry, OracleCatchesAckedExpiredCommit) {
     Buffer raw =
         co_await rpc.call_raw(100, storage::kTccCommit, rpc.encode(commit));
     BufReader r(raw);
-    const auto resp = storage::TccCommitResp::decode(r);
+    const auto resp = decode_from<storage::TccCommitResp>(r);
     EXPECT_TRUE(resp.ok);  // the bug: acked without installing
     EXPECT_EQ(part.store().num_versions(), 0u);
     oracle.on_commit_ack(9, presp.prepare_ts, Timestamp::min());
@@ -423,9 +423,9 @@ TEST(CommitRetry, DedupWindowEvictsFifoNotWholesale) {
     Buffer raw =
         co_await rpc.call_raw(100, storage::kTccCommit, rpc.encode(replay));
     BufReader r(raw);
-    const auto resp = storage::TccCommitResp::decode(r);
+    const auto resp = decode_from<storage::TccCommitResp>(r);
     EXPECT_TRUE(resp.ok);
-    EXPECT_EQ(Timestamp(r.get_u64()), t2) << "replay re-assigned a timestamp";
+    EXPECT_EQ(resp.commit_ts, t2) << "replay re-assigned a timestamp";
     EXPECT_EQ(part.store().num_versions(), versions)
         << "replayed commit minted a second version";
     EXPECT_EQ(part.counters().duplicate_commits.value(), dups + 1);

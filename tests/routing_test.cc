@@ -96,7 +96,7 @@ TEST(RoutingTable, CodecRoundTripsAndSizeHintIsExact) {
   BufWriter w;
   t.encode(w);
   const Buffer b = w.take();
-  EXPECT_EQ(b.size(), t.size_hint());
+  EXPECT_EQ(b.size(), encoded_size(t));
   BufReader r(b);
   const RoutingTable d = RoutingTable::decode(r);
   EXPECT_EQ(d.epoch, t.epoch);
@@ -109,14 +109,14 @@ TEST(RoutingTable, ReplicaCodecIsTrailingOptionalAndRoundTrips) {
   BufWriter w0;
   plain.encode(w0);
   const Buffer b0 = w0.take();
-  EXPECT_EQ(b0.size(), plain.size_hint());
+  EXPECT_EQ(b0.size(), encoded_size(plain));
 
   RoutingTable t = plain;
   t.replicas = {{6000, 6001}, {6004}, {}, {6012}};
   BufWriter w;
   t.encode(w);
   const Buffer b = w.take();
-  EXPECT_EQ(b.size(), t.size_hint());
+  EXPECT_EQ(b.size(), encoded_size(t));
   // The replicated encoding is a strict extension: the unreplicated prefix
   // is byte-identical, so pre-replication decoders and checksums are
   // unaffected by tables that never carry replicas.
@@ -179,7 +179,7 @@ TEST(RoutingTable, ScaleInCodecRoundTripsReplicatedAndNot) {
   BufWriter w;
   t.encode(w);
   const Buffer b = w.take();
-  EXPECT_EQ(b.size(), t.size_hint());
+  EXPECT_EQ(b.size(), encoded_size(t));
   BufReader r(b);
   const RoutingTable d = RoutingTable::decode(r);
   EXPECT_EQ(d.epoch, t.epoch);
@@ -195,7 +195,7 @@ TEST(RoutingTable, ScaleInCodecRoundTripsReplicatedAndNot) {
   BufWriter w2;
   shrunk.encode(w2);
   const Buffer b2 = w2.take();
-  EXPECT_EQ(b2.size(), shrunk.size_hint());
+  EXPECT_EQ(b2.size(), encoded_size(shrunk));
   BufReader r2(b2);
   const RoutingTable d2 = RoutingTable::decode(r2);
   EXPECT_EQ(d2.replicas, shrunk.replicas);
