@@ -111,6 +111,9 @@ class FaasTccCache {
   // already have overwritten — the cache never hears about the successor.
   void prewarm(const storage::VersionedValue& vv, bool subscribed = false);
 
+  // Sizes the entry table for a prewarm of `n` keys.
+  void reserve(size_t n) { entries_.reserve(n); }
+
  private:
   static constexpr size_t kEntryOverhead = 8 + 8 + 8;  // key + ts + promise
   // Must cover at least one full gossip period of the stabilizer at the

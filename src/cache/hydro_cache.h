@@ -58,6 +58,9 @@ class HydroCache {
 
   bool has(Key k) const { return entries_.contains(k); }
 
+  // Sizes the entry table for a prewarm of `n` keys.
+  void reserve(size_t n) { entries_.reserve(n); }
+
   // Direct insert for experiment pre-warming.
   void prewarm(Key k, Value value, uint64_t counter, SimTime written_at);
 

@@ -26,6 +26,9 @@ class PlainCache {
   size_t entry_count() const { return entries_.size(); }
   size_t bytes() const { return bytes_; }
 
+  // Sizes the entry table for a prewarm of `n` keys.
+  void reserve(size_t n) { entries_.reserve(n); }
+
   // Direct insert for experiment pre-warming.
   void prewarm(Key k, Value v) {
     if (params_.capacity == 0 || entries_.size() >= params_.capacity) return;

@@ -14,6 +14,7 @@
 // try_emplace() are invalidated by the next insert or erase.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -39,6 +40,15 @@ class KeyTable {
     return s == kNil ? nullptr : &slots_[s].value;
   }
 
+  // Sizes the table for `n` keys: the slot vector exactly and the index
+  // once, so inserting up to `n` keys neither reallocates nor rehashes.
+  void reserve(size_t n) {
+    slots_.reserve(n);
+    size_t cap = std::max<size_t>(index_.size(), 16);
+    while (cap < 2 * n) cap *= 2;
+    if (cap > index_.size()) rehash(cap);
+  }
+
   // Inserts `k` as the most recent entry, its value constructed from
   // `args`.  A present key keeps its value and its place in recency order.
   // Returns the key's value and whether it was inserted.
@@ -47,7 +57,9 @@ class KeyTable {
     if (const uint32_t s = slot_of(k); s != kNil) {
       return {&slots_[s].value, false};
     }
-    if ((slots_.size() + 1) * 2 > index_.size()) grow();
+    if ((slots_.size() + 1) * 2 > index_.size()) {
+      rehash(index_.empty() ? 16 : index_.size() * 2);
+    }
     const auto s = static_cast<uint32_t>(slots_.size());
     slots_.push_back(Slot{k, kNil, kNil, V(std::forward<Args>(args)...)});
     index_[free_pos(k)] = s + 1;
@@ -144,8 +156,8 @@ class KeyTable {
     return i;
   }
 
-  void grow() {
-    const size_t cap = index_.empty() ? 16 : index_.size() * 2;
+  // Rebuilds the index at `cap` (a power of two) positions.
+  void rehash(size_t cap) {
     index_.assign(cap, 0);
     mask_ = cap - 1;
     shift_ = 64;

@@ -437,16 +437,14 @@ void Cluster::prewarm() {
   // hottest n keys.  Bounded caches are warmed to capacity.
   const Value value(params_.workload.value_size, 'x');
   const Timestamp init_ts(1, 0, 0);
-  const uint64_t n = params_.workload.num_keys;
+  const uint64_t limit =
+      std::min<uint64_t>(params_.workload.num_keys, params_.cache_capacity);
   for (auto& cache : faastcc_caches_) {
-    const uint64_t limit =
-        std::min<uint64_t>(n, params_.cache_capacity == SIZE_MAX
-                                  ? n
-                                  : params_.cache_capacity);
     // Subscribe before installing the warm entry so its promise may stay
     // open soundly.  The chaos knob reproduces the historical API misuse:
     // open prewarm entries without a subscription backing them.
     const bool chaos = params_.faastcc_cache.chaos_prewarm_open;
+    cache->reserve(limit);
     for (Key k = 0; k < limit; ++k) {
       const size_t p = k % params_.partitions;
       const Timestamp promise = tcc_partitions_[p]->stable_time();
@@ -456,10 +454,7 @@ void Cluster::prewarm() {
     }
   }
   for (auto& cache : hydro_caches_) {
-    const uint64_t limit =
-        std::min<uint64_t>(n, params_.cache_capacity == SIZE_MAX
-                                  ? n
-                                  : params_.cache_capacity);
+    cache->reserve(limit);
     for (Key k = 0; k < limit; ++k) {
       cache->prewarm(k, value, 1, 0);
       // Subscribe at the notifier replica (replica 0 of the partition).
@@ -469,10 +464,7 @@ void Cluster::prewarm() {
     }
   }
   for (auto& cache : plain_caches_) {
-    const uint64_t limit =
-        std::min<uint64_t>(n, params_.cache_capacity == SIZE_MAX
-                                  ? n
-                                  : params_.cache_capacity);
+    cache->reserve(limit);
     for (Key k = 0; k < limit; ++k) {
       cache->prewarm(k, value);
       const size_t p = k % params_.partitions;

@@ -1,17 +1,14 @@
 #include "net/network.h"
 
 #include <cassert>
+#include <new>
 #include <utility>
 
 #include "common/log.h"
+#include "sim/frame_pool.h"
 
 namespace faastcc::net {
 namespace {
-
-uint64_t pair_key(Address a, Address b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<uint64_t>(a) << 32) | b;
-}
 
 uint64_t link_key(Address from, Address to) {
   return (static_cast<uint64_t>(from) << 32) | to;
@@ -19,18 +16,25 @@ uint64_t link_key(Address from, Address to) {
 
 }  // namespace
 
+Network::Endpoint& Network::endpoint(Address a) {
+  if (a >= slot_.size()) slot_.resize(a + 1, 0);
+  if (slot_[a] == 0) {
+    endpoints_.emplace_back();
+    slot_[a] = static_cast<uint32_t>(endpoints_.size());
+  }
+  return endpoints_[slot_[a] - 1];
+}
+
 void Network::register_endpoint(Address addr, Handler handler) {
-  assert(endpoints_.find(addr) == endpoints_.end() &&
-         "endpoint registered twice");
-  endpoints_.emplace(addr, std::move(handler));
+  Endpoint& e = endpoint(addr);
+  assert(!e.handler && "endpoint registered twice");
+  e.handler = std::move(handler);
 }
 
 void Network::colocate(Address a, Address b) {
-  colocated_[pair_key(a, b)] = true;
-}
-
-bool Network::is_local(Address a, Address b) const {
-  return a == b || colocated_.count(pair_key(a, b)) != 0;
+  if (is_local(a, b)) return;
+  endpoint(a).peers.push_back(b);
+  endpoint(b).peers.push_back(a);
 }
 
 void Network::set_faults(FaultParams faults, Rng fault_rng) {
@@ -75,23 +79,44 @@ Duration Network::delivery_delay(Address from, Address to, size_t bytes) {
 }
 
 void Network::deliver(Message m, Duration delay) {
-  loop_.schedule_after(delay, [this, m = std::move(m)]() mutable {
-    if (faults_enabled_ && crashed_at(m.to, loop_.now())) {
-      // Receiver is down at delivery time: the message is lost, even over
-      // IPC (a crashed process receives nothing).
-      faults_crash_dropped_.inc();
-      loop_.buffer_pool().release(std::move(m.payload));
-      return;
-    }
-    auto it = endpoints_.find(m.to);
-    if (it == endpoints_.end()) {
-      messages_dropped_.inc();
-      LOG_DEBUG("dropping message to unregistered address " << m.to);
-      loop_.buffer_pool().release(std::move(m.payload));
-      return;
-    }
-    it->second(std::move(m));
-  });
+  void* mem = sim::FramePool::allocate(sizeof(InFlight));
+  auto* f = new (mem) InFlight{this, std::move(m)};
+  loop_.schedule_raw_after(delay, &Network::run_in_flight,
+                           &Network::drop_in_flight, f);
+}
+
+void Network::run_in_flight(void* ctx) {
+  auto* f = static_cast<InFlight*>(ctx);
+  Network* net = f->net;
+  Message m = std::move(f->m);
+  // The record goes back before the handler runs, so the handler's own
+  // sends reuse it.
+  drop_in_flight(f);
+  net->arrive(std::move(m));
+}
+
+void Network::drop_in_flight(void* ctx) {
+  auto* f = static_cast<InFlight*>(ctx);
+  f->~InFlight();
+  sim::FramePool::deallocate(f, sizeof(InFlight));
+}
+
+void Network::arrive(Message m) {
+  if (faults_enabled_ && crashed_at(m.to, loop_.now())) {
+    // Receiver is down at delivery time: the message is lost, even over
+    // IPC (a crashed process receives nothing).
+    faults_crash_dropped_.inc();
+    loop_.buffer_pool().release(std::move(m.payload));
+    return;
+  }
+  const Endpoint* e = find(m.to);
+  if (e == nullptr || !e->handler) {
+    messages_dropped_.inc();
+    LOG_DEBUG("dropping message to unregistered address " << m.to);
+    loop_.buffer_pool().release(std::move(m.payload));
+    return;
+  }
+  e->handler(std::move(m));
 }
 
 void Network::send(Message m) {

@@ -12,9 +12,16 @@
 // faults are enabled, so fault-free runs consume exactly the same random
 // stream — and produce exactly the same schedule — as before the fault
 // layer existed.
+//
+// Each message in flight is one pooled InFlight record scheduled on the
+// event loop as a typed event (no boxed closure), and an address finds its
+// endpoint and colocated peers through a flat address-indexed vector, so a
+// delivery makes no global allocation in steady state.  Addresses are
+// small integers (a few thousand), which keeps that vector small.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -110,9 +117,18 @@ class Network {
 
   // Marks two addresses as colocated on the same physical node; messages
   // between them use IPC latency instead of the fabric (executor <-> cache).
+  // The relation is pairwise and symmetric, not transitive.
   void colocate(Address a, Address b);
 
-  bool is_local(Address a, Address b) const;
+  bool is_local(Address a, Address b) const {
+    if (a == b) return true;
+    const Endpoint* e = find(a);
+    if (e == nullptr) return false;
+    for (const Address p : e->peers) {
+      if (p == b) return true;
+    }
+    return false;
+  }
 
   // Queues `m` for delivery; the recipient's handler runs at delivery time.
   // Messages to unregistered addresses are counted and dropped.
@@ -171,12 +187,36 @@ class Network {
   Duration delivery_delay(Address from, Address to, size_t bytes);
   double link_loss(Address from, Address to) const;
   void deliver(Message m, Duration delay);
+  void arrive(Message m);
+
+  // What the network knows about one address.  An address gets one when
+  // it registers a handler or is colocated, whichever comes first.
+  struct Endpoint {
+    Handler handler;              // empty: nothing registered
+    std::vector<Address> peers;  // colocated addresses
+  };
+  const Endpoint* find(Address a) const {
+    return a < slot_.size() && slot_[a] != 0 ? &endpoints_[slot_[a] - 1]
+                                             : nullptr;
+  }
+  Endpoint& endpoint(Address a);
+
+  // One message in flight: a typed event record from sim::FramePool.
+  struct InFlight {
+    Network* net;
+    Message m;
+  };
+  static void run_in_flight(void* ctx);
+  static void drop_in_flight(void* ctx);
 
   sim::EventLoop& loop_;
   NetworkParams params_;
   Rng rng_;
-  std::unordered_map<Address, Handler> endpoints_;
-  std::unordered_map<uint64_t, bool> colocated_;  // key = pair(a, b)
+  // slot_[address] is 1 + the address's index in endpoints_ (0: none).
+  // A deque, so adding an endpoint from inside a running handler never
+  // moves that handler.
+  std::vector<uint32_t> slot_;
+  std::deque<Endpoint> endpoints_;
   Counter messages_sent_;
   Counter bytes_sent_;
   Counter messages_dropped_;

@@ -1,10 +1,22 @@
 #include "net/rpc.h"
 
-#include <cassert>
-
 #include "common/log.h"
 
 namespace faastcc::net {
+namespace {
+
+template <typename H>
+void set_handler(std::deque<H>& table, MethodId method, H handler) {
+  if (method >= table.size()) table.resize(method + 1);
+  table[method] = std::move(handler);
+}
+
+template <typename H>
+H* find_handler(std::deque<H>& table, MethodId method) {
+  return method < table.size() && table[method] ? &table[method] : nullptr;
+}
+
+}  // namespace
 
 RpcNode::RpcNode(Network& network, Address address)
     : network_(network), address_(address) {
@@ -13,11 +25,11 @@ RpcNode::RpcNode(Network& network, Address address)
 }
 
 void RpcNode::handle(MethodId method, RequestHandler handler) {
-  handlers_[method] = std::move(handler);
+  set_handler(handlers_, method, std::move(handler));
 }
 
 void RpcNode::handle_oneway(MethodId method, OneWayHandler handler) {
-  oneway_handlers_[method] = std::move(handler);
+  set_handler(oneway_handlers_, method, std::move(handler));
 }
 
 void RpcNode::gate_on_epoch(MethodId method) {
@@ -27,13 +39,26 @@ void RpcNode::gate_on_epoch(MethodId method) {
   }
 }
 
+Duration RpcNode::resolve_timeout(Address to, Duration timeout) const {
+  if (timeout != kUseDefaultTimeout) return timeout;
+  return network_.is_local(address_, to) ? 0 : network_.default_rpc_timeout();
+}
+
+std::optional<RpcNode::Pending> RpcNode::take_pending(uint64_t id) {
+  for (Pending& p : pending_) {
+    if (p.id != id) continue;
+    std::optional<Pending> out(std::move(p));
+    if (&p != &pending_.back()) p = std::move(pending_.back());
+    pending_.pop_back();
+    return out;
+  }
+  return std::nullopt;
+}
+
 sim::Task<RpcNode::SizedResponse> RpcNode::call_raw_sized(
     Address to, MethodId method, Buffer request, Duration timeout,
     obs::TraceContext trace) {
-  if (timeout == kUseDefaultTimeout) {
-    timeout =
-        network_.is_local(address_, to) ? 0 : network_.default_rpc_timeout();
-  }
+  timeout = resolve_timeout(to, timeout);
   const uint64_t id = next_request_id_++;
   Message m;
   m.from = address_;
@@ -46,10 +71,9 @@ sim::Task<RpcNode::SizedResponse> RpcNode::call_raw_sized(
   m.routing_epoch = routing_epoch_;
   const size_t req_bytes = m.wire_size();
 
-  auto [it, inserted] = pending_.emplace(
-      id, Pending{sim::Promise<SizedResponse>(loop()), req_bytes});
-  assert(inserted);
-  auto future = it->second.promise.get_future();
+  pending_.push_back(
+      Pending{id, sim::Promise<SizedResponse>(loop()), req_bytes});
+  auto future = pending_.back().promise.get_future();
   network_.send(std::move(m));
   if (timeout > 0) {
     // The timer is scheduled only when a timeout applies, so fault-free
@@ -60,15 +84,13 @@ sim::Task<RpcNode::SizedResponse> RpcNode::call_raw_sized(
 }
 
 void RpcNode::on_call_timeout(uint64_t id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;  // response already arrived
-  Pending p = std::move(it->second);
-  pending_.erase(it);
+  std::optional<Pending> p = take_pending(id);
+  if (!p) return;  // response already arrived
   network_.note_rpc_timeout();
   SizedResponse r;
-  r.request_wire_bytes = p.request_wire_bytes;
+  r.request_wire_bytes = p->request_wire_bytes;
   r.status = RpcStatus::kTimeout;
-  p.promise.set_value(std::move(r));
+  p->promise.set_value(std::move(r));
 }
 
 sim::Task<RpcNode::SizedResponse> RpcNode::call_raw_sized_retry(
@@ -76,9 +98,20 @@ sim::Task<RpcNode::SizedResponse> RpcNode::call_raw_sized_retry(
     obs::TraceContext trace) {
   Duration backoff = policy.initial_backoff;
   for (int attempt = 1;; ++attempt) {
-    // Each attempt needs its own copy: the request may be re-sent.
-    SizedResponse r =
-        co_await call_raw_sized(to, method, request, policy.timeout, trace);
+    const Duration timeout = resolve_timeout(to, policy.timeout);
+    // An attempt that may be re-sent needs its own copy; one that cannot be
+    // followed by another sends the original.  The payload is built in a
+    // named local: a conditional temporary inside the co_await expression
+    // was destroyed twice across the suspension under GCC 12.
+    const bool last = timeout <= 0 || attempt >= policy.max_attempts;
+    Buffer payload;
+    if (last) {
+      payload = std::move(request);
+    } else {
+      payload = request;
+    }
+    SizedResponse r = co_await call_raw_sized(to, method, std::move(payload),
+                                              timeout, trace);
     r.attempts = static_cast<uint32_t>(attempt);
     // Only timeouts are worth re-sending verbatim; a wrong-epoch NACK will
     // keep NACKing until the caller refreshes its routing table.
@@ -163,47 +196,45 @@ void RpcNode::on_message(Message m) {
         network_.send(std::move(r));
         return;
       }
-      auto it = handlers_.find(m.method);
-      if (it == handlers_.end()) {
+      RequestHandler* handler = find_handler(handlers_, m.method);
+      if (handler == nullptr) {
         LOG_ERROR("no handler for method " << m.method << " at " << address_);
         recycle(std::move(m.payload));
         return;
       }
       // Handlers read this synchronously before their first suspension.
       inbound_trace_ = m.trace;
-      sim::spawn(run_handler(it->second, std::move(m)));
+      sim::spawn(run_handler(*handler, std::move(m)));
       return;
     }
     case MessageKind::kResponse: {
-      auto it = pending_.find(m.request_id);
-      if (it == pending_.end()) {
+      std::optional<Pending> p = take_pending(m.request_id);
+      if (!p) {
         // Either a duplicate delivery or a response that lost the race
         // against its timeout.
         LOG_DEBUG("orphan response at " << address_);
         recycle(std::move(m.payload));
         return;
       }
-      Pending p = std::move(it->second);
       const size_t resp_bytes = m.wire_size();
-      pending_.erase(it);
       SizedResponse r;
       r.payload = std::move(m.payload);
-      r.request_wire_bytes = p.request_wire_bytes;
+      r.request_wire_bytes = p->request_wire_bytes;
       r.response_wire_bytes = resp_bytes;
       r.status = m.wrong_epoch ? RpcStatus::kWrongEpoch : RpcStatus::kOk;
       r.peer_epoch = m.routing_epoch;
-      p.promise.set_value(std::move(r));
+      p->promise.set_value(std::move(r));
       return;
     }
     case MessageKind::kOneWay: {
-      auto it = oneway_handlers_.find(m.method);
-      if (it == oneway_handlers_.end()) {
+      OneWayHandler* handler = find_handler(oneway_handlers_, m.method);
+      if (handler == nullptr) {
         LOG_DEBUG("no one-way handler for method " << m.method);
         recycle(std::move(m.payload));
         return;
       }
       inbound_trace_ = m.trace;
-      it->second(std::move(m.payload), m.from);
+      (*handler)(std::move(m.payload), m.from);
       return;
     }
   }

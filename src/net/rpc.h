@@ -11,15 +11,20 @@
 // deterministic capped exponential backoff on top.  Colocated (IPC) calls
 // resolve the default timeout to "never" — same-node queues don't lose
 // messages, and cache handlers can legitimately take long under faults.
+//
+// Dispatch is flat: handlers sit in method-indexed tables (method ids are
+// below 100) and the few calls a node has in flight in a small vector, so
+// with the pooled frames and promise states (sim/frame_pool.h) an RPC
+// makes no global allocation beyond its payload buffers.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/serialize.h"
 #include "net/network.h"
@@ -158,6 +163,8 @@ class RpcNode {
   // timeout) is returned.  With timeouts resolved to 0 (faults off) the
   // first attempt blocks until the response arrives, so call sites can use
   // the retry wrappers unconditionally without changing fault-free runs.
+  // An attempt that no re-send can follow (no timeout, or the last one)
+  // sends `request` itself; the others send copies.
   sim::Task<SizedResponse> call_raw_sized_retry(Address to, MethodId method,
                                                 Buffer request,
                                                 RetryPolicy policy = {},
@@ -208,9 +215,19 @@ class RpcNode {
   size_t pending_calls() const { return pending_.size(); }
 
  private:
+  struct Pending {
+    uint64_t id;
+    sim::Promise<SizedResponse> promise;
+    size_t request_wire_bytes;
+  };
+
   void on_message(Message m);
   void on_call_timeout(uint64_t id);
   sim::Task<void> run_handler(RequestHandler& handler, Message m);
+  Duration resolve_timeout(Address to, Duration timeout) const;
+  // Removes and returns call `id`; nullopt when it is no longer pending
+  // (answered, timed out, or a duplicate response).
+  std::optional<Pending> take_pending(uint64_t id);
 
   Network& network_;
   Address address_;
@@ -219,13 +236,12 @@ class RpcNode {
   uint32_t routing_epoch_ = 0;
   std::vector<MethodId> epoch_gated_;
   std::function<void()> stale_epoch_cb_;
-  std::unordered_map<MethodId, RequestHandler> handlers_;
-  std::unordered_map<MethodId, OneWayHandler> oneway_handlers_;
-  struct Pending {
-    sim::Promise<SizedResponse> promise;
-    size_t request_wire_bytes;
-  };
-  std::unordered_map<uint64_t, Pending> pending_;
+  // Indexed by method; an empty function = no handler.  Deques, so growing
+  // a table never moves a handler whose coroutine is suspended.
+  std::deque<RequestHandler> handlers_;
+  std::deque<OneWayHandler> oneway_handlers_;
+  // Unordered: removal swaps the last call into the hole.
+  std::vector<Pending> pending_;
 };
 
 }  // namespace faastcc::net

@@ -6,9 +6,10 @@
 // produces the same execution, which the property tests rely on.
 //
 // The queue is a 4-ary heap over compact 40-byte event records (time, seq,
-// two function pointers, a context word).  Coroutine resumptions — the bulk
-// of all events — are scheduled through schedule_resume*() as a raw handle
-// with no allocation; std::function closures remain supported for setup and
+// two function pointers, a context word).  Coroutine resumptions are
+// scheduled through schedule_resume*() as a raw handle, and network
+// deliveries through schedule_raw_after() as a typed record the caller owns;
+// neither allocates.  std::function closures remain supported for setup and
 // timer paths via a boxed record.  Sifting moves PODs, never std::function
 // objects.  The ordering is the same total order as the previous binary
 // priority_queue, so schedules are bit-identical across the swap.
@@ -53,6 +54,15 @@ class EventLoop {
   }
   void schedule_resume(std::coroutine_handle<> h) {
     schedule_resume_at(now_, h);
+  }
+
+  // Typed-record path: `d` microseconds from now `run(ctx)` is invoked; a
+  // loop torn down with the event still queued invokes `drop(ctx)` instead
+  // (nullptr: nothing to release).  Exactly one of the two runs, so the
+  // record can be freed by whichever does.
+  void schedule_raw_after(Duration d, void (*run)(void*), void (*drop)(void*),
+                          void* ctx) {
+    push(now_ + (d > 0 ? d : 0), run, drop, ctx);
   }
 
   // Runs events until the queue drains or stop() is called.

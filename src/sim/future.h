@@ -2,7 +2,7 @@
 // inside the simulation (RPC responses, DAG completion notifications,
 // executor wake-ups).  Fulfilment resumes the waiter through the event
 // loop, never inline, which keeps event ordering well-defined and stacks
-// flat.
+// flat.  The shared state comes from the per-thread FramePool.
 #pragma once
 
 #include <cassert>
@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "sim/event_loop.h"
+#include "sim/frame_pool.h"
 
 namespace faastcc::sim {
 
@@ -42,7 +43,8 @@ template <typename T>
 class Promise {
  public:
   explicit Promise(EventLoop& loop)
-      : state_(std::make_shared<detail::FutureState<T>>(loop)) {}
+      : state_(std::allocate_shared<detail::FutureState<T>>(
+            FramePoolAllocator<detail::FutureState<T>>(), loop)) {}
 
   void set_value(T v) const { state_->fulfil(std::move(v)); }
   bool fulfilled() const { return state_->value.has_value(); }

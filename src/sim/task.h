@@ -4,6 +4,7 @@
 // storage partition serving a request, a closed-loop client — is a Task.
 // Tasks are lazy (they start when awaited) and resume their awaiter through
 // symmetric transfer, so arbitrarily long await chains use constant stack.
+// Frames come from the per-thread FramePool (sim/frame_pool.h).
 #pragma once
 
 #include <cassert>
@@ -12,6 +13,8 @@
 #include <optional>
 #include <utility>
 
+#include "sim/frame_pool.h"
+
 namespace faastcc::sim {
 
 template <typename T>
@@ -19,8 +22,16 @@ class Task;
 
 namespace detail {
 
+// Coroutine frames of a promise type deriving from this are pooled.
+struct PooledFrame {
+  static void* operator new(std::size_t n) { return FramePool::allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    FramePool::deallocate(p, n);
+  }
+};
+
 template <typename T>
-struct TaskPromiseBase {
+struct TaskPromiseBase : PooledFrame {
   std::coroutine_handle<> continuation;
   std::exception_ptr exception;
 
@@ -132,7 +143,7 @@ inline Task<void> TaskPromise<void>::get_return_object() {
 
 // Fire-and-forget wrapper used by spawn(); destroys itself on completion.
 struct Detached {
-  struct promise_type {
+  struct promise_type : PooledFrame {
     Detached get_return_object() noexcept { return {}; }
     std::suspend_never initial_suspend() noexcept { return {}; }
     std::suspend_never final_suspend() noexcept { return {}; }

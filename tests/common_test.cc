@@ -476,6 +476,23 @@ TEST(KeyTable, GrowthKeepsEveryKeyAndOrder) {
   EXPECT_EQ(*table.least_recent(), 1u);
 }
 
+TEST(KeyTable, ReserveSizesForAPrewarmWithoutMovingSlots) {
+  KeyTable<Key> table;
+  ASSERT_TRUE(table.try_emplace(0, 0).second);
+  const Key n = 100000;
+  table.reserve(n);  // on a non-empty table: the entry is rehashed, kept
+  const Key* first = table.find(0);
+  ASSERT_NE(first, nullptr);
+  for (Key k = 1; k < n; ++k) ASSERT_TRUE(table.try_emplace(k, k * 3).second);
+  // Nothing grew: the slot holding key 0 never moved.
+  EXPECT_EQ(table.find(0), first);
+  for (Key k = 0; k < n; ++k) ASSERT_EQ(*table.find(k), k * 3);
+  EXPECT_EQ(*table.least_recent(), 0u);
+  table.reserve(10);  // never shrinks
+  EXPECT_EQ(table.find(0), first);
+  EXPECT_EQ(table.size(), n);
+}
+
 // ---------------------------------------------------------------------------
 // Samples
 // ---------------------------------------------------------------------------

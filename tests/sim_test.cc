@@ -1,8 +1,12 @@
 // Unit tests for the simulation core: event loop, tasks, futures, sleep,
-// queues, when_all.
+// queues, when_all, the frame pool.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <cstdlib>
 #include <functional>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -13,8 +17,30 @@
 #include "sim/task.h"
 #include "sim/when_all.h"
 
+// ---- counting allocator ---------------------------------------------------
+// The frame-pool tests count global allocations; every other operator new
+// form forwards to this one.
+namespace {
+std::atomic<uint64_t> g_allocs{0};
+std::atomic<size_t> g_last_alloc_bytes{0};
+}  // namespace
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_last_alloc_bytes.store(n, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+
 namespace faastcc::sim {
 namespace {
+
+uint64_t allocs() { return g_allocs.load(std::memory_order_relaxed); }
 
 // ---------------------------------------------------------------------------
 // EventLoop
@@ -330,6 +356,68 @@ TEST(WhenAll, EmptyVectorCompletesImmediately) {
   }(loop, done));
   loop.run();
   EXPECT_TRUE(done);
+}
+
+// ---------------------------------------------------------------------------
+// FramePool
+// ---------------------------------------------------------------------------
+
+Task<int> small_frame() { co_return 1; }
+
+Task<int> big_frame() {
+  std::array<uint8_t, 5000> buf{};
+  buf[1] = 2;
+  co_await std::suspend_always{};
+  co_return buf[0] + buf[1];
+}
+
+TEST(FramePool, LazyTaskDestroyedUnawaitedReturnsItsFrame) {
+  { Task<int> warm = small_frame(); }
+  const uint64_t before = allocs();
+  for (int i = 0; i < 1000; ++i) {
+    Task<int> t = small_frame();  // never started
+    EXPECT_TRUE(t.valid());
+  }
+  EXPECT_EQ(allocs() - before, 0u);
+}
+
+TEST(FramePool, FrameOverFourKilobytesFallsThroughToOperatorNew) {
+  for (int i = 0; i < 3; ++i) {
+    const uint64_t before = allocs();
+    Task<int> t = big_frame();
+    EXPECT_EQ(allocs() - before, 1u);
+    EXPECT_GT(g_last_alloc_bytes.load(), FramePool::kMaxBytes);
+  }
+  // The pool hands a large request straight through and back.
+  void* p = FramePool::allocate(FramePool::kMaxBytes + 1);
+  FramePool::deallocate(p, FramePool::kMaxBytes + 1);
+}
+
+TEST(FramePool, SecondWhenAllMakesConstantGlobalAllocations) {
+  constexpr int kTasks = 10000;
+  EventLoop loop;
+  auto item = [](EventLoop& l, int v) -> Task<int> {
+    co_await yield(l);
+    co_return v;
+  };
+  auto round = [&] {
+    std::vector<Task<int>> tasks;
+    tasks.reserve(kTasks);
+    for (int i = 0; i < kTasks; ++i) tasks.push_back(item(loop, i));
+    std::vector<int> out;
+    spawn([](EventLoop& l, std::vector<Task<int>> ts,
+             std::vector<int>& o) -> Task<void> {
+      o = co_await when_all(l, std::move(ts));
+    }(loop, std::move(tasks), out));
+    loop.run();
+    ASSERT_EQ(out.size(), static_cast<size_t>(kTasks));
+    EXPECT_EQ(out.back(), kTasks - 1);
+  };
+  round();
+  const uint64_t before = allocs();
+  round();
+  // Only the round's vectors allocate; no frame or promise state per task.
+  EXPECT_LT(allocs() - before, 16u);
 }
 
 // ---------------------------------------------------------------------------
