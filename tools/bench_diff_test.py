@@ -10,8 +10,13 @@ Paper claims.  The committed BENCH_paper.json holds every claim of its
 plans; a copy in which one FaaSTCC cell reports 17 B of metadata, or in
 which a claim selects no cell, fails --check and names the claim.
 
+Cells and checksums.  --check ties every cell's counts to the sums over its
+runs, so a cell whose checksum disagrees with its own run records fails;
+the two-file diff refuses a copy of the schedule pin (BENCH_pin.json) whose
+checksums moved; and an artifact of any other schema is rejected.
+
 Usage: bench_diff_test.py path/to/bench_diff.py path/to/BENCH_gossip.json
-                          path/to/BENCH_paper.json
+                          path/to/BENCH_paper.json path/to/BENCH_pin.json
 """
 
 import copy
@@ -21,23 +26,27 @@ import subprocess
 import sys
 import tempfile
 
-BENCH_DIFF, ARTIFACT, PAPER = sys.argv[1], sys.argv[2], sys.argv[3]
+BENCH_DIFF, ARTIFACT, PAPER, PIN = sys.argv[1:5]
 
-EXACT = "-/tree4@20ms/p512/z1.40"
+EXACT = "p512-tree20"
 
 
 def run(*extra, mode="--check", artifact=ARTIFACT):
+    args = [mode, artifact] if mode else [artifact]
     return subprocess.run(
-        [sys.executable, BENCH_DIFF, mode, artifact, *extra],
+        [sys.executable, BENCH_DIFF, *args, *extra],
         capture_output=True,
         text=True,
     )
 
 
-def run_on_copy(doc):
+def run_on_copy(doc, old=None):
+    """Check `doc` from a temporary file, or diff it against `old`."""
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as f:
         json.dump(doc, f)
     try:
+        if old is not None:
+            return run(f.name, mode=None, artifact=old)
         return run(artifact=f.name)
     finally:
         os.unlink(f.name)
@@ -60,7 +69,7 @@ expect("messages/run > ceiling" in r.stderr, r, "failure names the overage")
 
 # The pre-fix substring form is rejected and the error lists the cells
 # actually present, so a misconfigured gate is loud, not silently wrong.
-r = run("--max-cell-messages", "tree4@20ms/p512=800000")
+r = run("--max-cell-messages", "p512-tree=800000")
 expect(r.returncode != 0, r, "substring label should be rejected")
 expect("matches no cell exactly" in r.stderr, r, "error says exact-match")
 expect(EXACT in r.stderr, r, "error lists candidate cell labels")
@@ -92,5 +101,41 @@ plan["paper"]["claims"][0]["cells"] = {"system": "NoSuchSystem"}
 r = run_on_copy(broken)
 expect(r.returncode != 0 and "selects no cell" in r.stderr, r,
        "an empty selection should fail")
+
+with open(PIN) as f:
+    pin = json.load(f)
+
+# The committed pin is clean and diffs cleanly against itself.
+r = run(PIN, mode=None, artifact=PIN)
+expect(r.returncode == 0, r, "the pin should diff cleanly against itself")
+
+# A cell whose checksum disagrees with its own run record fails --check,
+# naming the cell and the field.
+broken = copy.deepcopy(pin)
+broken["cells"][1]["sim_events"] += 1
+r = run_on_copy(broken)
+expect(r.returncode != 0, r, "a cell/run mismatch should fail --check")
+expect(broken["cells"][1]["cell"] in r.stderr and "sim_events" in r.stderr,
+       r, "names the cell and the field")
+
+# A schedule that moved by one event -- run and cell alike, so the copy
+# itself is consistent -- is refused by the two-file diff.
+moved = copy.deepcopy(pin)
+cell = moved["cells"][1]
+next(rec for rec in moved["runs"]
+     if rec["cell"] == cell["cell"])["result"]["sim_events"] += 1
+cell["sim_events"] += 1
+moved["totals"]["sim_events"] += 1
+r = run_on_copy(moved)
+expect(r.returncode == 0, r, "the moved copy is itself consistent")
+r = run_on_copy(moved, old=PIN)
+expect(r.returncode != 0, r, "moved checksums should refuse the diff")
+expect("determinism checksums differ" in r.stderr, r, "names the drift")
+
+# Only the current artifact schema is read.
+old_schema = dict(pin, schema="faastcc.sweep.v1")
+r = run_on_copy(old_schema)
+expect(r.returncode != 0, r, "a v1 artifact should be rejected")
+expect("faastcc.sweep.v1" in r.stderr, r, "the error names the schema")
 
 print("bench_diff_test: ok")
