@@ -6,7 +6,7 @@
 //
 // Two access styles share the same storage:
 //   * typed members (`metrics.dag_commits.inc()`) — the original flat
-//     struct, kept so existing call sites and RunResult comparisons work;
+//     struct, kept so existing call sites and the host benchmark work;
 //   * the registry (`metrics.counter("dag.commits")`,
 //     `metrics.histogram("dag.latency_ms")`) — name-addressed handles.
 //     Well-known names resolve to the typed members; unknown names create
@@ -14,6 +14,10 @@
 // Iteration (each_counter / each_histogram) visits the well-known metrics
 // in declaration order, then dynamic ones in registration order — a
 // deterministic order for bit-identical JSON output.
+//
+// At the end of a run the cluster records the fabric's fault and RPC
+// counts as registry counters (net.*); harness/summary.h reduces every
+// reported quantity by registry name.
 #pragma once
 
 #include <deque>
@@ -54,19 +58,6 @@ struct Metrics {
   // Read episodes that had to touch the storage layer at all.
   Counter storage_episodes;
 
-  // Gauges sampled at the end of a run.
-  size_t cache_bytes_total = 0;
-  size_t cache_keys_total = 0;
-
-  // Fault-injection gauges, copied from net::Network at the end of a run.
-  // All zero when the fault layer is disabled.
-  uint64_t net_messages_lost = 0;
-  uint64_t net_messages_duplicated = 0;
-  uint64_t net_delay_spikes = 0;
-  uint64_t net_crash_dropped = 0;
-  uint64_t net_rpc_timeouts = 0;
-  uint64_t net_rpc_retries = 0;
-
   // ---- Registry API -----------------------------------------------------
   // Handles are references into this instance: valid for its lifetime, and
   // copied by value when the instance is copied (RunResult snapshots).
@@ -85,19 +76,6 @@ struct Metrics {
       const std::function<void(const char*, const Counter&)>& fn) const;
   void each_histogram(
       const std::function<void(const char*, const Samples&)>& fn) const;
-
-  double cache_hit_rate() const {
-    const auto l = cache_lookups.value();
-    return l == 0 ? 0.0
-                  : static_cast<double>(cache_hits.value()) /
-                        static_cast<double>(l);
-  }
-  double abort_rate() const {
-    const auto a = dag_attempts.value();
-    return a == 0 ? 0.0
-                  : static_cast<double>(dag_aborts.value()) /
-                        static_cast<double>(a);
-  }
 
   // Dynamic registry storage (deque: growth never invalidates handles).
   // Public so Metrics stays copyable as a plain value; use the registry

@@ -506,14 +506,14 @@ RunResult Cluster::run_clients() {
       out.duration_s > 0 ? static_cast<double>(out.committed) / out.duration_s
                          : 0.0;
   collect_cache_gauges(out);
-  out.metrics.cache_bytes_total = out.cache_bytes;
-  out.metrics.cache_keys_total = out.cache_entries;
-  out.metrics.net_messages_lost = network_.faults_lost();
-  out.metrics.net_messages_duplicated = network_.faults_duplicated();
-  out.metrics.net_delay_spikes = network_.faults_delay_spikes();
-  out.metrics.net_crash_dropped = network_.faults_crash_dropped();
-  out.metrics.net_rpc_timeouts = network_.rpc_timeouts();
-  out.metrics.net_rpc_retries = network_.rpc_retries();
+  // The fabric keeps its own fault and RPC counts; record them once, in the
+  // snapshot, so they read like any other registry counter.
+  out.metrics.counter("net.lost").inc(network_.faults_lost());
+  out.metrics.counter("net.duplicated").inc(network_.faults_duplicated());
+  out.metrics.counter("net.delay_spikes").inc(network_.faults_delay_spikes());
+  out.metrics.counter("net.crash_dropped").inc(network_.faults_crash_dropped());
+  out.metrics.counter("net.rpc_timeouts").inc(network_.rpc_timeouts());
+  out.metrics.counter("net.rpc_retries").inc(network_.rpc_retries());
   out.sim_events = loop_.events_processed();
   return out;
 }

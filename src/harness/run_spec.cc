@@ -1,11 +1,14 @@
 #include "harness/run_spec.h"
 
+#include <algorithm>
+#include <cmath>
 #include <functional>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include "harness/configs.h"
+#include "harness/table.h"
 
 namespace faastcc::harness {
 
@@ -509,71 +512,19 @@ std::string run_output_to_json(const RunOutput& o) {
   w.key("throughput");
   w.number(o.result.throughput);
 
-  w.key("summary");
-  w.begin_object();
-  const SummaryStats& s = o.summary;
-  w.key("latency_med_ms");
-  w.number(s.latency_med_ms);
-  w.key("latency_p99_ms");
-  w.number(s.latency_p99_ms);
-  w.key("metadata_med");
-  w.number(s.metadata_med);
-  w.key("metadata_p99");
-  w.number(s.metadata_p99);
-  w.key("rounds_med");
-  w.number(s.rounds_med);
-  w.key("rounds_p99");
-  w.number(s.rounds_p99);
-  w.key("read_bytes_med");
-  w.number(s.read_bytes_med);
-  w.key("read_bytes_p99");
-  w.number(s.read_bytes_p99);
-  w.key("cache_bytes");
-  w.number(s.cache_bytes);
-  w.key("cache_entries");
-  w.number(s.cache_entries);
-  w.key("abort_rate");
-  w.number(s.abort_rate);
-  w.key("hit_rate");
-  w.number(s.hit_rate);
-  w.key("stab_lag_med_us");
-  w.number(s.stab_lag_med_us);
-  w.key("stab_lag_p99_us");
-  w.number(s.stab_lag_p99_us);
-  w.key("stab_stale_drops");
-  w.number(s.stab_stale_drops);
-  w.key("stab_drops_unknown_member");
-  w.number(s.stab_drops_unknown_member);
-  w.key("stab_drops_stale_report");
-  w.number(s.stab_drops_stale_report);
-  w.key("stab_drops_foreign_child");
-  w.number(s.stab_drops_foreign_child);
-  w.key("stab_drops_stale_broadcast");
-  w.number(s.stab_drops_stale_broadcast);
-  w.key("routing_active_partitions");
-  w.number(s.routing_active_partitions);
-  w.key("routing_epoch");
-  w.number(s.routing_epoch);
-  w.end_object();
-
-  w.key("net");
-  w.begin_object();
-  const Metrics& m = o.result.metrics;
-  w.key("lost");
-  w.u64(m.net_messages_lost);
-  w.key("duplicated");
-  w.u64(m.net_messages_duplicated);
-  w.key("delay_spikes");
-  w.u64(m.net_delay_spikes);
-  w.key("crash_dropped");
-  w.u64(m.net_crash_dropped);
-  w.key("rpc_timeouts");
-  w.u64(m.net_rpc_timeouts);
-  w.key("rpc_retries");
-  w.u64(m.net_rpc_retries);
-  w.key("dag_timeouts");
-  w.u64(m.dag_timeouts.value());
-  w.end_object();
+  for (const auto& [name, object] :
+       {std::pair{"summary", SummaryField::Object::kSummary},
+        std::pair{"net", SummaryField::Object::kNet}}) {
+    w.key(name);
+    w.begin_object();
+    for (const SummaryField& f : kSummaryFields) {
+      if (f.object != object) continue;
+      w.key(f.key);
+      // Counts are exact in a double, and %.17g prints them as integers.
+      w.number(o.summary.*f.member);
+    }
+    w.end_object();
+  }
 
   w.key("oracle");
   w.begin_object();
@@ -595,6 +546,32 @@ std::string run_output_to_json(const RunOutput& o) {
 
   w.end_object();
   return w.take();
+}
+
+void print_run_table(const RunOutput& o) {
+  const auto text = [](double v) {
+    return fmt(v, v == std::trunc(v) ? 0 : 4);
+  };
+  Table table({"layer", "metric", "value", "unit"});
+  const json::Value record = json::parse(run_output_to_json(o));
+  for (const auto& [key, value] : record.fields) {
+    if (value.is_number()) {
+      table.add_row({"run", key, text(value.as_double()), ""});
+    }
+  }
+  std::vector<std::string_view> layers;
+  for (const SummaryField& f : kSummaryFields) {
+    if (std::find(layers.begin(), layers.end(), f.layer) == layers.end()) {
+      layers.push_back(f.layer);
+    }
+  }
+  for (const std::string_view layer : layers) {
+    for (const SummaryField& f : kSummaryFields) {
+      if (f.layer != layer) continue;
+      table.add_row({f.layer, f.key, text(o.summary.*f.member), f.unit});
+    }
+  }
+  table.print();
 }
 
 }  // namespace faastcc::harness

@@ -88,11 +88,17 @@ struct RunOutput {
 // (e.g. check_consistency on a system without an oracle).
 RunOutput run_one(const RunSpec& spec);
 
-// The per-run record the sweep runner merges: a canonical, deterministic
-// JSON object of the run's metrics, summary and verdicts.  Field order and
-// number formatting are fixed so any process (serial driver, forked
-// worker) serializing the same run produces identical bytes.
+// The run record: what the sweep runner merges and `faastcc_sim --json`
+// prints.  A canonical, deterministic JSON object of the run's counts, its
+// `summary` and `net` objects (one key per kSummaryFields row, in table
+// order) and the oracle verdict.  Field order and number formatting are
+// fixed so any process (serial driver, forked worker) serializing the same
+// run produces identical bytes.
 std::string run_output_to_json(const RunOutput& out);
+
+// The run record as a table on stdout: the top-level counts, then one row
+// per kSummaryFields row grouped by layer.
+void print_run_table(const RunOutput& out);
 
 // Parses SystemKind names ("faastcc", "hydrocache", "cloudburst").
 bool parse_system(std::string_view name, SystemKind* out);

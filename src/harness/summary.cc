@@ -1,48 +1,120 @@
 #include "harness/summary.h"
 
 namespace faastcc::harness {
+namespace {
 
-SummaryStats summarize(const RunResult& r) {
-  SummaryStats s;
-  s.latency_med_ms = r.metrics.dag_latency_ms.median();
-  s.latency_p99_ms = r.metrics.dag_latency_ms.p99();
-  s.throughput = r.throughput;
-  s.metadata_med = r.metrics.metadata_bytes.median();
-  s.metadata_p99 = r.metrics.metadata_bytes.p99();
-  s.rounds_med = r.metrics.storage_rounds.median();
-  s.rounds_p99 = r.metrics.storage_rounds.p99();
-  s.read_bytes_med = r.metrics.storage_read_bytes.median();
-  s.read_bytes_p99 = r.metrics.storage_read_bytes.p99();
-  s.cache_bytes = static_cast<double>(r.cache_bytes);
-  s.cache_entries = static_cast<double>(r.cache_entries);
-  s.abort_rate = r.metrics.abort_rate();
-  s.hit_rate = r.metrics.cache_hit_rate();
-  s.committed = static_cast<double>(r.committed);
-  s.duration_s = r.duration_s;
-  const auto median_of = [&](std::string_view name) {
-    const Samples* h = r.metrics.find_histogram(name);
-    return h != nullptr ? h->median() : 0.0;
-  };
-  s.breakdown_queue_ms = median_of("breakdown.queue_ms");
-  s.breakdown_compute_ms = median_of("breakdown.compute_ms");
-  s.breakdown_storage_ms = median_of("breakdown.storage_ms");
-  s.breakdown_network_ms = median_of("breakdown.network_ms");
-  if (const Samples* lag = r.metrics.find_histogram("stab.stable_lag_us");
-      lag != nullptr && !lag->empty()) {
-    s.stab_lag_med_us = lag->median();
-    s.stab_lag_p99_us = lag->p99();
-  }
-  const auto counter_of = [&](const char* name) -> double {
+using S = SummaryStats;
+using Object = SummaryField::Object;
+using Reduce = SummaryField::Reduce;
+constexpr Object kSum = Object::kSummary;
+constexpr Object kNet = Object::kNet;
+
+constexpr SummaryField kRows[] = {
+    {"latency_med_ms", &S::latency_med_ms, kSum, "client", "ms",
+     Reduce::kMedian, "dag.latency_ms"},
+    {"latency_p99_ms", &S::latency_p99_ms, kSum, "client", "ms",
+     Reduce::kP99, "dag.latency_ms"},
+    {"metadata_med", &S::metadata_med, kSum, "faas", "B", Reduce::kMedian,
+     "dag.metadata_bytes"},
+    {"metadata_p99", &S::metadata_p99, kSum, "faas", "B", Reduce::kP99,
+     "dag.metadata_bytes"},
+    {"rounds_med", &S::rounds_med, kSum, "storage", "rounds",
+     Reduce::kMedian, "storage.rounds"},
+    {"rounds_p99", &S::rounds_p99, kSum, "storage", "rounds", Reduce::kP99,
+     "storage.rounds"},
+    {"read_bytes_med", &S::read_bytes_med, kSum, "storage", "B",
+     Reduce::kMedian, "storage.read_bytes"},
+    {"read_bytes_p99", &S::read_bytes_p99, kSum, "storage", "B",
+     Reduce::kP99, "storage.read_bytes"},
+    {"cache_bytes", &S::cache_bytes, kSum, "cache", "B", Reduce::kCacheBytes},
+    {"cache_entries", &S::cache_entries, kSum, "cache", "entries",
+     Reduce::kCacheEntries},
+    {"abort_rate", &S::abort_rate, kSum, "client", "ratio", Reduce::kRatio,
+     "dag.aborts", "dag.attempts"},
+    {"hit_rate", &S::hit_rate, kSum, "cache", "ratio", Reduce::kRatio,
+     "cache.hits", "cache.lookups"},
+    {"stab_lag_med_us", &S::stab_lag_med_us, kSum, "stab", "us",
+     Reduce::kMedian, "stab.stable_lag_us"},
+    {"stab_lag_p99_us", &S::stab_lag_p99_us, kSum, "stab", "us",
+     Reduce::kP99, "stab.stable_lag_us"},
+    {"stab_stale_drops", &S::stab_stale_drops, kSum, "stab", "count",
+     Reduce::kValue, "stab.stale_drops"},
+    {"stab_drops_unknown_member", &S::stab_drops_unknown_member, kSum, "stab",
+     "count", Reduce::kValue, "stab.drops.unknown_member"},
+    {"stab_drops_stale_report", &S::stab_drops_stale_report, kSum, "stab",
+     "count", Reduce::kValue, "stab.drops.stale_report"},
+    {"stab_drops_foreign_child", &S::stab_drops_foreign_child, kSum, "stab",
+     "count", Reduce::kValue, "stab.drops.foreign_child"},
+    {"stab_drops_stale_broadcast", &S::stab_drops_stale_broadcast, kSum,
+     "stab", "count", Reduce::kValue, "stab.drops.stale_broadcast"},
+    {"routing_active_partitions", &S::routing_active_partitions, kSum,
+     "routing", "count", Reduce::kValue, "routing.active_partitions"},
+    {"routing_epoch", &S::routing_epoch, kSum, "routing", "epoch",
+     Reduce::kValue, "routing.epoch"},
+    {"breakdown_queue_ms", &S::breakdown_queue_ms, kSum, "trace", "ms",
+     Reduce::kMedian, "breakdown.queue_ms"},
+    {"breakdown_compute_ms", &S::breakdown_compute_ms, kSum, "trace", "ms",
+     Reduce::kMedian, "breakdown.compute_ms"},
+    {"breakdown_storage_ms", &S::breakdown_storage_ms, kSum, "trace", "ms",
+     Reduce::kMedian, "breakdown.storage_ms"},
+    {"breakdown_network_ms", &S::breakdown_network_ms, kSum, "trace", "ms",
+     Reduce::kMedian, "breakdown.network_ms"},
+    {"stab_gossip_rounds", &S::stab_gossip_rounds, kSum, "stab", "count",
+     Reduce::kValue, "stab.gossip_rounds"},
+    {"stab_gossip_msgs", &S::stab_gossip_msgs, kSum, "stab", "count",
+     Reduce::kValue, "stab.gossip_msgs"},
+    {"repl_promotions", &S::repl_promotions, kSum, "repl", "count",
+     Reduce::kValue, "repl.promotions"},
+    {"routing_epoch_bumps", &S::routing_epoch_bumps, kSum, "routing",
+     "count", Reduce::kValue, "routing.epoch_bumps"},
+    {"lost", &S::net_lost, kNet, "net", "count", Reduce::kValue, "net.lost"},
+    {"duplicated", &S::net_duplicated, kNet, "net", "count", Reduce::kValue,
+     "net.duplicated"},
+    {"delay_spikes", &S::net_delay_spikes, kNet, "net", "count",
+     Reduce::kValue, "net.delay_spikes"},
+    {"crash_dropped", &S::net_crash_dropped, kNet, "net", "count",
+     Reduce::kValue, "net.crash_dropped"},
+    {"rpc_timeouts", &S::net_rpc_timeouts, kNet, "net", "count",
+     Reduce::kValue, "net.rpc_timeouts"},
+    {"rpc_retries", &S::net_rpc_retries, kNet, "net", "count",
+     Reduce::kValue, "net.rpc_retries"},
+    {"dag_timeouts", &S::dag_timeouts, kNet, "client", "count",
+     Reduce::kValue, "dag.timeouts"},
+};
+
+double reduce(const SummaryField& f, const RunResult& r) {
+  const auto count = [&](const char* name) -> double {
     const Counter* c = r.metrics.find_counter(name);
     return c != nullptr ? static_cast<double>(c->value()) : 0;
   };
-  s.stab_stale_drops = counter_of("stab.stale_drops");
-  s.stab_drops_unknown_member = counter_of("stab.drops.unknown_member");
-  s.stab_drops_stale_report = counter_of("stab.drops.stale_report");
-  s.stab_drops_foreign_child = counter_of("stab.drops.foreign_child");
-  s.stab_drops_stale_broadcast = counter_of("stab.drops.stale_broadcast");
-  s.routing_active_partitions = counter_of("routing.active_partitions");
-  s.routing_epoch = counter_of("routing.epoch");
+  switch (f.reduce) {
+    case Reduce::kMedian:
+    case Reduce::kP99: {
+      const Samples* h = r.metrics.find_histogram(f.metric);
+      if (h == nullptr) return 0;
+      return f.reduce == Reduce::kMedian ? h->median() : h->p99();
+    }
+    case Reduce::kValue:
+      return count(f.metric);
+    case Reduce::kRatio: {
+      const double per = count(f.per);
+      return per == 0 ? 0.0 : count(f.metric) / per;
+    }
+    case Reduce::kCacheBytes:
+      return static_cast<double>(r.cache_bytes);
+    case Reduce::kCacheEntries:
+      return static_cast<double>(r.cache_entries);
+  }
+  return 0;
+}
+
+}  // namespace
+
+const std::span<const SummaryField> kSummaryFields{kRows};
+
+SummaryStats summarize(const RunResult& r) {
+  SummaryStats s;
+  for (const SummaryField& f : kSummaryFields) s.*f.member = reduce(f, r);
   return s;
 }
 

@@ -50,20 +50,4 @@ std::string fmt(double v, int precision) {
   return buf;
 }
 
-std::string fmt_bytes(double v) {
-  char buf[64];
-  if (v >= 1024.0 * 1024.0) {
-    std::snprintf(buf, sizeof(buf), "%.1f MiB", v / (1024.0 * 1024.0));
-  } else if (v >= 1024.0) {
-    std::snprintf(buf, sizeof(buf), "%.1f KiB", v / 1024.0);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.0f B", v);
-  }
-  return buf;
-}
-
-void print_title(const std::string& title) {
-  std::printf("\n=== %s ===\n", title.c_str());
-}
-
 }  // namespace faastcc::harness

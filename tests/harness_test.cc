@@ -2,7 +2,11 @@
 // table formatting.
 #include <gtest/gtest.h>
 
-#include "harness/summary.h"
+#include <set>
+#include <string>
+#include <vector>
+
+#include "harness/run_spec.h"
 #include "harness/table.h"
 
 namespace faastcc::harness {
@@ -18,17 +22,73 @@ TEST(Summary, SummarizeExtractsPercentilesAndRates) {
   r.metrics.dag_aborts.inc(1);
   r.metrics.cache_lookups.inc(4);
   r.metrics.cache_hits.inc(3);
-  r.throughput = 123;
-  r.committed = 99;
+  r.metrics.counter("net.lost").inc(2);
   r.cache_bytes = 1024;
   const SummaryStats s = summarize(r);
   EXPECT_NEAR(s.latency_med_ms, 50.5, 1e-9);
   EXPECT_DOUBLE_EQ(s.metadata_med, 16);
-  EXPECT_DOUBLE_EQ(s.throughput, 123);
-  EXPECT_DOUBLE_EQ(s.committed, 99);
   EXPECT_NEAR(s.abort_rate, 0.1, 1e-9);
   EXPECT_NEAR(s.hit_rate, 0.75, 1e-9);
   EXPECT_DOUBLE_EQ(s.cache_bytes, 1024);
+  EXPECT_DOUBLE_EQ(s.net_lost, 2);
+  EXPECT_DOUBLE_EQ(s.stab_lag_med_us, 0);  // no stabilizer histogram
+
+  // The record's summary and net objects carry one key per kSummaryFields
+  // row, in table order.
+  RunOutput out;
+  out.result = r;
+  out.summary = s;
+  const json::Value record = json::parse(run_output_to_json(out));
+  std::vector<std::string> summary_keys, net_keys, table_keys;
+  for (const auto& [key, value] : record.find("summary")->fields) {
+    summary_keys.push_back(key);
+  }
+  for (const auto& [key, value] : record.find("net")->fields) {
+    net_keys.push_back(key);
+  }
+  for (const SummaryField& f : kSummaryFields) table_keys.push_back(f.key);
+  std::vector<std::string> record_keys = summary_keys;
+  record_keys.insert(record_keys.end(), net_keys.begin(), net_keys.end());
+  EXPECT_EQ(record_keys, table_keys);
+  EXPECT_EQ(std::set<std::string>(table_keys.begin(), table_keys.end()).size(),
+            table_keys.size());
+
+  // The keys the record carried before the field table keep their order;
+  // later keys are appended to the summary object.
+  const std::vector<std::string> prior_summary = {
+      "latency_med_ms",
+      "latency_p99_ms",
+      "metadata_med",
+      "metadata_p99",
+      "rounds_med",
+      "rounds_p99",
+      "read_bytes_med",
+      "read_bytes_p99",
+      "cache_bytes",
+      "cache_entries",
+      "abort_rate",
+      "hit_rate",
+      "stab_lag_med_us",
+      "stab_lag_p99_us",
+      "stab_stale_drops",
+      "stab_drops_unknown_member",
+      "stab_drops_stale_report",
+      "stab_drops_foreign_child",
+      "stab_drops_stale_broadcast",
+      "routing_active_partitions",
+      "routing_epoch",
+  };
+  const std::vector<std::string> prior_net = {
+      "lost",         "duplicated",  "delay_spikes", "crash_dropped",
+      "rpc_timeouts", "rpc_retries", "dag_timeouts",
+  };
+  ASSERT_GE(summary_keys.size(), prior_summary.size());
+  EXPECT_EQ(std::vector<std::string>(
+                summary_keys.begin(),
+                summary_keys.begin() +
+                    static_cast<std::ptrdiff_t>(prior_summary.size())),
+            prior_summary);
+  EXPECT_EQ(net_keys, prior_net);
 }
 
 TEST(Harness, PaperDefaultsMatchSection61) {
@@ -54,9 +114,6 @@ TEST(Table, FormatsNumbers) {
   EXPECT_EQ(fmt(1.25, 1), "1.2");
   EXPECT_EQ(fmt(1.25, 2), "1.25");
   EXPECT_EQ(fmt(1000.0, 0), "1000");
-  EXPECT_EQ(fmt_bytes(100), "100 B");
-  EXPECT_EQ(fmt_bytes(2048), "2.0 KiB");
-  EXPECT_EQ(fmt_bytes(3.5 * 1024 * 1024), "3.5 MiB");
 }
 
 TEST(Cluster, TopologyRoutesKeysToPartitions) {

@@ -8,10 +8,13 @@ Usage:
 
 The artifacts are written by tools/tcc_sweep (see docs/sweeps.md).  --check
 is a structural check: every run record and cell must carry the required
-keys, each cell's counts must equal the sums over its own runs, the totals
-must equal the sums over all runs, and any run with oracle violations fails
-the check -- so a committed BENCH_*.json always represents a clean,
-internally consistent sweep.  Any other schema is rejected.
+keys, every run record must carry the same `summary` and `net` key lists
+and every cell's `mean` exactly `throughput` followed by those keys (so a
+partly regenerated artifact fails), each cell's counts must equal the sums
+over its own runs, the totals must equal the sums over all runs, and any
+run with oracle violations fails the check -- so a committed BENCH_*.json
+always represents a clean, internally consistent sweep.  Any other schema
+is rejected.
 
 Each source plan's `paper` block is copied into the artifact.  Its `claims`
 are shape assertions over the cells and are gated by --check; its `tables`
@@ -70,6 +73,9 @@ CELL_KEYS = {
     "mean": dict,
 }
 
+# The run-record objects a cell's `mean` averages, after `throughput`.
+RECORD_GROUPS = ("summary", "net")
+
 CELL_COUNTS = ("runs", "checked", "violations", "committed", "sim_events",
                "messages")
 
@@ -92,6 +98,14 @@ def require(obj, keys, where):
         value = obj.get(key)
         if not isinstance(value, ty) or isinstance(value, bool):
             fail(f"{where}.{key} missing or not {ty}")
+
+
+def key_diff(got, want):
+    missing = [k for k in want if k not in got]
+    extra = [k for k in got if k not in want]
+    if missing or extra:
+        return f"missing {missing}, extra {extra}"
+    return "same keys, different order"
 
 
 def run_counts(run):
@@ -117,6 +131,7 @@ def check_sweep(doc, path):
         fail(f"{path}: missing or empty runs array")
     seen_ids = set()
     per_cell = {}
+    shape = None
     for i, run in enumerate(runs):
         if not isinstance(run, dict):
             fail(f"{path}: runs[{i}] is not an object")
@@ -124,6 +139,15 @@ def check_sweep(doc, path):
         if run["id"] in seen_ids:
             fail(f"{path}: duplicate run id {run['id']!r}")
         seen_ids.add(run["id"])
+        # One record shape per artifact: a partly regenerated file mixes
+        # records with and without newer summary keys.
+        keys = [k for group in RECORD_GROUPS
+                for k in run["result"].get(group) or {}]
+        if shape is None:
+            shape = keys
+        elif keys != shape:
+            fail(f"{path}: run {run['id']!r} summary/net keys differ from "
+                 f"the first run's: {key_diff(keys, shape)}")
         oracle = run["result"].get("oracle")
         if not isinstance(oracle, dict):
             fail(f"{path}: runs[{i}].result.oracle missing")
@@ -139,8 +163,12 @@ def check_sweep(doc, path):
     cells = doc.get("cells")
     if not isinstance(cells, list) or not cells:
         fail(f"{path}: missing or empty cells array")
+    mean_keys = ["throughput"] + shape
     for i, cell in enumerate(cells):
         require(cell, CELL_KEYS, f"{path}: cells[{i}]")
+        if list(cell["mean"]) != mean_keys:
+            fail(f"{path}: cell {cell['cell']!r} mean keys differ from its "
+                 f"runs': {key_diff(list(cell['mean']), mean_keys)}")
         sums = per_cell.pop(cell["cell"], None)
         if sums is None:
             fail(f"{path}: cell {cell['cell']!r} has no runs")

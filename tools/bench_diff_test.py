@@ -13,7 +13,8 @@ which a claim selects no cell, fails --check and names the claim.
 Cells and checksums.  --check ties every cell's counts to the sums over its
 runs, so a cell whose checksum disagrees with its own run records fails;
 the two-file diff refuses a copy of the schedule pin (BENCH_pin.json) whose
-checksums moved; and an artifact of any other schema is rejected.
+checksums moved; a copy whose runs or cells carry different record keys
+fails; and an artifact of any other schema is rejected.
 
 Usage: bench_diff_test.py path/to/bench_diff.py path/to/BENCH_gossip.json
                           path/to/BENCH_paper.json path/to/BENCH_pin.json
@@ -131,6 +132,21 @@ expect(r.returncode == 0, r, "the moved copy is itself consistent")
 r = run_on_copy(moved, old=PIN)
 expect(r.returncode != 0, r, "moved checksums should refuse the diff")
 expect("determinism checksums differ" in r.stderr, r, "names the drift")
+
+# A partly regenerated artifact mixes record shapes: one run without a
+# summary key fails --check and names the run.
+mixed = copy.deepcopy(pin)
+del mixed["runs"][1]["result"]["summary"]["hit_rate"]
+r = run_on_copy(mixed)
+expect(r.returncode != 0, r, "a run missing a summary key should fail")
+expect(mixed["runs"][1]["id"] in r.stderr, r, "names the run")
+
+# So does a cell whose mean lacks a key its runs carry.
+mixed = copy.deepcopy(pin)
+del mixed["cells"][2]["mean"]["hit_rate"]
+r = run_on_copy(mixed)
+expect(r.returncode != 0, r, "a cell missing a mean key should fail")
+expect(mixed["cells"][2]["cell"] in r.stderr, r, "names the cell")
 
 # Only the current artifact schema is read.
 old_schema = dict(pin, schema="faastcc.sweep.v1")

@@ -8,7 +8,9 @@
 // `--spec=base.json --zipf=1.2` overrides the file and `--dump-spec`
 // prints the resulting canonical spec without running it.
 //
-// Prints the summary as a human table or a single JSON object (--json).
+// Prints the run record (harness::run_output_to_json, the same object a
+// sweep merges) as one JSON line with --json, or as a table grouped by
+// layer.  The oracle verdict and trace totals go to stderr.
 // With --trace-out the run records deterministic distributed traces in
 // Chrome trace-event format (open in chrome://tracing or Perfetto).
 #include <cstdio>
@@ -20,8 +22,6 @@
 #include "harness/configs.h"
 #include "harness/flags.h"
 #include "harness/run_spec.h"
-#include "harness/summary.h"
-#include "harness/table.h"
 
 using namespace faastcc;
 using namespace faastcc::harness;
@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
                 "attach the consistency oracle (FaaSTCC only; zero "
                 "perturbation, exit 1 on violations)",
                 &check);
-  flags.boolean("json", "machine-readable output", &json_out);
+  flags.boolean("json", "print the run record as one JSON line", &json_out);
   flags.real("loss", "fabric message loss probability", &p.faults.loss_prob);
   flags.real("dup", "fabric message duplication probability",
              &p.faults.dup_prob);
@@ -215,9 +215,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "faastcc_sim: %s\n", e.what());
     return 2;
   }
-  const SummaryStats& s = out.summary;
-  const RunResult& result = out.result;
-  const ClusterParams resolved = spec.resolve();
 
   int exit_code = 0;
   if (out.checked) {
@@ -247,161 +244,9 @@ int main(int argc, char** argv) {
   }
 
   if (json_out) {
-    std::printf(
-        "{\"system\":\"%s\",\"zipf\":%.3f,\"static\":%s,"
-        "\"latency_med_ms\":%.4f,\"latency_p99_ms\":%.4f,"
-        "\"throughput\":%.2f,\"metadata_med\":%.1f,\"metadata_p99\":%.1f,"
-        "\"rounds_med\":%.2f,\"rounds_p99\":%.2f,"
-        "\"read_bytes_med\":%.1f,\"read_bytes_p99\":%.1f,"
-        "\"cache_bytes\":%.0f,\"cache_entries\":%.0f,"
-        "\"abort_rate\":%.5f,\"hit_rate\":%.5f,"
-        "\"committed\":%.0f,\"duration_s\":%.3f,\"sim_events\":%llu,"
-        "\"net_lost\":%llu,\"net_duplicated\":%llu,\"net_delay_spikes\":%llu,"
-        "\"net_crash_dropped\":%llu,\"rpc_timeouts\":%llu,"
-        "\"rpc_retries\":%llu,\"dag_timeouts\":%llu",
-        system_name(resolved.system), resolved.workload.zipf,
-        resolved.workload.static_txns ? "true" : "false", s.latency_med_ms,
-        s.latency_p99_ms, s.throughput, s.metadata_med, s.metadata_p99,
-        s.rounds_med, s.rounds_p99, s.read_bytes_med, s.read_bytes_p99,
-        s.cache_bytes, s.cache_entries, s.abort_rate, s.hit_rate, s.committed,
-        s.duration_s, static_cast<unsigned long long>(result.sim_events),
-        static_cast<unsigned long long>(result.metrics.net_messages_lost),
-        static_cast<unsigned long long>(result.metrics.net_messages_duplicated),
-        static_cast<unsigned long long>(result.metrics.net_delay_spikes),
-        static_cast<unsigned long long>(result.metrics.net_crash_dropped),
-        static_cast<unsigned long long>(result.metrics.net_rpc_timeouts),
-        static_cast<unsigned long long>(result.metrics.net_rpc_retries),
-        static_cast<unsigned long long>(result.metrics.dag_timeouts.value()));
-    if (const Counter* rounds =
-            result.metrics.find_counter("stab.gossip_rounds");
-        rounds != nullptr) {
-      // Stabilization keys appear only when a stabilizer ran (faastcc),
-      // keeping the default JSON shape for other systems unchanged.
-      const Counter* msgs = result.metrics.find_counter("stab.gossip_msgs");
-      std::printf(
-          ",\"stab_gossip_rounds\":%llu,\"stab_gossip_msgs\":%llu,"
-          "\"stab_stale_drops\":%.0f,\"stab_lag_med_us\":%.1f,"
-          "\"stab_lag_p99_us\":%.1f",
-          static_cast<unsigned long long>(rounds->value()),
-          static_cast<unsigned long long>(msgs != nullptr ? msgs->value()
-                                                          : 0),
-          s.stab_stale_drops, s.stab_lag_med_us, s.stab_lag_p99_us);
-      if (s.stab_stale_drops > 0) {
-        // Per-reason split, emitted only when something was dropped.
-        std::printf(
-            ",\"stab_drops_unknown_member\":%.0f"
-            ",\"stab_drops_stale_report\":%.0f"
-            ",\"stab_drops_foreign_child\":%.0f"
-            ",\"stab_drops_stale_broadcast\":%.0f",
-            s.stab_drops_unknown_member, s.stab_drops_stale_report,
-            s.stab_drops_foreign_child, s.stab_drops_stale_broadcast);
-      }
-    }
-    if (const Counter* promos = result.metrics.find_counter("repl.promotions");
-        promos != nullptr) {
-      // Appears only when a follower was actually promoted.
-      std::printf(",\"repl_promotions\":%llu",
-                  static_cast<unsigned long long>(promos->value()));
-    }
-    if (const Counter* bumps =
-            result.metrics.find_counter("routing.epoch_bumps");
-        bumps != nullptr) {
-      // Appears only when the reconfiguration engine moved the table.
-      std::printf(
-          ",\"routing_epoch_bumps\":%llu,\"routing_epoch\":%.0f"
-          ",\"routing_active_partitions\":%.0f",
-          static_cast<unsigned long long>(bumps->value()), s.routing_epoch,
-          s.routing_active_partitions);
-    }
-    if (resolved.trace.enabled) {
-      // Trace-derived keys only appear when tracing is on, so existing
-      // consumers of the default JSON shape are unaffected.
-      std::printf(
-          ",\"breakdown_queue_ms\":%.4f,\"breakdown_compute_ms\":%.4f,"
-          "\"breakdown_storage_ms\":%.4f,\"breakdown_network_ms\":%.4f,"
-          "\"trace_spans\":%llu",
-          s.breakdown_queue_ms, s.breakdown_compute_ms, s.breakdown_storage_ms,
-          s.breakdown_network_ms,
-          static_cast<unsigned long long>(out.trace_spans_recorded));
-    }
-    std::printf("}\n");
-    return exit_code;
+    std::printf("%s\n", run_output_to_json(out).c_str());
+  } else {
+    print_run_table(out);
   }
-
-  Table table({"metric", "value"});
-  table.add_row({"latency median", fmt(s.latency_med_ms, 2) + " ms"});
-  table.add_row({"latency p99", fmt(s.latency_p99_ms, 2) + " ms"});
-  table.add_row({"throughput", fmt(s.throughput, 1) + " DAGs/s"});
-  table.add_row({"metadata median / p99",
-                 fmt(s.metadata_med, 0) + " / " + fmt(s.metadata_p99, 0) +
-                     " B"});
-  table.add_row({"storage rounds median / p99",
-                 fmt(s.rounds_med, 1) + " / " + fmt(s.rounds_p99, 1)});
-  table.add_row({"storage read bytes median / p99",
-                 fmt(s.read_bytes_med, 0) + " / " +
-                     fmt(s.read_bytes_p99, 0) + " B"});
-  table.add_row({"cache footprint", fmt_bytes(s.cache_bytes)});
-  table.add_row({"cache hit rate", fmt(100 * s.hit_rate, 1) + " %"});
-  table.add_row({"abort rate", fmt(100 * s.abort_rate, 2) + " %"});
-  table.add_row({"committed DAGs", fmt(s.committed, 0)});
-  table.add_row({"simulated duration", fmt(s.duration_s, 2) + " s"});
-  if (const Counter* rounds =
-          result.metrics.find_counter("stab.gossip_rounds");
-      rounds != nullptr) {
-    const Counter* msgs = result.metrics.find_counter("stab.gossip_msgs");
-    table.add_row(
-        {"stab rounds / msgs",
-         fmt(static_cast<double>(rounds->value()), 0) + " / " +
-             fmt(static_cast<double>(msgs != nullptr ? msgs->value() : 0),
-                 0)});
-    table.add_row({"stab lag median / p99",
-                   fmt(s.stab_lag_med_us / 1000.0, 2) + " / " +
-                       fmt(s.stab_lag_p99_us / 1000.0, 2) + " ms"});
-    if (s.stab_stale_drops > 0) {
-      table.add_row(
-          {"stab stale drops (member/report/child/bcast)",
-           fmt(s.stab_stale_drops, 0) + " (" +
-               fmt(s.stab_drops_unknown_member, 0) + "/" +
-               fmt(s.stab_drops_stale_report, 0) + "/" +
-               fmt(s.stab_drops_foreign_child, 0) + "/" +
-               fmt(s.stab_drops_stale_broadcast, 0) + ")"});
-    }
-  }
-  if (const Counter* promos = result.metrics.find_counter("repl.promotions");
-      promos != nullptr) {
-    table.add_row({"leader promotions",
-                   fmt(static_cast<double>(promos->value()), 0)});
-  }
-  if (result.metrics.find_counter("routing.epoch_bumps") != nullptr) {
-    table.add_row({"routing partitions @ epoch",
-                   fmt(s.routing_active_partitions, 0) + " @ " +
-                       fmt(s.routing_epoch, 0)});
-  }
-  if (resolved.trace.enabled) {
-    table.add_row({"breakdown queue median", fmt(s.breakdown_queue_ms, 3) +
-                   " ms"});
-    table.add_row({"breakdown compute median", fmt(s.breakdown_compute_ms, 3) +
-                   " ms"});
-    table.add_row({"breakdown storage median", fmt(s.breakdown_storage_ms, 3) +
-                   " ms"});
-    table.add_row({"breakdown network median", fmt(s.breakdown_network_ms, 3) +
-                   " ms"});
-  }
-  if (resolved.faults.enabled()) {
-    const auto& m = result.metrics;
-    table.add_row({"net lost / duplicated",
-                   fmt(static_cast<double>(m.net_messages_lost), 0) + " / " +
-                       fmt(static_cast<double>(m.net_messages_duplicated), 0)});
-    table.add_row(
-        {"delay spikes / crash drops",
-         fmt(static_cast<double>(m.net_delay_spikes), 0) + " / " +
-             fmt(static_cast<double>(m.net_crash_dropped), 0)});
-    table.add_row({"rpc timeouts / retries",
-                   fmt(static_cast<double>(m.net_rpc_timeouts), 0) + " / " +
-                       fmt(static_cast<double>(m.net_rpc_retries), 0)});
-    table.add_row({"DAG watchdog timeouts",
-                   fmt(static_cast<double>(m.dag_timeouts.value()), 0)});
-  }
-  table.print();
   return exit_code;
 }
