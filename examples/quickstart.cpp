@@ -69,10 +69,12 @@ int main() {
 
   net::RpcNode client(cluster.network(), 900);
   bool finished = false;
+  bool committed = false;
   client.handle_oneway(faas::kDagDone, [&](Buffer b, net::Address) {
     auto done = decode_message<faas::DagDoneMsg>(b);
     std::printf("DAG %s\n", done.committed ? "committed" : "aborted");
     finished = true;
+    committed = done.committed;
   });
 
   faas::StartDagMsg start;
@@ -98,5 +100,5 @@ int main() {
                     : "(none)",
                 r.version != nullptr ? r.version->ts.to_string().c_str() : "-");
   }
-  return finished ? 0 : 1;
+  return committed ? 0 : 1;
 }

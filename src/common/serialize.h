@@ -143,6 +143,42 @@ class CodecError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+// A nested byte blob inside a wire message (a context or session handed
+// from function to function).  Either owns its bytes, or aliases a slice
+// of a shared message buffer — so decoding a trigger does not copy the
+// (potentially large) context out of the message, and decoding the context
+// in turn can alias its records straight out of the same allocation.
+class Payload {
+ public:
+  Payload() = default;
+  // Owning payload around freshly encoded bytes (implicit: every Buffer
+  // producer keeps working unchanged).  Empty buffers stay allocation-free.
+  Payload(Buffer b) {
+    if (b.empty()) return;
+    auto sp = std::make_shared<const Buffer>(std::move(b));
+    data_ = sp->data();
+    size_ = sp->size();
+    owner_ = std::move(sp);
+  }
+  // Aliasing payload: a slice of `owner`, kept alive by the shared count.
+  Payload(std::shared_ptr<const Buffer> owner, const uint8_t* data,
+          size_t size)
+      : owner_(std::move(owner)), data_(data), size_(size) {}
+
+  const uint8_t* data() const { return data_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const std::shared_ptr<const Buffer>& owner() const { return owner_; }
+
+  // Detached copy of the bytes (tests, diagnostics).
+  Buffer bytes() const { return Buffer(data_, data_ + size_); }
+
+ private:
+  std::shared_ptr<const Buffer> owner_;
+  const uint8_t* data_ = nullptr;
+  size_t size_ = 0;
+};
+
 class BufReader {
  public:
   explicit BufReader(const Buffer& b) : data_(b.data()), size_(b.size()) {}
@@ -156,6 +192,9 @@ class BufReader {
   BufReader(const uint8_t* data, size_t size,
             std::shared_ptr<const Buffer> owner)
       : data_(data), size_(size), owner_(std::move(owner)) {}
+  // Reader over a payload, sharing its owner when it has one.
+  explicit BufReader(const Payload& p)
+      : BufReader(p.data(), p.size(), p.owner()) {}
 
   const std::shared_ptr<const Buffer>& owner() const { return owner_; }
 
@@ -200,6 +239,10 @@ class BufReader {
     return p;
   }
 
+  // The next unread byte: a decoder that keeps a run of fields as a view
+  // marks where it starts and ends.
+  const uint8_t* cursor() const { return data_ + pos_; }
+
   size_t remaining() const { return size_ - pos_; }
   bool done() const { return pos_ == size_; }
 
@@ -219,42 +262,6 @@ class BufReader {
   size_t size_;
   size_t pos_ = 0;
   std::shared_ptr<const Buffer> owner_;
-};
-
-// A nested byte blob inside a wire message (a context or session handed
-// from function to function).  Either owns its bytes, or aliases a slice
-// of a shared message buffer — so decoding a trigger does not copy the
-// (potentially large) context out of the message, and decoding the context
-// in turn can alias its records straight out of the same allocation.
-class Payload {
- public:
-  Payload() = default;
-  // Owning payload around freshly encoded bytes (implicit: every Buffer
-  // producer keeps working unchanged).  Empty buffers stay allocation-free.
-  Payload(Buffer b) {
-    if (b.empty()) return;
-    auto sp = std::make_shared<const Buffer>(std::move(b));
-    data_ = sp->data();
-    size_ = sp->size();
-    owner_ = std::move(sp);
-  }
-  // Aliasing payload: a slice of `owner`, kept alive by the shared count.
-  Payload(std::shared_ptr<const Buffer> owner, const uint8_t* data,
-          size_t size)
-      : owner_(std::move(owner)), data_(data), size_(size) {}
-
-  const uint8_t* data() const { return data_; }
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  const std::shared_ptr<const Buffer>& owner() const { return owner_; }
-
-  // Detached copy of the bytes (tests, diagnostics).
-  Buffer bytes() const { return Buffer(data_, data_ + size_); }
-
- private:
-  std::shared_ptr<const Buffer> owner_;
-  const uint8_t* data_ = nullptr;
-  size_t size_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -519,7 +526,7 @@ M decode_message(std::shared_ptr<const Buffer> b) {
 // buffer, view-capable fields of the result alias it too.
 template <typename M>
 M decode_message(const Payload& p) {
-  BufReader r(p.data(), p.size(), p.owner());
+  BufReader r(p);
   return decode_from<M>(r);
 }
 

@@ -78,8 +78,7 @@ void ComputeNode::on_trigger(Buffer msg, net::Address) {
     counters_.stale_triggers_dropped.inc();
     return;
   }
-  const auto deg = t.spec.in_degrees();
-  const uint32_t parents = deg.at(t.fn_index);
+  const uint32_t parents = t.spec.parents_of(t.fn_index);
   if (parents <= 1) {
     mark_executed(key);
     Work w;
@@ -214,9 +213,11 @@ sim::Task<void> ComputeNode::execute(Work work) {
 
   client::TxnInfo info;
   info.txn_id = t.txn_id;
-  info.is_static = t.spec.is_static;
-  info.declared_read_set = t.spec.declared_read_set;
-  info.declared_write_set = t.spec.declared_write_set;
+  info.is_static = t.spec.is_static();
+  if (info.is_static) {
+    info.declared_read_set = t.spec.declared_read_set();
+    info.declared_write_set = t.spec.declared_write_set();
+  }
   info.trace = ctx;
 
   auto txn = adapter_->open(info, std::move(work.parent_contexts),
@@ -227,7 +228,7 @@ sim::Task<void> ComputeNode::execute(Work work) {
     co_return;
   }
 
-  const FunctionSpec& fn = t.spec.functions.at(t.fn_index);
+  const DagView::Function fn = t.spec.function(t.fn_index);
   const FunctionBody* body = registry_->find(fn.name);
   if (body == nullptr) {
     LOG_ERROR("unknown function '" << fn.name << "'");
@@ -288,13 +289,15 @@ sim::Task<void> ComputeNode::execute(Work work) {
   }
   // One message, re-sent per child: send() encodes from a const ref, so the
   // (potentially large) spec/context/result fields are never copied per
-  // fan-out edge — only the unavoidable wire encode remains.
+  // fan-out edge — only the unavoidable wire encode remains.  The spec and
+  // placement move over from the inbound trigger, which is done with them;
+  // `fn` stays valid, since the moved view keeps the spec's bytes alive.
   TriggerMsg next;
   next.txn_id = t.txn_id;
   next.from_fn = t.fn_index;
   next.client = t.client;
-  next.spec = t.spec;
-  next.placement = t.placement;
+  next.spec = std::move(work.trigger.spec);
+  next.placement = std::move(work.trigger.placement);
   next.context = std::move(context);
   next.parent_result = std::move(result);
   for (uint32_t child : fn.children) {

@@ -19,7 +19,7 @@ void FunctionRegistry::register_function(std::string name, FunctionBody body) {
   (void)inserted;
 }
 
-const FunctionBody* FunctionRegistry::find(const std::string& name) const {
+const FunctionBody* FunctionRegistry::find(std::string_view name) const {
   auto it = bodies_.find(name);
   return it == bodies_.end() ? nullptr : &it->second;
 }

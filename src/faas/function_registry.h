@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -19,7 +20,7 @@ namespace faastcc::faas {
 
 struct ExecEnv {
   client::FunctionTxn& txn;
-  const Buffer& args;
+  const Payload& args;  // the function's args, in place in the trigger
   const Buffer& parent_result;
   sim::EventLoop& loop;
   // Set by the body to request an abort independent of storage (e.g., an
@@ -36,11 +37,20 @@ class FunctionRegistry {
   FunctionRegistry();
 
   void register_function(std::string name, FunctionBody body);
-  const FunctionBody* find(const std::string& name) const;
+  const FunctionBody* find(std::string_view name) const;
   std::vector<std::string> names() const;
 
  private:
-  std::unordered_map<std::string, FunctionBody> bodies_;
+  // Transparent, so find() looks up a name viewed in a trigger's spec
+  // without building a string.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>()(s);
+    }
+  };
+  std::unordered_map<std::string, FunctionBody, NameHash, std::equal_to<>>
+      bodies_;
 };
 
 }  // namespace faastcc::faas

@@ -15,14 +15,15 @@ enum FaasMethod : uint16_t {
   kAbortNotice = 63,  // one-way aborting node -> downstream nodes
 };
 
-// The session blobs below are Payloads, like TriggerMsg's: decoded from a
-// shared message buffer they alias the wire bytes, so a HydroCache session
-// (tens of KB) is copied only by the encode of each hop.
+// The session blobs below are Payloads and the specs DagViews, like
+// TriggerMsg's: decoded from a shared message buffer they alias the wire
+// bytes, so a HydroCache session (tens of KB) or a spec is copied only by
+// the encode of each hop.
 struct StartDagMsg {
   TxnId txn_id = 0;
   net::Address client = 0;
   Payload session;  // system-specific blob from the client's previous commit
-  DagSpec spec;
+  DagView spec;
 
   static constexpr auto kFields =
       std::tuple{&StartDagMsg::txn_id, &StartDagMsg::client,
@@ -43,7 +44,9 @@ struct TriggerMsg {
   // mistaken for a missing sibling's context).
   uint32_t from_fn = kNoParent;
   net::Address client = 0;
-  DagSpec spec;
+  // The whole DAG's spec, forwarded unparsed from hop to hop; each node
+  // reads its own function's entry from it.
+  DagView spec;
   std::vector<net::Address> placement;  // node address per function
   // The two metadata-bearing blobs are Payloads: decoded from a shared
   // message buffer they alias the wire bytes in place instead of being

@@ -57,8 +57,10 @@ sim::Task<void> Scheduler::dispatch(StartDagMsg start,
                       params_.service_time);
   }
   co_await sim::sleep_for(rpc_.loop(), params_.service_time);
-  start.spec.normalize_sinks();
-  if (!start.spec.valid()) {
+  // The one full parse of the DAG's spec: the nodes read it as a view.
+  DagSpec spec = start.spec.spec();
+  const bool normalized = spec.normalize_sinks();
+  if (!spec.valid()) {
     LOG_ERROR("rejecting invalid DAG for txn " << start.txn_id);
     DagDoneMsg done;
     done.txn_id = start.txn_id;
@@ -73,20 +75,21 @@ sim::Task<void> Scheduler::dispatch(StartDagMsg start,
   t.txn_id = start.txn_id;
   t.client = start.client;
   t.session = std::move(start.session);
-  t.placement.reserve(start.spec.functions.size());
-  for (size_t i = 0; i < start.spec.functions.size(); ++i) {
+  t.placement.reserve(spec.functions.size());
+  for (size_t i = 0; i < spec.functions.size(); ++i) {
     if (params_.round_robin) {
       t.placement.push_back(nodes_[next_node_++ % nodes_.size()]);
     } else {
       t.placement.push_back(nodes_[rng_.next_below(nodes_.size())]);
     }
   }
-  t.fn_index = start.spec.root();
-  t.spec = std::move(start.spec);
+  t.fn_index = spec.root();
+  // The client's bytes ride on unless the sync function was added.
+  t.spec = normalized ? DagView(spec) : std::move(start.spec);
   obs::TraceContext out;
   if (tracer_ != nullptr) {
     tracer_->annotate(span, "functions",
-                      static_cast<uint64_t>(t.spec.functions.size()));
+                      static_cast<uint64_t>(spec.functions.size()));
     out = tracer_->context_of(span);
   }
   rpc_.send(t.placement[t.fn_index], kTrigger, t, out);

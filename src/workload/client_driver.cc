@@ -50,7 +50,7 @@ void ClientDriver::record_breakdown(const obs::TraceBreakdown& b) {
 }
 
 sim::Task<faas::DagDoneMsg> ClientDriver::execute_once(
-    const faas::DagSpec& spec, int attempt) {
+    const faas::DagView& spec, int attempt) {
   const TxnId txn = next_txn_++;
   auto [it, inserted] =
       pending_.emplace(txn, sim::Promise<faas::DagDoneMsg>(rpc_.loop()));
@@ -105,7 +105,8 @@ sim::Task<void> ClientDriver::run() {
     // (historical) workload — no sleep, no event, bit-identical schedules.
     const Duration think = workload_.think_time_at(rpc_.now());
     if (think > Duration{0}) co_await sim::sleep_for(rpc_.loop(), think);
-    const faas::DagSpec spec = workload_.next_dag(rpc_.now());
+    // Encoded once per DAG; every attempt's StartDag shares the bytes.
+    const faas::DagView spec = workload_.next_dag(rpc_.now());
     for (int attempt = 0; attempt <= params_.max_retries; ++attempt) {
       const SimTime t0 = rpc_.now();
       if (metrics_ != nullptr) metrics_->dag_attempts.inc();

@@ -47,7 +47,7 @@ class ClientDriver {
   uint64_t aborted_attempts() const { return aborted_attempts_.value(); }
 
  private:
-  sim::Task<faas::DagDoneMsg> execute_once(const faas::DagSpec& spec,
+  sim::Task<faas::DagDoneMsg> execute_once(const faas::DagView& spec,
                                            int attempt);
   void on_done(Buffer msg, net::Address from);
   void record_breakdown(const obs::TraceBreakdown& b);

@@ -63,7 +63,7 @@ faas::DagSpec WorkloadGen::next_dag(SimTime now) {
   ++seq_;
   std::vector<faas::FunctionSpec> fns;
   fns.reserve(static_cast<size_t>(params_.dag_size));
-  std::unordered_set<Key> read_set;
+  std::unordered_set<Key> read_set;  // built only for static transactions
 
   for (int i = 0; i < params_.dag_size; ++i) {
     std::vector<Key> keys;
@@ -71,7 +71,7 @@ faas::DagSpec WorkloadGen::next_dag(SimTime now) {
     for (int r = 0; r < params_.reads_per_function; ++r) {
       keys.push_back(sample_key(now));
     }
-    read_set.insert(keys.begin(), keys.end());
+    if (params_.static_txns) read_set.insert(keys.begin(), keys.end());
     faas::FunctionSpec fn;
     if (i + 1 < params_.dag_size) {
       fn.name = "wl_step";

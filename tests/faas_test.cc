@@ -112,6 +112,77 @@ TEST(DagSpec, EncodeDecodeRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
+// DagView
+// ---------------------------------------------------------------------------
+
+std::vector<uint32_t> children_of(const DagView::Function& f) {
+  std::vector<uint32_t> out;
+  for (uint32_t c : f.children) out.push_back(c);
+  return out;
+}
+
+// A node counts its parents on the view; the count must be the spec's.
+TEST(DagView, ParentsOfMatchesInDegrees) {
+  DagSpec fan;
+  fan.functions = {fn("root", {1, 2}), fn("left", {3}), fn("right", {3}),
+                   fn("sink")};
+  DagSpec sinks;
+  sinks.functions = {fn("root", {1, 2}), fn("s1"), fn("s2")};
+  ASSERT_TRUE(sinks.normalize_sinks());
+  for (const DagSpec& d :
+       {DagSpec::chain({fn("a"), fn("b"), fn("c")}), fan, sinks}) {
+    const DagView v(d);
+    const auto deg = d.in_degrees();
+    ASSERT_EQ(v.num_functions(), deg.size());
+    for (uint32_t i = 0; i < deg.size(); ++i) {
+      EXPECT_EQ(v.parents_of(i), deg[i]) << "function " << i;
+    }
+  }
+}
+
+TEST(DagView, OutOfRangeIndexThrows) {
+  const DagView v(DagSpec::chain({fn("a"), fn("b")}));
+  EXPECT_THROW(v.parents_of(2), std::out_of_range);
+  EXPECT_THROW(v.function(2), std::out_of_range);
+  EXPECT_THROW(DagView().function(0), std::out_of_range);
+}
+
+TEST(DagView, AccessorsReadTheSpecInPlace) {
+  DagSpec d;
+  d.functions = {fn("root", {1, 2}), fn("left", {3}), fn("right", {3}),
+                 fn("sink")};
+  d.functions[1].args = {1, 2, 3};
+  d.is_static = true;
+  d.declared_read_set = {10, 20};
+  d.declared_write_set = {30};
+  const DagView v(d);
+  EXPECT_EQ(v.bytes().bytes(), encode_message(d));
+  for (uint32_t i = 0; i < d.functions.size(); ++i) {
+    const auto f = v.function(i);
+    EXPECT_EQ(f.name, d.functions[i].name);
+    EXPECT_EQ(f.args.bytes(), d.functions[i].args);
+    EXPECT_EQ(children_of(f), d.functions[i].children);
+  }
+  EXPECT_EQ(v.function(1).args.owner(), v.bytes().owner());
+  EXPECT_TRUE(v.is_static());
+  EXPECT_EQ(v.declared_read_set(), d.declared_read_set);
+  EXPECT_EQ(v.declared_write_set(), d.declared_write_set);
+  EXPECT_EQ(encode_message(v.spec()), encode_message(d));
+}
+
+// A default view is the empty spec a default DagSpec encodes, so default
+// messages keep their bytes.
+TEST(DagView, DefaultIsTheEmptySpec) {
+  const DagView v;
+  EXPECT_EQ(v.num_functions(), 0u);
+  EXPECT_FALSE(v.is_static());
+  EXPECT_TRUE(v.declared_read_set().empty());
+  EXPECT_TRUE(v.declared_write_set().empty());
+  EXPECT_EQ(v.bytes().bytes(), encode_message(DagSpec{}));
+  EXPECT_EQ(v.bytes().bytes(), DagView(DagSpec{}).bytes().bytes());
+}
+
+// ---------------------------------------------------------------------------
 // FunctionRegistry
 // ---------------------------------------------------------------------------
 

@@ -453,8 +453,10 @@ TEST(MessageRoundTrip, TriggerMsg) {
   f.name = "fn";
   f.args = {1, 2};
   f.children = {1};
-  t.spec.functions.push_back(f);
-  t.spec.functions.push_back(faas::FunctionSpec{"sink", {}, {}});
+  faas::DagSpec spec;
+  spec.functions.push_back(f);
+  spec.functions.push_back(faas::FunctionSpec{"sink", {}, {}});
+  t.spec = spec;
   t.placement = {10, 11};
   t.session = Buffer{9};
   t.context = Buffer{8, 8};
@@ -464,7 +466,7 @@ TEST(MessageRoundTrip, TriggerMsg) {
   EXPECT_EQ(d.txn_id, 77u);
   EXPECT_EQ(d.fn_index, 2u);
   EXPECT_EQ(d.client, 900u);
-  EXPECT_EQ(d.spec.functions.size(), 2u);
+  EXPECT_EQ(d.spec.num_functions(), 2u);
   EXPECT_EQ(d.placement, t.placement);
   EXPECT_EQ(d.session.bytes(), Buffer({9}));
   EXPECT_EQ(d.context.bytes(), Buffer({8, 8}));
@@ -472,15 +474,16 @@ TEST(MessageRoundTrip, TriggerMsg) {
 }
 
 // Decoding a trigger from a shared message buffer must not copy the
-// session/context blobs: the payloads alias the wire bytes in place and
-// keep the buffer alive through the shared count.
+// session/context blobs or the spec: they alias the wire bytes in place
+// and keep the buffer alive through the shared count.
 TEST(MessageRoundTrip, TriggerMsgSharedDecodeAliasesPayloads) {
   faas::TriggerMsg t;
   t.txn_id = 1;
-  t.spec.functions.push_back(faas::FunctionSpec{"f", {}, {}});
+  t.spec = faas::DagSpec::chain({faas::FunctionSpec{"f", {5, 6}, {}}});
   t.session = Buffer{1, 2, 3};
   t.context = Buffer{4, 5, 6, 7};
   auto wire = std::make_shared<const Buffer>(encode_message(t));
+  const Buffer wire_bytes = *wire;
   const uint8_t* lo = wire->data();
   const uint8_t* hi = lo + wire->size();
   auto d = decode_message<faas::TriggerMsg>(wire);
@@ -490,11 +493,27 @@ TEST(MessageRoundTrip, TriggerMsgSharedDecodeAliasesPayloads) {
   EXPECT_TRUE(d.context.data() >= lo && d.context.data() < hi);
   EXPECT_EQ(d.session.owner().get(), wire.get());
   EXPECT_EQ(d.context.owner().get(), wire.get());
+  const Payload& spec = d.spec.bytes();
+  EXPECT_TRUE(spec.data() >= lo && spec.data() + spec.size() <= hi);
+  EXPECT_EQ(spec.owner().get(), wire.get());
+  const auto fn = d.spec.function(0);
+  EXPECT_EQ(fn.name, "f");
+  EXPECT_TRUE(fn.args.data() >= lo && fn.args.data() < hi);
+  EXPECT_EQ(fn.args.owner().get(), wire.get());
   // The views stay valid after the last outside reference drops.
   const Buffer ctx_bytes = d.context.bytes();
   wire.reset();
   EXPECT_EQ(d.context.bytes(), ctx_bytes);
   EXPECT_EQ(d.session.bytes(), Buffer({1, 2, 3}));
+  EXPECT_EQ(fn.args.bytes(), Buffer({5, 6}));
+  // Forwarding re-encodes the spec it was handed byte for byte.
+  EXPECT_EQ(encode_message(d), wire_bytes);
+  faas::TriggerMsg next;
+  next.txn_id = d.txn_id;
+  next.spec = d.spec;
+  next.session = d.session;
+  next.context = d.context;
+  EXPECT_EQ(encode_message(next), wire_bytes);
 }
 
 // The same for the session a client hands the scheduler and the one the
@@ -503,7 +522,7 @@ TEST(MessageRoundTrip, StartAndDoneSharedDecodeAliasSessions) {
   faas::StartDagMsg s;
   s.txn_id = 1;
   s.session = Buffer{1, 2, 3};
-  s.spec.functions.push_back(faas::FunctionSpec{"f", {}, {}});
+  s.spec = faas::DagSpec::chain({faas::FunctionSpec{"f", {}, {}}});
   auto start_wire = std::make_shared<const Buffer>(encode_message(s));
   const auto ds = decode_message<faas::StartDagMsg>(start_wire);
   ASSERT_EQ(ds.session.size(), 3u);
@@ -536,7 +555,7 @@ TEST(MessageRoundTrip, StartAndDone) {
   s.txn_id = 5;
   s.client = 6;
   s.session = Buffer{1, 2, 3};
-  s.spec.functions.push_back(faas::FunctionSpec{"f", {}, {}});
+  s.spec = faas::DagSpec::chain({faas::FunctionSpec{"f", {}, {}}});
   check_wire_size(s);
   const auto ds = decode_message<faas::StartDagMsg>(encode_message(s));
   EXPECT_EQ(ds.txn_id, 5u);
@@ -1020,24 +1039,16 @@ faas::DagSpec golden_spec() {
   return spec;
 }
 
-TEST(WireGolden, FaasMessagesAndArgs) {
-  EXPECT_EQ(wire_hex(faas::FunctionSpec{"fn", {9}, {2, 3}}),
-            "02000000666e0100000009020000000200000003000000");
-  EXPECT_EQ(wire_hex(golden_spec()),
-            "0200000001000000660200000001020100000001000000010000007300000000"
-            "0000000001010000001e00000000000000020000001f00000000000000200000"
-            "0000000000");
-
+faas::StartDagMsg golden_start() {
   faas::StartDagMsg start;
   start.txn_id = 0x80;
   start.client = 0x81;
   start.session = Buffer{0xaa, 0xbb};
   start.spec = golden_spec();
-  EXPECT_EQ(wire_hex(start),
-            "80000000000000008100000002000000aabb0200000001000000660200000001"
-            "0201000000010000000100000073000000000000000001010000001e00000000"
-            "000000020000001f000000000000002000000000000000");
+  return start;
+}
 
+faas::TriggerMsg golden_trigger() {
   faas::TriggerMsg trig;
   trig.txn_id = 0x82;
   trig.fn_index = 1;
@@ -1048,7 +1059,23 @@ TEST(WireGolden, FaasMessagesAndArgs) {
   trig.session = Buffer{0xcc};
   trig.context = Buffer{0xdd, 0xee};
   trig.parent_result = {0xff};
-  EXPECT_EQ(wire_hex(trig),
+  return trig;
+}
+
+TEST(WireGolden, FaasMessagesAndArgs) {
+  EXPECT_EQ(wire_hex(faas::FunctionSpec{"fn", {9}, {2, 3}}),
+            "02000000666e0100000009020000000200000003000000");
+  EXPECT_EQ(wire_hex(golden_spec()),
+            "0200000001000000660200000001020100000001000000010000007300000000"
+            "0000000001010000001e00000000000000020000001f00000000000000200000"
+            "0000000000");
+
+  EXPECT_EQ(wire_hex(golden_start()),
+            "80000000000000008100000002000000aabb0200000001000000660200000001"
+            "0201000000010000000100000073000000000000000001010000001e00000000"
+            "000000020000001f000000000000002000000000000000");
+
+  EXPECT_EQ(wire_hex(golden_trigger()),
             "8200000000000000010000000000000083000000020000000100000066020000"
             "00010201000000010000000100000073000000000000000001010000001e0000"
             "0000000000020000001f00000000000000200000000000000002000000840000"
@@ -1071,6 +1098,28 @@ TEST(WireGolden, FaasMessagesAndArgs) {
   sink.value = "sk";
   EXPECT_EQ(wire_hex(sink),
             "010000002300000000000000240000000000000002000000736b");
+}
+
+// Every proper prefix of a FaaS message's encoding is rejected as a
+// CodecError, by the copying and the shared-ownership decode alike: a
+// truncated spec, placement or blob is never read past its end nor
+// accepted short.
+template <typename M>
+void expect_prefixes_rejected(const M& m) {
+  const Buffer good = encode_message(m);
+  for (size_t n = 0; n < good.size(); ++n) {
+    const Buffer prefix(good.begin(), good.begin() + static_cast<long>(n));
+    EXPECT_THROW(decode_message<M>(prefix), CodecError)
+        << typeid(M).name() << ", prefix of " << n << " bytes";
+    EXPECT_THROW(decode_message<M>(std::make_shared<const Buffer>(prefix)),
+                 CodecError)
+        << typeid(M).name() << ", shared prefix of " << n << " bytes";
+  }
+}
+
+TEST(WireGolden, FaasMessagePrefixesRejected) {
+  expect_prefixes_rejected(golden_start());
+  expect_prefixes_rejected(golden_trigger());
 }
 
 TEST(WireGolden, ClientContexts) {

@@ -465,6 +465,41 @@ TEST(ChaosOracle, OpenPrewarmWithoutSubscriptionIsCaughtAsUnsoundPromise) {
                             Violation::Kind::kUnsoundPromise));
 }
 
+// A cache that serves entries regardless of the request's snapshot
+// interval (and skips narrowing it) hands one transaction versions no
+// single snapshot explains.  A small hot key space with two nodes' caches
+// under contention shows it at every seed; the same cells with the knob
+// off are clean.
+ClusterParams ignored_interval_params(uint64_t seed, bool chaos) {
+  ClusterParams p;
+  p.system = SystemKind::kFaasTcc;
+  p.seed = seed;
+  p.partitions = 3;
+  p.compute_nodes = 2;
+  p.clients = 8;
+  p.dags_per_client = 200;
+  p.workload.num_keys = 64;
+  p.check_consistency = true;
+  p.faastcc_cache.chaos_ignore_interval = chaos;
+  return p;
+}
+
+TEST(ChaosOracle, IgnoredIntervalIsCaughtAsEmptySnapshotWindow) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    Cluster clean(ignored_interval_params(seed, false));
+    clean.run();
+    const auto clean_vs = clean.oracle()->check();
+    EXPECT_TRUE(clean_vs.empty())
+        << "seed " << seed << ": " << clean.oracle()->report(clean_vs);
+
+    Cluster chaos(ignored_interval_params(seed, true));
+    chaos.run();
+    EXPECT_TRUE(has_violation(chaos.oracle()->check(),
+                              Violation::Kind::kEmptySnapshotWindow))
+        << "seed " << seed;
+  }
+}
+
 // Regression for a real bug the fuzzer caught (tools/tcc_fuzz, config
 // "lossy", seed 5): a duplicated trigger for a single-parent function was
 // not deduplicated, so the body re-ran at a different snapshot — the
