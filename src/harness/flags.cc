@@ -61,7 +61,6 @@ void Flags::boolean(std::string_view name, std::string_view help, bool* out) {
   Flag f;
   f.name = name;
   f.help = help;
-  f.is_bool = true;
   f.default_text = *out ? "true" : "false";
   f.apply = [out](const std::string& v) {
     if (v.empty() || v == "true" || v == "1") {
@@ -101,25 +100,6 @@ void Flags::u64(std::string_view name, std::string_view help, uint64_t* out) {
   add(std::move(f));
 }
 
-void Flags::size(std::string_view name, std::string_view help, size_t* out) {
-  Flag f;
-  f.name = name;
-  f.value_name = "n|inf";
-  f.help = help;
-  f.default_text = *out == SIZE_MAX ? "inf" : std::to_string(*out);
-  f.apply = [out](const std::string& v) {
-    if (v == "inf") {
-      *out = SIZE_MAX;
-      return true;
-    }
-    uint64_t r = 0;
-    if (!parse_u64(v, &r)) return false;
-    *out = static_cast<size_t>(r);
-    return true;
-  };
-  add(std::move(f));
-}
-
 void Flags::real(std::string_view name, std::string_view help, double* out) {
   Flag f;
   f.name = name;
@@ -141,22 +121,6 @@ void Flags::str(std::string_view name, std::string_view help,
   f.default_text = *out;
   f.apply = [out](const std::string& v) {
     *out = v;
-    return true;
-  };
-  add(std::move(f));
-}
-
-void Flags::duration_ms(std::string_view name, std::string_view help,
-                        Duration* out) {
-  Flag f;
-  f.name = name;
-  f.value_name = "ms";
-  f.help = help;
-  f.default_text = std::to_string(*out / 1000);
-  f.apply = [out](const std::string& v) {
-    int64_t r = 0;
-    if (!parse_i64(v, &r)) return false;
-    *out = milliseconds(r);
     return true;
   };
   add(std::move(f));
@@ -198,7 +162,7 @@ bool Flags::parse(int argc, char** argv) {
     std::string value;
     if (eq != std::string_view::npos) {
       value = std::string(arg.substr(eq + 1));
-    } else if (!f->is_bool) {
+    } else if (!f->value_name.empty()) {
       error_ = "flag '--" + f->name + "' needs a value (--" + f->name + "=<" +
                f->value_name + ">)";
       return false;

@@ -22,8 +22,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/types.h"
-
 namespace faastcc::harness {
 
 class Flags {
@@ -35,17 +33,13 @@ class Flags {
   void boolean(std::string_view name, std::string_view help, bool* out);
   void integer(std::string_view name, std::string_view help, int* out);
   void u64(std::string_view name, std::string_view help, uint64_t* out);
-  // size_t flag accepting "inf" for SIZE_MAX (cache capacities).
-  void size(std::string_view name, std::string_view help, size_t* out);
   void real(std::string_view name, std::string_view help, double* out);
   void str(std::string_view name, std::string_view help, std::string* out);
-  // Duration flag whose CLI value is in milliseconds.
-  void duration_ms(std::string_view name, std::string_view help,
-                   Duration* out);
-  // Escape hatch for structured values (--crash=addr:from:until, CSV
+  // Escape hatch for structured values (--set=group.key=value, CSV
   // lists).  The callback returns false to reject the value; repeatable
   // flags simply accumulate in the callback.  `value_name` appears in the
-  // usage text as --name=<value_name>.
+  // usage text as --name=<value_name>; an empty one makes the value
+  // optional, and a bare --name passes "".
   void custom(std::string_view name, std::string_view value_name,
               std::string_view help,
               std::function<bool(const std::string&)> parse);
@@ -67,10 +61,9 @@ class Flags {
  private:
   struct Flag {
     std::string name;
-    std::string value_name;  // empty for plain booleans
+    std::string value_name;  // empty: the value is optional (booleans)
     std::string help;
     std::string default_text;
-    bool is_bool = false;
     std::function<bool(const std::string&)> apply;
   };
 

@@ -28,9 +28,8 @@ struct Group {
   std::vector<Field> fields;
 };
 
-[[noreturn]] void bad_field(const std::string& path, const char* why) {
-  throw SpecError(path + ": " + why);
-}
+// Readers throw the bare reason; read_field() prefixes the field's path.
+[[noreturn]] void bad_value(const char* why) { throw SpecError(why); }
 
 class SpecFields {
  public:
@@ -90,7 +89,7 @@ class SpecFields {
                          const json::Value& v) {
     try {
       f.read(v);
-    } catch (const json::ParseError& e) {
+    } catch (const std::runtime_error& e) {  // ParseError or SpecError
       throw SpecError("spec." + prefix + f.name + ": " + e.what());
     }
   }
@@ -117,10 +116,10 @@ class SpecFields {
   }
   static Field f_int(const char* name, int* p) {
     return {name, [p](json::Writer& w) { w.i64(*p); },
-            [p, name](const json::Value& v) {
+            [p](const json::Value& v) {
               const int64_t r = v.as_i64();
               if (r < INT32_MIN || r > INT32_MAX) {
-                bad_field(name, "out of int range");
+                bad_value("out of int range");
               }
               *p = static_cast<int>(r);
             }};
@@ -167,14 +166,14 @@ class SpecFields {
          [&p](json::Writer& w) { w.string(system_spec_name(p.system)); },
          [&p](const json::Value& v) {
            if (!parse_system(v.as_string(), &p.system)) {
-             bad_field("system", "unknown system name");
+             bad_value("unknown system name");
            }
          }},
         {"config", [&s](json::Writer& w) { w.string(s.config); },
          [&s](const json::Value& v) {
            const std::string& name = v.as_string();
            if (!name.empty() && find_config(name) == nullptr) {
-             bad_field("config", "unknown config name");
+             bad_value("unknown config name");
            }
            s.config = name;
          }},
@@ -205,9 +204,9 @@ class SpecFields {
               [&p](const json::Value& v) {
                 if (!workload::parse_load_pattern(v.as_string(),
                                                   &p.workload.pattern)) {
-                  bad_field("pattern",
-                            "expected \"none\", \"bursty\", \"diurnal\" or "
-                            "\"hotspot-shift\"");
+                  bad_value(
+                      "expected \"none\", \"bursty\", \"diurnal\" or "
+                      "\"hotspot-shift\"");
                 }
               }},
              f_duration("pattern_period_us", &p.workload.pattern_period),
@@ -238,8 +237,7 @@ class SpecFields {
               [&p](const json::Value& v) {
                 if (!storage::parse_stab_topology(v.as_string(),
                                                   &p.tcc.stab_topology)) {
-                  bad_field("stabilization_topology",
-                            "expected \"mesh\" or \"tree\"");
+                  bad_value("expected \"mesh\" or \"tree\"");
                 }
               }},
              f_int("tree_fanout", &p.tcc.tree_fanout),
@@ -312,11 +310,11 @@ class SpecFields {
                 w.end_array();
               },
               [&p](const json::Value& v) {
-                if (!v.is_array()) bad_field("faults.crashes", "expected array");
+                if (!v.is_array()) bad_value("expected array");
                 p.faults.crashes.clear();
                 for (const json::Value& item : v.items) {
                   if (!item.is_object()) {
-                    bad_field("faults.crashes", "expected array of objects");
+                    bad_value("expected array of objects");
                   }
                   net::CrashWindow c;
                   for (const auto& [k, field] : item.fields) {
@@ -327,7 +325,7 @@ class SpecFields {
                     } else if (k == "until_us") {
                       c.until = field.as_i64();
                     } else {
-                      bad_field("faults.crashes", "unknown crash-window key");
+                      bad_value("unknown crash-window key");
                     }
                   }
                   p.faults.crashes.push_back(c);
@@ -424,13 +422,28 @@ const char* system_spec_name(SystemKind s) {
 }
 
 ClusterParams RunSpec::resolve() const {
-  ClusterParams p = params;
+  RunSpec out{params, ""};
   if (!config.empty()) {
     const NamedConfig* c = find_config(config);
     if (c == nullptr) throw SpecError("unknown config '" + config + "'");
-    c->apply(p);
+    apply_spec_patch(out, json::parse(c->overlay));
   }
-  return p;
+  // The bounds must bracket the starting count: a ceiling at or below it
+  // builds no joiners, so the scaler could only shrink.
+  const ClusterParams& p = out.params;
+  if (p.autoscale.enabled() && p.autoscale.max_partitions <= p.partitions) {
+    throw SpecError("spec.autoscale.max_partitions: " +
+                    std::to_string(p.autoscale.max_partitions) +
+                    " must exceed cluster.partitions (" +
+                    std::to_string(p.partitions) + ")");
+  }
+  if (p.autoscale.enabled() && p.autoscale.min_partitions > p.partitions) {
+    throw SpecError("spec.autoscale.min_partitions: " +
+                    std::to_string(p.autoscale.min_partitions) +
+                    " exceeds cluster.partitions (" +
+                    std::to_string(p.partitions) + ")");
+  }
+  return out.params;
 }
 
 std::string to_json(const RunSpec& spec) {
@@ -445,6 +458,33 @@ std::string to_json(const RunSpec& spec) {
 
 void apply_spec_patch(RunSpec& spec, const json::Value& doc) {
   SpecFields(spec).apply(doc);
+}
+
+json::Value spec_setting(std::string_view setting) {
+  const size_t eq = setting.find('=');
+  if (eq == std::string_view::npos) {
+    throw SpecError("expected <group>.<key>=<value>, got '" +
+                    std::string(setting) + "'");
+  }
+  const std::string_view path = setting.substr(0, eq);
+  const std::string_view text = setting.substr(eq + 1);
+  json::Value value;
+  try {
+    value = json::parse(text);
+  } catch (const json::ParseError&) {
+    value.type = json::Value::Type::kString;
+    value.text = text;
+  }
+  const auto object = [](std::string_view key, json::Value v) {
+    json::Value o;
+    o.type = json::Value::Type::kObject;
+    o.fields.emplace_back(std::string(key), std::move(v));
+    return o;
+  };
+  const size_t dot = path.find('.');
+  if (dot == std::string_view::npos) return object(path, std::move(value));
+  return object(path.substr(0, dot),
+                object(path.substr(dot + 1), std::move(value)));
 }
 
 RunSpec spec_from_json(const json::Value& doc) {

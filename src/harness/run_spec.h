@@ -42,15 +42,18 @@ struct RunSpec {
   // readable and the config table stays the single source of truth.
   std::string config;
 
-  // Applies the named config (throws SpecError on an unknown name) and
-  // returns the final ClusterParams.
+  // Applies the named config's overlay to a copy of `params` and returns
+  // the final ClusterParams.  Throws SpecError on an unknown name, or when
+  // an enabled autoscaler's ceiling is not above cluster.partitions or its
+  // floor is above it.
   ClusterParams resolve() const;
 };
 
 // Canonical JSON encoding (two-space indent, fixed field order).
 std::string to_json(const RunSpec& spec);
 
-// Strict decode; throws SpecError with a "<group>.<field>: why" message.
+// Strict decode; throws SpecError with a "spec.<group>.<field>: why"
+// message.
 RunSpec spec_from_json(const json::Value& doc);
 RunSpec spec_from_text(std::string_view text);
 
@@ -58,6 +61,12 @@ RunSpec spec_from_text(std::string_view text);
 // This is what sweep-plan axis patches use; full decode is overlay onto a
 // default spec.
 void apply_spec_patch(RunSpec& spec, const json::Value& doc);
+
+// The one-field patch a `<group>.<key>=<value>` setting names (`<key>=...`
+// for a top-level field such as `seed`), as the CLI's --set takes it.  A
+// value that does not parse as JSON is taken as a JSON string, so
+// `workload.pattern=bursty` works unquoted.  Throws SpecError without '='.
+json::Value spec_setting(std::string_view setting);
 
 // Everything a driver can want back from one run.  All fields except
 // `trace_json` are deterministic per spec.

@@ -43,32 +43,27 @@ std::string changed_fields(const RunSpec& base, const RunSpec& other) {
   return out;
 }
 
-// One line per named config: "<name>:" and the fields it changes.
+// One line per named config: "<name>:" and the fields it changes, or
+// "<name>: error" and resolve()'s message when the base rejects it.
 std::string resolved_configs(const RunSpec& base) {
   std::string out;
   for (const NamedConfig& c : all_configs()) {
     RunSpec with = base;
     with.config = c.name;
     RunSpec resolved;
-    resolved.params = with.resolve();
+    try {
+      resolved.params = with.resolve();
+    } catch (const SpecError& e) {
+      out += std::string(c.name) + ": error " + e.what() + "\n";
+      continue;
+    }
     out += std::string(c.name) + ":" + changed_fields(base, resolved) + "\n";
   }
   return out;
 }
 
 // tcc_fuzz's run shape at its default 4 clients x 12 DAGs.
-RunSpec fuzz_base(uint64_t seed) {
-  RunSpec spec = spec_from_text(R"({
-    "system": "faastcc",
-    "cluster": {"partitions": 3, "compute_nodes": 2, "clients": 4,
-                "dags_per_client": 12},
-    "workload": {"num_keys": 64, "zipf": 1.0},
-    "run": {"check_consistency": true}
-  })");
-  spec.params.seed = seed;
-  apply_fuzz_shape(spec.params, seed);
-  return spec;
-}
+RunSpec fuzz_base(uint64_t seed) { return fuzz_spec("", seed, 4, 12); }
 
 TEST(ConfigGolden, DefaultBase) {
   EXPECT_EQ(resolved_configs(RunSpec{}), R"(clean:
@@ -85,7 +80,7 @@ tree-lossy: tcc.stabilization_topology="tree" tcc.tree_fanout=2 tcc.push_coalesc
 tree-elastic: tcc.stabilization_topology="tree" tcc.tree_fanout=2 tcc.push_coalescing=true faults.loss_prob=0.01 elastic.add_partitions=2 elastic.at_us=300000
 elastic-in: elastic.remove_partitions=2 elastic.remove_at_us=300000
 elastic-in-lossy: faults.loss_prob=0.02 faults.dup_prob=0.01 elastic.remove_partitions=2 elastic.remove_at_us=300000
-autoscale-spike: workload.pattern="bursty" workload.pattern_period_us=600000 workload.think_time_us=20000 autoscale.max_partitions=18 autoscale.min_partitions=14 autoscale.check_period_us=50000 autoscale.high_p99_ms=8 autoscale.low_p99_ms=6 autoscale.breach_checks=2 autoscale.cooldown_us=300000
+autoscale-spike: error spec.autoscale.max_partitions: 6 must exceed cluster.partitions (16)
 chaos-lost-ack: tcc.chaos_drop_install=true
 chaos-prewarm: cluster.cache_capacity=32 workload.zipf=1.2 faastcc_cache.chaos_prewarm_open=true
 )");
@@ -108,7 +103,7 @@ tree-lossy: tcc.stabilization_topology="tree" tcc.tree_fanout=2 tcc.push_coalesc
 tree-elastic: tcc.stabilization_topology="tree" tcc.tree_fanout=2 tcc.push_coalescing=true faults.loss_prob=0.01 elastic.add_partitions=2 elastic.at_us=300000
 elastic-in: elastic.remove_partitions=2 elastic.remove_at_us=300000
 elastic-in-lossy: faults.loss_prob=0.02 faults.dup_prob=0.01 elastic.remove_partitions=2 elastic.remove_at_us=300000
-autoscale-spike: workload.pattern="bursty" workload.pattern_period_us=600000 workload.think_time_us=20000 autoscale.max_partitions=5 autoscale.min_partitions=1 autoscale.check_period_us=50000 autoscale.high_p99_ms=8 autoscale.low_p99_ms=6 autoscale.breach_checks=2 autoscale.cooldown_us=300000
+autoscale-spike: workload.pattern="bursty" workload.pattern_period_us=600000 workload.think_time_us=20000 autoscale.max_partitions=6 autoscale.min_partitions=2 autoscale.check_period_us=50000 autoscale.high_p99_ms=8 autoscale.low_p99_ms=6 autoscale.breach_checks=2 autoscale.cooldown_us=300000
 chaos-lost-ack: tcc.chaos_drop_install=true
 chaos-prewarm: cluster.cache_capacity=32 workload.zipf=1.2 faastcc_cache.chaos_prewarm_open=true
 )";

@@ -18,23 +18,9 @@ namespace {
 
 using check::Violation;
 
-// tcc_fuzz's run shape: a small hot cluster with the oracle attached and
-// the seed-rotated workload shape.
+// tcc_fuzz's run at its default 4 clients x 12 DAGs.
 ClusterParams fuzz_params(const std::string& config, uint64_t seed) {
-  RunSpec spec;
-  ClusterParams& p = spec.params;
-  p.system = SystemKind::kFaasTcc;
-  p.seed = seed;
-  p.partitions = 3;
-  p.compute_nodes = 2;
-  p.clients = 4;
-  p.dags_per_client = 12;
-  p.workload.num_keys = 64;
-  p.workload.zipf = 1.0;
-  p.check_consistency = true;
-  apply_fuzz_shape(p, seed);
-  spec.config = config;
-  return spec.resolve();
+  return fuzz_spec(config, seed, 4, 12).resolve();
 }
 
 std::set<std::string> kinds(const std::vector<Violation>& vs) {

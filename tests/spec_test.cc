@@ -141,6 +141,51 @@ TEST(RunSpec, StrictDecodeRejectsIllTypedValues) {
   EXPECT_THROW(spec_from_text("{nope"), SpecError);
 }
 
+// Every reader error names the field's full path, whether the reader
+// rejected the JSON type or the value itself.
+TEST(RunSpec, ReaderErrorsNameTheFullFieldPath) {
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"workload": {"pattern": "x"}})", "spec.workload.pattern: "},
+      {R"({"cluster": {"dags_per_client": 4294967296}})",
+       "spec.cluster.dags_per_client: out of int range"},
+      {R"({"tcc": {"stabilization_topology": "ring"}})",
+       "spec.tcc.stabilization_topology: "},
+      {R"({"faults": {"crashes": [{"adr": 1}]}})",
+       "spec.faults.crashes: unknown crash-window key"},
+      {R"({"workload": {"zipf": "a"}})", "spec.workload.zipf: "},
+  };
+  for (const auto& [doc, prefix] : cases) {
+    try {
+      spec_from_text(doc);
+      ADD_FAILURE() << doc << " was accepted";
+    } catch (const SpecError& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(prefix, 0), 0u)
+          << doc << " -> " << e.what();
+    }
+  }
+}
+
+TEST(RunSpec, SettingIsAOneFieldPatch) {
+  RunSpec spec;
+  apply_spec_patch(spec, spec_setting("workload.pattern=bursty"));
+  apply_spec_patch(spec, spec_setting("cluster.partitions=4"));
+  apply_spec_patch(spec, spec_setting("cluster.cache_capacity=inf"));
+  apply_spec_patch(spec, spec_setting("system=hydrocache"));
+  apply_spec_patch(
+      spec, spec_setting(R"(faults.crashes=[{"addr": 101, "until_us": 5}])"));
+  EXPECT_EQ(spec.params.workload.pattern, workload::LoadPattern::kBursty);
+  EXPECT_EQ(spec.params.partitions, 4u);
+  EXPECT_EQ(spec.params.cache_capacity, SIZE_MAX);
+  EXPECT_EQ(spec.params.system, SystemKind::kHydroCache);
+  ASSERT_EQ(spec.params.faults.crashes.size(), 1u);
+  EXPECT_EQ(spec.params.faults.crashes[0].until, 5);
+  EXPECT_THROW(spec_setting("cluster.partitions"), SpecError);
+  EXPECT_THROW(apply_spec_patch(spec, spec_setting("cluster.partitoins=4")),
+               SpecError);
+  EXPECT_THROW(apply_spec_patch(spec, spec_setting("workload.zipf=high")),
+               SpecError);
+}
+
 TEST(RunSpec, PatchOnlyTouchesPresentFields) {
   RunSpec spec;
   spec.params.partitions = 64;
@@ -164,6 +209,37 @@ TEST(RunSpec, ResolveAppliesTheNamedConfig) {
   EXPECT_THROW(spec.resolve(), SpecError);
 }
 
+TEST(RunSpec, ResolveRejectsAutoscaleBoundsThatMissThePartitionCount) {
+  // autoscale-spike's 2..6 bounds bracket a 4-partition base only.
+  RunSpec spec;
+  spec.config = "autoscale-spike";
+  spec.params.partitions = 4;
+  const ClusterParams p = spec.resolve();
+  EXPECT_EQ(p.autoscale.max_partitions, 6u);
+  EXPECT_EQ(p.autoscale.min_partitions, 2u);
+
+  const std::pair<size_t, const char*> cases[] = {
+      {16, "spec.autoscale.max_partitions: 6 must exceed cluster.partitions "
+           "(16)"},
+      {6, "spec.autoscale.max_partitions: 6 must exceed cluster.partitions "
+          "(6)"},
+      {1, "spec.autoscale.min_partitions: 2 exceeds cluster.partitions (1)"},
+  };
+  for (const auto& [partitions, message] : cases) {
+    spec.params.partitions = partitions;
+    try {
+      spec.resolve();
+      ADD_FAILURE() << partitions << " partitions were accepted";
+    } catch (const SpecError& e) {
+      EXPECT_STREQ(e.what(), message);
+    }
+  }
+  // A disabled scaler (ceiling 0) bounds nothing.
+  RunSpec off;
+  off.params.autoscale.min_partitions = 100;
+  EXPECT_NO_THROW(off.resolve());
+}
+
 TEST(RunSpec, RunOneRejectsOracleOnNonFaastccSystems) {
   RunSpec spec;
   spec.params.system = SystemKind::kCloudburst;
@@ -185,20 +261,16 @@ struct FlagFixture {
   bool b = false;
   int i = 7;
   uint64_t u = 42;
-  size_t cap = 16;
   double d = 1.5;
   std::string s = "x";
-  Duration ms = milliseconds(10);
 
   Flags flags{"prog", "test program"};
   FlagFixture() {
     flags.boolean("bool", "a bool", &b);
     flags.integer("int", "an int", &i);
     flags.u64("u64", "a u64", &u);
-    flags.size("cap", "a capacity", &cap);
     flags.real("real", "a double", &d);
     flags.str("str", "a string", &s);
-    flags.duration_ms("dur-ms", "a duration", &ms);
   }
 
   bool parse(std::vector<const char*> args) {
@@ -210,16 +282,14 @@ struct FlagFixture {
 
 TEST(Flags, ParsesEveryRegisteredType) {
   FlagFixture f;
-  ASSERT_TRUE(f.parse({"--bool", "--int=-3", "--u64=99", "--cap=inf",
-                       "--real=0.25", "--str=hello", "--dur-ms=250"}))
+  ASSERT_TRUE(f.parse({"--bool", "--int=-3", "--u64=99", "--real=0.25",
+                       "--str=hello"}))
       << f.flags.error();
   EXPECT_TRUE(f.b);
   EXPECT_EQ(f.i, -3);
   EXPECT_EQ(f.u, 99u);
-  EXPECT_EQ(f.cap, SIZE_MAX);
   EXPECT_DOUBLE_EQ(f.d, 0.25);
   EXPECT_EQ(f.s, "hello");
-  EXPECT_EQ(f.ms, milliseconds(250));
 }
 
 TEST(Flags, DefaultsSurviveWhenFlagsAreAbsent) {
@@ -227,7 +297,7 @@ TEST(Flags, DefaultsSurviveWhenFlagsAreAbsent) {
   ASSERT_TRUE(f.parse({}));
   EXPECT_FALSE(f.b);
   EXPECT_EQ(f.i, 7);
-  EXPECT_EQ(f.cap, 16u);
+  EXPECT_EQ(f.u, 42u);
   EXPECT_EQ(f.s, "x");
 }
 
@@ -270,8 +340,8 @@ TEST(Flags, HelpIsRequestableAndUsageListsFlags) {
   ASSERT_TRUE(f.parse({"--help"}));
   EXPECT_TRUE(f.flags.help_requested());
   const std::string usage = f.flags.usage();
-  EXPECT_NE(usage.find("--dur-ms"), std::string::npos);
-  EXPECT_NE(usage.find("a capacity"), std::string::npos);
+  EXPECT_NE(usage.find("--real=<x>"), std::string::npos);
+  EXPECT_NE(usage.find("a double"), std::string::npos);
 }
 
 TEST(Flags, CustomFlagRejectionBecomesAParseError) {
@@ -287,6 +357,18 @@ TEST(Flags, CustomFlagRejectionBecomesAParseError) {
     return v.find(':') != std::string::npos;
   });
   EXPECT_TRUE(flags2.parse(2, const_cast<char**>(good)));
+}
+
+TEST(Flags, CustomFlagWithoutValueNameMayBeBare) {
+  std::vector<std::string> seen;
+  Flags flags("prog", "t");
+  flags.custom("opt", "", "optional value", [&](const std::string& v) {
+    seen.push_back(v);
+    return true;
+  });
+  const char* args[] = {"prog", "--opt", "--opt=x"};
+  ASSERT_TRUE(flags.parse(3, const_cast<char**>(args))) << flags.error();
+  EXPECT_EQ(seen, (std::vector<std::string>{"", "x"}));
 }
 
 TEST(Flags, SplitCsv) {

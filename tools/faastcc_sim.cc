@@ -1,12 +1,14 @@
 // Command-line experiment driver: a thin shell over harness::run_one.
 //
-//   faastcc_sim [--spec=run.json] [--system=...] [--config=<name>] ...
+//   faastcc_sim [--spec=run.json] [--set=<group>.<key>=<value>] ...
 //
 // Every option edits one RunSpec; the run itself (cluster build, oracle,
 // trace export) lives in the harness library so faastcc_sim, tcc_fuzz and
-// tcc_sweep all execute a run identically.  Flags apply in argv order, so
-// `--spec=base.json --zipf=1.2` overrides the file and `--dump-spec`
-// prints the resulting canonical spec without running it.
+// tcc_sweep all execute a run identically.  --set names any RunSpec field
+// by its spec path (--dump-spec lists them all with their defaults), and
+// a short list of aliases spells the most used ones.  Flags apply in argv
+// order, so `--spec=base.json --zipf=1.2` overrides the file and
+// `--dump-spec` prints the resulting canonical spec without running it.
 //
 // Prints the run record (harness::run_output_to_json, the same object a
 // sweep merges) as one JSON line with --json, or as a table grouped by
@@ -14,7 +16,6 @@
 // With --trace-out the run records deterministic distributed traces in
 // Chrome trace-event format (open in chrome://tracing or Perfetto).
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -37,21 +38,54 @@ bool read_file(const std::string& path, std::string* out) {
   return true;
 }
 
+// Short spellings of the RunSpec fields CI, tests and docs set most: each
+// --<flag>=<value> is --set=<path>=<value>.  A flag with a `bare` value
+// may be given without one.
+struct Alias {
+  const char* flag;
+  const char* path;
+  const char* bare = nullptr;
+};
+
+constexpr Alias kAliases[] = {
+    {"system", "system"},
+    {"config", "config"},
+    {"seed", "seed"},
+    {"zipf", "workload.zipf"},
+    {"dags", "cluster.dags_per_client"},
+    {"clients", "cluster.clients"},
+    {"dag-size", "workload.dag_size"},
+    {"keys", "workload.num_keys"},
+    {"partitions", "cluster.partitions"},
+    {"nodes", "cluster.compute_nodes"},
+    {"check", "run.check_consistency", "true"},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   RunSpec spec;
-  ClusterParams& p = spec.params;
+  const ClusterParams& p = spec.params;
 
   bool json_out = false;
   bool dump_spec = false;
-  bool list_configs_flag = false;
-  bool static_txns = false;
-  bool si = false;
-  bool no_prewarm = false;
-  bool check = false;
+  bool list_configs = false;
   std::string trace_out;
   std::string spec_error;
+
+  // Applies one edit to the spec; a SpecError becomes the parse error.
+  const auto edit = [&](const auto& apply) {
+    try {
+      apply();
+    } catch (const SpecError& e) {
+      spec_error = e.what();
+      return false;
+    }
+    return true;
+  };
+  const auto set = [&](const std::string& setting) {
+    return edit([&] { apply_spec_patch(spec, spec_setting(setting)); });
+  };
 
   Flags flags("faastcc_sim", "single-run experiment driver");
   flags.custom("spec", "file.json", "load a RunSpec; later flags override",
@@ -61,116 +95,28 @@ int main(int argc, char** argv) {
                    spec_error = "cannot read spec file '" + v + "'";
                    return false;
                  }
-                 try {
-                   spec = spec_from_text(text);
-                 } catch (const SpecError& e) {
-                   spec_error = e.what();
-                   return false;
-                 }
-                 return true;
+                 return edit([&] { spec = spec_from_text(text); });
                });
-  flags.custom("system", "faastcc|hydrocache|cloudburst", "system under test",
-               [&](const std::string& v) {
-                 return parse_system(v, &p.system);
-               });
-  flags.custom("config", "name", "apply a named config (see --list-configs)",
-               [&](const std::string& v) {
-                 if (find_config(v) == nullptr) return false;
-                 spec.config = v;
-                 return true;
-               });
-  flags.real("zipf", "workload key-popularity skew", &p.workload.zipf);
-  flags.boolean("static", "static transactions", &static_txns);
-  flags.boolean("si", "snapshot-isolation mode", &si);
-  flags.integer("dags", "DAGs per client", &p.dags_per_client);
-  flags.size("clients", "closed-loop clients", &p.clients);
-  flags.integer("dag-size", "functions per chain", &p.workload.dag_size);
-  flags.u64("keys", "dataset size", &p.workload.num_keys);
-  flags.size("partitions", "storage partitions", &p.partitions);
-  flags.size("nodes", "compute nodes", &p.compute_nodes);
-  flags.size("cache-capacity", "entries per node cache", &p.cache_capacity);
-  flags.u64("seed", "RNG seed", &p.seed);
-  flags.boolean("no-prewarm", "skip cache pre-warming", &no_prewarm);
-  flags.boolean("check",
-                "attach the consistency oracle (FaaSTCC only; zero "
-                "perturbation, exit 1 on violations)",
-                &check);
+  flags.custom("set", "group.key=value",
+               "set one RunSpec field (names and defaults: --dump-spec); "
+               "repeatable",
+               set);
+  for (const Alias& a : kAliases) {
+    flags.custom(a.flag, a.bare ? "" : "value",
+                 std::string("--set=") + a.path + "=" +
+                     (a.bare ? a.bare : "<value>"),
+                 [&set, a](const std::string& v) {
+                   return set(std::string(a.path) + "=" +
+                              (v.empty() && a.bare ? a.bare : v));
+                 });
+  }
   flags.boolean("json", "print the run record as one JSON line", &json_out);
-  flags.real("loss", "fabric message loss probability", &p.faults.loss_prob);
-  flags.real("dup", "fabric message duplication probability",
-             &p.faults.dup_prob);
-  flags.real("delay-spike-prob", "probability of a delivery delay spike",
-             &p.faults.delay_spike_prob);
-  flags.duration_ms("delay-spike-ms", "spike magnitude",
-                    &p.faults.delay_spike);
-  flags.duration_ms("rpc-timeout-ms", "fabric RPC timeout",
-                    &p.faults.rpc_timeout);
-  flags.duration_ms("dag-timeout-ms", "client DAG watchdog",
-                    &p.faults.dag_timeout);
-  flags.custom("crash", "addr:from_ms:until_ms",
-               "sever an endpoint during [from, until); repeatable",
-               [&](const std::string& v) {
-                 unsigned long long addr = 0, from_ms = 0, until_ms = 0;
-                 if (std::sscanf(v.c_str(), "%llu:%llu:%llu", &addr, &from_ms,
-                                 &until_ms) != 3) {
-                   return false;
-                 }
-                 net::CrashWindow w;
-                 w.addr = static_cast<net::Address>(addr);
-                 w.from = milliseconds(static_cast<int64_t>(from_ms));
-                 w.until = milliseconds(static_cast<int64_t>(until_ms));
-                 p.faults.crashes.push_back(w);
-                 return true;
-               });
   flags.str("trace-out", "enable tracing, write Chrome trace JSON here",
             &trace_out);
-  flags.u64("trace-sample", "record every n-th DAG trace",
-            &p.trace.sample_every);
-  flags.size("trace-buffer", "span ring-buffer capacity",
-             &p.trace.ring_capacity);
-  flags.size("elastic-add", "joiner partitions added mid-run",
-             &p.elastic.add_partitions);
-  flags.duration_ms("elastic-at-ms", "sim-time of the epoch bump",
-                    &p.elastic.at);
-  flags.size("elastic-remove", "trailing partitions drained mid-run",
-             &p.elastic.remove_partitions);
-  flags.duration_ms("elastic-remove-at-ms", "sim-time of the scale-in",
-                    &p.elastic.remove_at);
-  flags.size("elastic-slots", "routing slots per partition",
-             &p.elastic.slots_per_partition);
-  flags.size("autoscale-max", "autoscaler partition ceiling (0 disables)",
-             &p.autoscale.max_partitions);
-  flags.size("autoscale-min", "autoscaler floor (0 = starting count)",
-             &p.autoscale.min_partitions);
-  flags.duration_ms("autoscale-period-ms", "autoscaler check period",
-                    &p.autoscale.check_period);
-  flags.real("autoscale-high-ms", "scale-out when windowed p99 above this",
-             &p.autoscale.high_p99_ms);
-  flags.real("autoscale-low-ms", "scale-in when windowed p99 below this",
-             &p.autoscale.low_p99_ms);
-  flags.size("autoscale-breach", "consecutive breaching windows to act",
-             &p.autoscale.breach_checks);
-  flags.duration_ms("autoscale-cooldown-ms", "hold-off after an action",
-                    &p.autoscale.cooldown);
-  flags.size("autoscale-step", "partitions added/removed per action",
-             &p.autoscale.step);
-  flags.custom("workload-pattern", "none|bursty|diurnal|hotspot-shift",
-               "load-shaping pattern",
-               [&](const std::string& v) {
-                 return workload::parse_load_pattern(v, &p.workload.pattern);
-               });
-  flags.duration_ms("pattern-period-ms", "load-pattern cycle length",
-                    &p.workload.pattern_period);
-  flags.duration_ms("think-time-ms", "max off-peak inter-DAG pause",
-                    &p.workload.think_time);
-  flags.size("replication-factor", "synchronous followers per partition",
-             &p.replication.factor);
-  flags.duration_ms("repl-lease-ms", "follower promotion lease timeout",
-                    &p.replication.lease_timeout);
   flags.boolean("dump-spec", "print the canonical RunSpec JSON and exit",
                 &dump_spec);
   flags.boolean("list-configs", "list named configs and exit",
-                &list_configs_flag);
+                &list_configs);
 
   if (!flags.parse(argc, argv)) {
     std::fprintf(stderr, "faastcc_sim: %s\n%s",
@@ -183,18 +129,12 @@ int main(int argc, char** argv) {
     std::fputs(flags.usage().c_str(), stdout);
     return 0;
   }
-  if (list_configs_flag) {
-    std::printf("named configs:\n");
-    list_configs(stdout);
+  if (list_configs) {
+    print_configs();
     return 0;
   }
 
-  if (static_txns) p.workload.static_txns = true;
-  if (si) p.faastcc.snapshot_isolation = true;
-  if (no_prewarm) p.prewarm_caches = false;
-  if (check) p.check_consistency = true;
-  if (!trace_out.empty()) p.trace.enabled = true;
-  if (p.trace.sample_every == 0) p.trace.sample_every = 1;
+  if (!trace_out.empty()) spec.params.trace.enabled = true;
 
   if (dump_spec) {
     std::fputs(to_json(spec).c_str(), stdout);

@@ -1,7 +1,8 @@
 // Deterministic consistency fuzzer for the FaaSTCC stack.
 //
 //   tcc_fuzz [--seeds=N] [--seed-base=N] [--configs=a,b,...] [--jobs=N]
-//            [--dags=N] [--clients=N] [--list-configs] [--verbose]
+//            [--dags=N] [--clients=N] [--set=<group>.<key>=<value>]
+//            [--list-configs] [--verbose]
 //
 // Sweeps seeds x fault matrices x workload shapes over small FaaSTCC
 // clusters with the consistency oracle attached (zero perturbation: the
@@ -9,7 +10,11 @@
 // seed alone).  On the first violation the failing (seed, config, shape)
 // is printed together with the oracle's report, the run is shrunk to a
 // smaller counterexample (fewer clients/DAGs with the same violation),
-// and the process exits 1.  A clean sweep exits 0.
+// and the process exits 1.  A clean sweep exits 0.  --set overrides a
+// RunSpec field of every run (the named config still applies on top),
+// e.g. --set=node.executed_dedup_cap=0 to turn a dedup window off; the
+// fields the fuzzer sets itself (seed, config, system, clients, DAGs, the
+// oracle switch) are refused.
 //
 // The sweep itself runs through harness::run_sweep: --jobs=N forks N
 // worker processes.  Because each run is deterministic per spec and
@@ -28,36 +33,20 @@ using namespace faastcc::harness;
 
 namespace {
 
-// Dedup-window overrides (SIZE_MAX = keep the default).  Setting one to 0
-// disables that at-most-once window — the knob regression tests use to
-// prove the oracle still catches the ghost-execution bugs they guard.
-size_t g_executed_dedup_cap = SIZE_MAX;
-size_t g_start_dedup_cap = SIZE_MAX;
+// The --set overrides in argv order, and as flags for a repro line.
+std::vector<json::Value> g_sets;
+std::string g_set_flags;
 
-// The fuzzer's run shape: a small hot cluster with the oracle attached.
-// The named config applies on top at resolve() time, exactly like the old
-// in-process table did.
+// Fields the fuzzer sets per run from its own flags (or fixes); a --set
+// of one would run something other than what the repro lines print.
+constexpr const char* kOwnedPaths[] = {
+    "seed", "config", "system", "cluster.clients", "cluster.dags_per_client",
+    "run.check_consistency"};
+
 RunSpec make_spec(const std::string& config, uint64_t seed, int clients,
                   int dags) {
-  RunSpec spec;
-  ClusterParams& p = spec.params;
-  p.system = SystemKind::kFaasTcc;
-  p.seed = seed;
-  p.partitions = 3;
-  p.compute_nodes = 2;
-  p.clients = static_cast<size_t>(clients);
-  p.dags_per_client = dags;
-  p.workload.num_keys = 64;  // hot key space: maximal contention
-  p.workload.zipf = 1.0;
-  p.check_consistency = true;
-  apply_fuzz_shape(p, seed);
-  if (g_executed_dedup_cap != SIZE_MAX) {
-    p.node.executed_dedup_cap = g_executed_dedup_cap;
-  }
-  if (g_start_dedup_cap != SIZE_MAX) {
-    p.scheduler.start_dedup_cap = g_start_dedup_cap;
-  }
-  spec.config = config;
+  RunSpec spec = fuzz_spec(config, seed, clients, dags);
+  for (const json::Value& patch : g_sets) apply_spec_patch(spec, patch);
   return spec;
 }
 
@@ -79,9 +68,9 @@ void shrink(const std::string& config, uint64_t seed, int clients, int dags,
   }
   std::fprintf(stderr,
                "minimal counterexample: --configs=%s --seed-base=%llu "
-               "--seeds=1 --clients=%d --dags=%d\n",
+               "--seeds=1 --clients=%d --dags=%d%s\n",
                config.c_str(), static_cast<unsigned long long>(seed), best_c,
-               best_d);
+               best_d, g_set_flags.c_str());
 }
 
 }  // namespace
@@ -91,28 +80,51 @@ int main(int argc, char** argv) {
   int clients = 4, dags = 12, jobs = 1;
   bool verbose = false, no_shrink = false, list = false;
   std::string configs_csv;
+  std::string set_error;
 
   Flags flags("tcc_fuzz", "deterministic consistency fuzzer");
   flags.u64("seeds", "seeds per config", &seeds);
   flags.u64("seed-base", "first seed", &seed_base);
-  flags.custom("configs", "csv", "subset of fault configs (default all)",
-               [&](const std::string& v) {
-                 configs_csv = v;
-                 return true;
-               });
+  flags.str("configs", "subset of fault configs, comma-separated "
+            "(default: every non-chaos config)", &configs_csv);
   flags.integer("clients", "closed-loop clients", &clients);
   flags.integer("dags", "DAGs per client", &dags);
   flags.integer("jobs", "max concurrent worker processes", &jobs);
-  flags.size("executed-dedup-cap", "node (txn,fn) dedup window",
-             &g_executed_dedup_cap);
-  flags.size("start-dedup-cap", "scheduler txn dedup window",
-             &g_start_dedup_cap);
+  flags.custom("set", "group.key=value",
+               "override one RunSpec field of every run; repeatable",
+               [&](const std::string& v) {
+                 const std::string path = v.substr(0, v.find('='));
+                 for (const char* owned : kOwnedPaths) {
+                   if (path == owned) {
+                     set_error = "--set=" + path +
+                                 ": set by the fuzzer for each run "
+                                 "(--seed-base, --configs, --clients, "
+                                 "--dags)";
+                     return false;
+                   }
+                 }
+                 try {
+                   RunSpec probe;
+                   json::Value patch = spec_setting(v);
+                   apply_spec_patch(probe, patch);
+                   g_sets.push_back(std::move(patch));
+                 } catch (const SpecError& e) {
+                   set_error = e.what();
+                   return false;
+                 }
+                 // Quoted for a shell when the value is JSON syntax.
+                 g_set_flags += v.find_first_of(" \"[]{}") == v.npos
+                                    ? " --set=" + v
+                                    : " '--set=" + v + "'";
+                 return true;
+               });
   flags.boolean("no-shrink", "skip counterexample shrinking", &no_shrink);
   flags.boolean("list-configs", "print configs and exit", &list);
   flags.boolean("verbose", "per-run progress", &verbose);
 
   if (!flags.parse(argc, argv)) {
-    std::fprintf(stderr, "tcc_fuzz: %s\n%s", flags.error().c_str(),
+    std::fprintf(stderr, "tcc_fuzz: %s\n%s",
+                 set_error.empty() ? flags.error().c_str() : set_error.c_str(),
                  flags.usage().c_str());
     return 2;
   }
@@ -121,11 +133,19 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (list) {
-    list_configs(stderr);
+    print_configs();
     return 0;
   }
 
   const std::vector<std::string> wanted = Flags::split_csv(configs_csv);
+  for (const std::string& w : wanted) {
+    if (find_config(w) == nullptr) {
+      std::fprintf(stderr,
+                   "tcc_fuzz: unknown config '%s' (see --list-configs)\n",
+                   w.c_str());
+      return 2;
+    }
+  }
   auto selected = [&](const NamedConfig& cfg) {
     if (wanted.empty()) return !cfg.chaos;
     for (const std::string& w : wanted) {
@@ -188,10 +208,10 @@ int main(int argc, char** argv) {
     const RunRecord& rec = result.records[i];
     std::fprintf(stderr,
                  "\nconsistency violation: config=%s seed=%llu "
-                 "clients=%d dags=%d\n%s",
+                 "clients=%d dags=%d%s\n%s",
                  meta[i].config.c_str(),
                  static_cast<unsigned long long>(meta[i].seed), clients, dags,
-                 rec.oracle_report.c_str());
+                 g_set_flags.c_str(), rec.oracle_report.c_str());
     if (!no_shrink) {
       shrink(meta[i].config, meta[i].seed, clients, dags,
              rec.violation_kind);

@@ -79,8 +79,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (list_configs_flag) {
-    std::printf("named configs:\n");
-    harness::list_configs(stdout);
+    harness::print_configs();
     return 0;
   }
   if (plan_path.empty()) {
