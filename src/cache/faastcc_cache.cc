@@ -27,13 +27,11 @@ FaasTccCache::FaasTccCache(net::Network& network, net::Address self,
   rpc_.handle(kCacheRead, [this](Buffer b, net::Address from) {
     return on_read(std::move(b), from);
   });
-  rpc_.handle_oneway(storage::kTccPush, [this](Buffer b, net::Address from) {
-    on_push(std::move(b), from);
+  rpc_.handle_oneway(storage::kTccPushBatch, [this](Buffer b, net::Address) {
+    auto push = decode_message<storage::PushBatchMsg>(b);
+    rpc_.recycle(std::move(b));
+    apply_push(std::move(push));
   });
-  rpc_.handle_oneway(storage::kTccPushBatch,
-                     [this](Buffer b, net::Address from) {
-                       on_push_batch(std::move(b), from);
-                     });
   if (params_.topo_service != 0) {
     // Elastic routing: wrong-epoch NACKs on storage reads pull a fresh
     // table; epoch-bump broadcasts push one.  Either path lands in
@@ -416,35 +414,9 @@ sim::Task<Buffer> FaasTccCache::on_read(Buffer req, net::Address) {
   co_return rpc_.encode(resp);
 }
 
-void FaasTccCache::on_push(Buffer msg, net::Address) {
-  auto push = decode_message<storage::PushMsg>(msg);
-  rpc_.recycle(std::move(msg));
-  apply_push(push.partition, push.seq, push.stable_time, push.updates);
-}
-
-void FaasTccCache::on_push_batch(Buffer msg, net::Address) {
-  auto push = decode_message<storage::PushBatchMsg>(msg);
-  rpc_.recycle(std::move(msg));
-  // Re-derive each update's promise from the frame header: the pusher
-  // always sets promise = max(ts, stable), so nothing is lost by not
-  // carrying it per update.
-  std::vector<storage::VersionedValue> updates;
-  updates.reserve(push.updates.size());
-  for (auto& u : push.updates) {
-    storage::VersionedValue vv;
-    vv.key = u.key;
-    vv.value = std::move(u.value);
-    vv.ts = u.ts;
-    vv.promise = std::max(u.ts, push.stable_time);
-    updates.push_back(std::move(vv));
-  }
-  apply_push(push.partition, push.seq, push.stable_time, updates);
-}
-
-void FaasTccCache::apply_push(PartitionId partition, uint64_t seq,
-                              Timestamp stable,
-                              const std::vector<storage::VersionedValue>&
-                                  updates) {
+void FaasTccCache::apply_push(storage::PushBatchMsg push) {
+  const PartitionId partition = push.partition;
+  const Timestamp stable = push.stable_time;
   stable_est_ = std::max(stable_est_, stable);
   if (partition >= partition_stable_.size()) return;
   // Channel ordering: only an unbroken push sequence proves the dirty-set
@@ -452,13 +424,13 @@ void FaasTccCache::apply_push(PartitionId partition, uint64_t seq,
   // or reordered old push must not reopen anything; a gap closes the
   // partition's open entries until the re-announce arrives.
   bool in_order = true;
-  if (seq != 0) {
+  if (push.seq != 0) {
     auto& last = push_seq_[partition];
-    if (seq == last + 1) {
-      last = seq;
-    } else if (seq > last) {
+    if (push.seq == last + 1) {
+      last = push.seq;
+    } else if (push.seq > last) {
       handle_push_gap(partition);
-      last = seq;
+      last = push.seq;
     } else {
       in_order = false;  // duplicate or reordered: values usable, flags not
     }
@@ -467,24 +439,27 @@ void FaasTccCache::apply_push(PartitionId partition, uint64_t seq,
     auto& slot = partition_stable_[partition];
     slot = std::max(slot, stable);
   }
-  for (const auto& vv : updates) {
-    Entry* e = entries_.find(vv.key);
+  for (auto& u : push.updates) {
+    Entry* e = entries_.find(u.key);
     if (e == nullptr) {
       // Evicted since we subscribed; the unsubscribe is in flight.
       counters_.pushes_stale.inc();
       continue;
     }
     const bool may_open = in_order && e->sub_active;
-    if (vv.ts > e->ts) {
-      bytes_ += vv.value.size();
+    // The pusher ships no per-update promise: a pushed promise is always
+    // max(ts, stable at push), so it is re-derived from the frame header.
+    const Timestamp promise = std::max(u.ts, stable);
+    if (u.ts > e->ts) {
+      bytes_ += u.value.size();
       bytes_ -= e->value.size();
-      e->value = vv.value;
-      e->ts = vv.ts;
-      e->promise = vv.promise;
+      e->value = std::move(u.value);
+      e->ts = u.ts;
+      e->promise = promise;
       e->open = may_open;
       counters_.pushes_applied.inc();
-    } else if (vv.ts == e->ts) {
-      e->promise = std::max(e->promise, vv.promise);
+    } else if (u.ts == e->ts) {
+      e->promise = std::max(e->promise, promise);
       if (may_open) e->open = true;
       counters_.pushes_applied.inc();
     } else {

@@ -233,17 +233,15 @@ sim::Task<std::optional<Buffer>> FaasTccTxn::commit() {
     tracer->annotate(span, "writes", static_cast<uint64_t>(writes.size()));
     span_ctx = tracer->context_of(span);
   }
-  std::optional<Timestamp> commit_ts;
-  if (adapter_.config_.snapshot_isolation) {
-    commit_ts = co_await adapter_.storage_.commit_si(
-        info_.txn_id, std::move(writes), dep, ctx_.interval.high, span_ctx);
-  } else {
-    // nullopt: a participant stayed unreachable; abort and let the client
-    // retry the DAG with a fresh transaction.
-    commit_ts = co_await adapter_.storage_.commit(info_.txn_id,
-                                                  std::move(writes), dep,
-                                                  span_ctx);
-  }
+  // nullopt: an SI conflict, or a participant stayed unreachable; abort
+  // and let the client retry the DAG with a fresh transaction.
+  const std::optional<Timestamp> commit_ts =
+      co_await adapter_.storage_.commit(
+          info_.txn_id, std::move(writes), dep,
+          adapter_.config_.snapshot_isolation
+              ? std::optional<Timestamp>(ctx_.interval.high)
+              : std::nullopt,
+          span_ctx);
   if (tracer != nullptr) {
     tracer->annotate(span, "committed", commit_ts.has_value() ? 1 : 0);
     tracer->add_time(span_ctx.trace_id, obs::Bucket::kStorage,

@@ -60,17 +60,14 @@ const std::vector<NamedConfig> kConfigs = {
     // Fanout 2 over the fuzzer's small cells gives the tree real depth
     // (interior nodes relaying folds), exercising up/down staleness.
     {"tree-lossy",
-     "tree stabilization + coalesced pushes under 2% loss + 1% duplication",
-     false,
-     R"({"tcc": {"stabilization_topology": "tree", "tree_fanout": 2,
-                 "push_coalescing": true},
+     "tree stabilization under 2% loss + 1% duplication", false,
+     R"({"tcc": {"stabilization_topology": "tree", "tree_fanout": 2},
          "faults": {"loss_prob": 0.02, "dup_prob": 0.01}})"},
     // Joiners land below node 1 (fanout 2), turning a leaf interior
     // mid-run: membership-tagged folds must re-arm the barrier.
     {"tree-elastic",
      "tree stabilization, scale-out +2 partitions under 1% loss", false,
-     R"({"tcc": {"stabilization_topology": "tree", "tree_fanout": 2,
-                 "push_coalescing": true},
+     R"({"tcc": {"stabilization_topology": "tree", "tree_fanout": 2},
          "elastic": {"add_partitions": 2, "at_us": 300000},
          "faults": {"loss_prob": 0.01}})"},
     {"elastic-in", "mid-run scale-in -2 partitions, no faults", false,

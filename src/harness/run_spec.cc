@@ -241,7 +241,6 @@ class SpecFields {
                 }
               }},
              f_int("tree_fanout", &p.tcc.tree_fanout),
-             f_bool("push_coalescing", &p.tcc.push_coalescing),
              f_duration("push_period_us", &p.tcc.push_period),
              f_duration("gc_window_us", &p.tcc.gc_window),
              f_duration("gc_period_us", &p.tcc.gc_period),

@@ -25,7 +25,7 @@ enum TccMethod : uint16_t {
   kTccSubscribe = 4,
   kTccUnsubscribe = 5,
   kTccGossip = 6,   // one-way: stabilization
-  kTccPush = 7,     // one-way: pub/sub update batch
+  // 7 is retired (the per-key pub/sub push); kTccPushBatch replaced it.
   kTccAbort = 8,    // releases prepares after an SI conflict
   // Elastic scale-out handoff (coordinator-driven, idempotent).
   kTccMigrateOut = 9,  // source: seal moved slots, extract their chains
@@ -36,9 +36,7 @@ enum TccMethod : uint16_t {
   // mesh's O(P²) broadcast.
   kTccSafeUp = 11,      // one-way: child -> parent subtree minimum
   kTccStableDown = 12,  // one-way: parent -> child root fold
-  // Coalesced pub/sub push (push_coalescing=true): same semantics as
-  // kTccPush with the per-update promise derived from the frame header.
-  kTccPushBatch = 13,
+  kTccPushBatch = 13,  // one-way: pub/sub update batch to one subscriber
   // Per-slot replication (leader -> follower, replication_factor > 0).
   kTccReplInstall = 14,  // stream one committed txn's installs
   kTccReplSeal = 15,     // seal a safe time at the follower (lease beat)
@@ -268,32 +266,10 @@ struct GossipMsg {
       std::tuple{&GossipMsg::partition, &GossipMsg::safe_time};
 };
 
-// One-way pub/sub push: fresh versions of subscribed keys plus the stable
-// time at push.  Pushed promises are max(version ts, stable at push).
-//
-// Pushes are sent every refresh period even when no subscribed key
-// changed: the dirty set is complete for subscribed keys, so a subscriber
-// may extend the promise of any *open* cached version of this partition
-// not listed in `updates` to `stable_time`.
-struct PushMsg {
-  PartitionId partition = 0;
-  // Per-subscriber channel sequence (first push is 1).  Pushes are one-way
-  // and best-effort; a gap tells the subscriber it may have missed the
-  // announcement of a successor version, so it must close open entries of
-  // this partition until a re-announce arrives.  0 = unsequenced.
-  uint64_t seq = 0;
-  Timestamp stable_time;
-  std::vector<VersionedValue> updates;
-
-  static constexpr auto kFields =
-      std::tuple{&PushMsg::partition, &PushMsg::seq, &PushMsg::stable_time,
-                 &PushMsg::updates};
-};
-
-// One update inside a coalesced push frame: the promise is not shipped —
-// a pushed promise is always max(version ts, stable at push), and the
-// frame header carries the stable time once, so the receiver re-derives
-// it losslessly (8 bytes saved per update over VersionedValue).
+// One update inside a pub/sub push frame: the promise is not shipped — a
+// pushed promise is always max(version ts, stable at push), and the frame
+// header carries the stable time once, so the receiver re-derives it
+// losslessly.
 struct PushUpdate {
   Key key = 0;
   Value value;
@@ -303,13 +279,20 @@ struct PushUpdate {
       std::tuple{&PushUpdate::key, &PushUpdate::value, &PushUpdate::ts};
 };
 
-// Coalesced pub/sub push (push_coalescing=true): identical semantics and
-// sequencing to PushMsg, with all shared per-frame state (partition, seq,
-// stable time) carried once in the header and per-update promises derived
-// at the receiver.
+// One-way pub/sub push: fresh versions of subscribed keys plus the stable
+// time at push, one frame per subscriber per refresh period.
+//
+// Pushes are sent every refresh period even when no subscribed key
+// changed: the dirty set is complete for subscribed keys, so a subscriber
+// may extend the promise of any *open* cached version of this partition
+// not listed in `updates` to `stable_time`.
 struct PushBatchMsg {
   PartitionId partition = 0;
-  uint64_t seq = 0;  // same channel sequence space as PushMsg
+  // Per-subscriber channel sequence (first push is 1).  Pushes are one-way
+  // and best-effort; a gap tells the subscriber it may have missed the
+  // announcement of a successor version, so it must close open entries of
+  // this partition until a re-announce arrives.  0 = unsequenced.
+  uint64_t seq = 0;
   Timestamp stable_time;
   std::vector<PushUpdate> updates;
 

@@ -255,7 +255,7 @@ sim::Task<TccStorageClient::ReadOutcome> TccStorageClient::read_once(
 
 sim::Task<std::optional<Timestamp>> TccStorageClient::commit(
     TxnId txn, std::vector<KeyValue> writes, Timestamp dep_ts,
-    obs::TraceContext trace) {
+    std::optional<Timestamp> si_snapshot, obs::TraceContext trace) {
   assert(!writes.empty());
   auto batches = group_by_partition(writes.size(), [&](size_t i) {
     return topology_.address_of(writes[i].key);
@@ -269,6 +269,7 @@ sim::Task<std::optional<Timestamp>> TccStorageClient::commit(
     tracer_->annotate(span, "writes", static_cast<uint64_t>(writes.size()));
     tracer_->annotate(span, "partitions",
                       static_cast<uint64_t>(batches.size()));
+    if (si_snapshot.has_value()) tracer_->annotate(span, "si", 1);
     ctx = tracer_->context_of(span);
   }
   const auto end_span = [&](bool committed) {
@@ -306,8 +307,10 @@ sim::Task<std::optional<Timestamp>> TccStorageClient::commit(
           ? net::routing_refresh_policy().max_attempts
           : 0;
 
-  if (batches.size() == 1) {
-    // Fast path: the owning partition assigns the timestamp itself.
+  if (batches.size() == 1 && !si_snapshot.has_value()) {
+    // Fast path: the owning partition assigns the timestamp itself.  SI
+    // commits always prepare, so conflicting prepares serialize even on a
+    // single partition.
     TccCommitReq req;
     req.txn = txn;
     req.commit_ts = Timestamp::min();
@@ -355,13 +358,22 @@ sim::Task<std::optional<Timestamp>> TccStorageClient::commit(
     }
   }
 
-  // General path: prepare everywhere, then commit at max(prepare ts).
+  // General path: prepare everywhere, then commit at max(prepare ts).  An
+  // SI prepare also names the batch's keys for the partition's
+  // first-committer-wins check against the snapshot.
   std::vector<sim::Task<CallOutcome<TccPrepareResp>>> prepares;
   prepares.reserve(batches.size());
   for (const auto& batch : batches) {
     TccPrepareReq req;
     req.txn = txn;
     req.dep_ts = dep_ts;
+    if (si_snapshot.has_value()) {
+      req.si_mode = true;
+      req.snapshot_ts = *si_snapshot;
+      for (size_t idx : batch.input_index) {
+        req.write_keys.push_back(writes[idx].key);
+      }
+    }
     prepares.push_back(call_epoch<TccPrepareResp>(rpc_, batch.address,
                                                   kTccPrepare, req, {}, ctx));
   }
@@ -370,8 +382,10 @@ sim::Task<std::optional<Timestamp>> TccStorageClient::commit(
   bool stale = false;
   Timestamp commit_ts = dep_ts.next();
   for (const auto& pr : prepare_resps) {
-    // A prepare can be refused (ok=false) when the partition already
-    // expired this transaction's earlier prepare and tombstoned it.
+    // A prepare is refused (ok=false) on an SI write-write conflict, or
+    // when the partition already expired this transaction's earlier
+    // prepare and tombstoned it.  Either way, as with an unreachable
+    // participant, the caller retries with a fresh transaction.
     if (!pr.resp.has_value() || !pr.resp->ok) failed = true;
     if (pr.wrong_epoch) stale = true;
     if (pr.resp.has_value()) {
@@ -382,7 +396,8 @@ sim::Task<std::optional<Timestamp>> TccStorageClient::commit(
     // Like the fast path, a wrong-epoch prepare is an abort, not a
     // re-route (the refresh only serves the next transaction).  Aborts go
     // to the OLD owners — kTccAbort is deliberately not epoch-gated so the
-    // cleanup reaches whoever holds the pending prepares.
+    // cleanup reaches whoever holds the pending prepares (a refusing
+    // participant treats its abort as a no-op).
     if (stale) {
       note_wrong_epoch_retry();
       co_await refresh_topology();
@@ -441,146 +456,6 @@ sim::Task<std::optional<Timestamp>> TccStorageClient::commit(
     // unacked batches at the promoted followers, same slots only.
     // Otherwise report abort; see docs/simulation.md "Fault model" for the
     // (vanishingly rare) torn outcome this trades for liveness.
-    if (round >= reroutes) {
-      committed = false;
-      break;
-    }
-    co_await refresh_topology();
-    if (!reroute_batches(topology_, writes, slot_of, timed_out)) {
-      committed = false;
-      break;
-    }
-    pending = std::move(timed_out);
-  }
-  if (!committed) {
-    end_span(false);
-    co_return std::nullopt;
-  }
-  if (oracle_ != nullptr) oracle_->on_commit_ack(txn, commit_ts, dep_ts);
-  end_span(true);
-  co_return commit_ts;
-}
-
-sim::Task<std::optional<Timestamp>> TccStorageClient::commit_si(
-    TxnId txn, std::vector<KeyValue> writes, Timestamp dep_ts,
-    Timestamp snapshot_ts, obs::TraceContext trace) {
-  assert(!writes.empty());
-  auto batches = group_by_partition(writes.size(), [&](size_t i) {
-    return topology_.address_of(writes[i].key);
-  });
-
-  obs::SpanHandle span;
-  obs::TraceContext ctx;
-  if (tracer_ != nullptr) {
-    span = tracer_->begin(trace, "storage.commit", "storage", rpc_.address(),
-                          rpc_.now());
-    tracer_->annotate(span, "writes", static_cast<uint64_t>(writes.size()));
-    tracer_->annotate(span, "partitions",
-                      static_cast<uint64_t>(batches.size()));
-    tracer_->annotate(span, "si", 1);
-    ctx = tracer_->context_of(span);
-  }
-  const auto end_span = [&](bool committed) {
-    if (tracer_ == nullptr) return;
-    tracer_->annotate(span, "committed", committed ? 1 : 0);
-    tracer_->end(span, rpc_.now());
-  };
-
-  std::vector<sim::Task<CallOutcome<TccPrepareResp>>> prepares;
-  prepares.reserve(batches.size());
-  for (const auto& batch : batches) {
-    TccPrepareReq req;
-    req.txn = txn;
-    req.dep_ts = dep_ts;
-    req.si_mode = true;
-    req.snapshot_ts = snapshot_ts;
-    for (size_t idx : batch.input_index) {
-      req.write_keys.push_back(writes[idx].key);
-    }
-    prepares.push_back(call_epoch<TccPrepareResp>(rpc_, batch.address,
-                                                  kTccPrepare, req, {}, ctx));
-  }
-  auto prepare_resps = co_await sim::when_all(rpc_.loop(), std::move(prepares));
-
-  bool conflict = false;
-  bool stale = false;
-  Timestamp commit_ts = dep_ts.next();
-  for (const auto& pr : prepare_resps) {
-    // An unreachable participant is treated like a conflict: abort and let
-    // the caller retry with a fresh transaction.
-    if (!pr.resp.has_value() || !pr.resp->ok) conflict = true;
-    if (pr.wrong_epoch) stale = true;
-    if (pr.resp.has_value()) {
-      commit_ts = std::max(commit_ts, pr.resp->prepare_ts);
-    }
-  }
-  if (conflict) {
-    if (stale) {
-      note_wrong_epoch_retry();
-      co_await refresh_topology();
-    }
-    // Release every participant (the conflicting ones are no-ops).
-    co_await abort_everywhere(rpc_, txn, batches);
-    end_span(false);
-    co_return std::nullopt;
-  }
-
-  if (oracle_ != nullptr) {
-    std::vector<Key> write_keys;
-    write_keys.reserve(writes.size());
-    for (const auto& kv : writes) write_keys.push_back(kv.key);
-    oracle_->on_commit_phase(txn, std::move(write_keys));
-  }
-  // Same timed-out-batch re-route as the general commit path: a dead
-  // leader under a replicated table can only signal by timeout.
-  std::vector<PartitionId> slot_of(writes.size());
-  for (size_t i = 0; i < writes.size(); ++i) {
-    slot_of[i] = topology_.partition_of(writes[i].key);
-  }
-  const int reroutes =
-      (topology_.table != nullptr && topology_.table->replicated())
-          ? net::routing_refresh_policy().max_attempts
-          : 0;
-  std::vector<PartitionBatch> pending = batches;
-  bool committed = true;
-  for (int round = 0;; ++round) {
-    std::vector<sim::Task<CallOutcome<TccCommitResp>>> commits;
-    commits.reserve(pending.size());
-    for (const auto& batch : pending) {
-      TccCommitReq req;
-      req.txn = txn;
-      req.commit_ts = commit_ts;
-      req.dep_ts = dep_ts;
-      for (size_t idx : batch.input_index) req.writes.push_back(writes[idx]);
-      commits.push_back(call_epoch<TccCommitResp>(rpc_, batch.address,
-                                                  kTccCommit, req,
-                                                  net::commit_retry_policy(),
-                                                  ctx));
-    }
-    auto commit_resps =
-        co_await sim::when_all(rpc_.loop(), std::move(commits));
-    stale = false;
-    bool refused = false;
-    std::vector<PartitionBatch> timed_out;
-    for (size_t b = 0; b < commit_resps.size(); ++b) {
-      const auto& cr = commit_resps[b];
-      if (cr.wrong_epoch) {
-        stale = true;
-      } else if (!cr.resp.has_value()) {
-        timed_out.push_back(pending[b]);
-      } else if (!cr.resp->ok) {
-        refused = true;
-      }
-    }
-    if (stale) {
-      note_wrong_epoch_retry();
-      co_await refresh_topology();
-    }
-    if (stale || refused) {
-      committed = false;
-      break;
-    }
-    if (timed_out.empty()) break;
     if (round >= reroutes) {
       committed = false;
       break;

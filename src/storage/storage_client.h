@@ -84,24 +84,16 @@ class TccStorageClient {
       obs::TraceContext trace = {});
 
   // Commits `writes` atomically with a timestamp above `dep_ts`; returns
-  // the commit timestamp, or nullopt when a participant stayed unreachable
-  // through the (generous) commit retry budget.
-  sim::Task<std::optional<Timestamp>> commit(TxnId txn,
-                                             std::vector<KeyValue> writes,
-                                             Timestamp dep_ts,
-                                             obs::TraceContext trace = {});
-
-  // Snapshot Isolation commit (§7 extension): first-committer-wins
-  // write-write conflict detection against `snapshot_ts`.  Returns the
-  // commit timestamp, or std::nullopt when the transaction must abort
-  // (conflict, or a participant unreachable through the retry budget).
-  // Always runs the full prepare/commit protocol so conflicting prepares
-  // serialize even on a single partition.
-  sim::Task<std::optional<Timestamp>> commit_si(TxnId txn,
-                                                std::vector<KeyValue> writes,
-                                                Timestamp dep_ts,
-                                                Timestamp snapshot_ts,
-                                                obs::TraceContext trace = {});
+  // the commit timestamp, or nullopt when the transaction must abort (a
+  // participant stayed unreachable through the generous commit retry
+  // budget, or refused).  A set `si_snapshot` makes it a Snapshot
+  // Isolation commit (§7 extension): first-committer-wins write-write
+  // conflict detection against that snapshot, always through the full
+  // prepare/commit protocol.  nullopt means a causal commit.
+  sim::Task<std::optional<Timestamp>> commit(
+      TxnId txn, std::vector<KeyValue> writes, Timestamp dep_ts,
+      std::optional<Timestamp> si_snapshot = std::nullopt,
+      obs::TraceContext trace = {});
 
   // (Un)subscribes at the owning partitions.  `seq` orders the caller's
   // control stream per partition (see SubscribeReq::seq); 0 = unsequenced.

@@ -45,11 +45,6 @@ struct TccPartitionParams {
   // staleness).  See docs/performance.md, "Stabilization topologies".
   StabTopology stab_topology = StabTopology::kMesh;
   int tree_fanout = 4;  // k of the aggregation tree (>= 1)
-  // Coalesce pub/sub pushes into PushBatchMsg frames: the per-frame state
-  // (partition, seq, stable time) is carried once in the header and the
-  // receiver derives each update's promise from it, saving 8 bytes per
-  // update.  Off by default so mesh-mode runs stay bit-identical.
-  bool push_coalescing = false;
   Duration gc_window = seconds(30);   // history kept behind the stable time
   Duration gc_period = seconds(2);
   Duration request_cpu = microseconds(15);  // fixed per-request service time
@@ -237,7 +232,6 @@ class TccPartition {
   // Per-round stab.* metric accounting (pure state: no events, no
   // randomness — schedules are unchanged by recording).
   void note_gossip_round(uint64_t msgs_sent);
-  void push_round_coalesced(Timestamp stable);
   sim::Task<Buffer> on_migrate_out(Buffer req, net::Address from);
   sim::Task<Buffer> on_migrate_in(Buffer req, net::Address from);
 

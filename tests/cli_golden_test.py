@@ -29,7 +29,7 @@ from docs_cli_lines import changed_fields, dump_spec  # noqa: E402
 CLI, FUZZ = (os.path.abspath(p) for p in sys.argv[1:3])
 
 DEFAULT_SPEC_SHA256 = (
-    "e57cd708df1980b03257978719dcfb860c27940dd616bda65dade9d01b96ff97")
+    "80e208f2e96971604880998a2bab4c997060f3df29ce24fa161c05cdb96bd207")
 
 CASES = [
     # .github/workflows/ci.yml: trace smoke

@@ -76,8 +76,8 @@ kill-leader-lossy: faults.loss_prob=0.02 faults.dup_prob=0.01 faults.dag_timeout
 elastic: elastic.add_partitions=2 elastic.at_us=300000
 elastic-lossy: faults.loss_prob=0.02 faults.dup_prob=0.01 elastic.add_partitions=2 elastic.at_us=300000
 elastic-dup: faults.dup_prob=0.029999999999999999 elastic.add_partitions=2 elastic.at_us=300000
-tree-lossy: tcc.stabilization_topology="tree" tcc.tree_fanout=2 tcc.push_coalescing=true faults.loss_prob=0.02 faults.dup_prob=0.01
-tree-elastic: tcc.stabilization_topology="tree" tcc.tree_fanout=2 tcc.push_coalescing=true faults.loss_prob=0.01 elastic.add_partitions=2 elastic.at_us=300000
+tree-lossy: tcc.stabilization_topology="tree" tcc.tree_fanout=2 faults.loss_prob=0.02 faults.dup_prob=0.01
+tree-elastic: tcc.stabilization_topology="tree" tcc.tree_fanout=2 faults.loss_prob=0.01 elastic.add_partitions=2 elastic.at_us=300000
 elastic-in: elastic.remove_partitions=2 elastic.remove_at_us=300000
 elastic-in-lossy: faults.loss_prob=0.02 faults.dup_prob=0.01 elastic.remove_partitions=2 elastic.remove_at_us=300000
 autoscale-spike: error spec.autoscale.max_partitions: 6 must exceed cluster.partitions (16)
@@ -99,8 +99,8 @@ kill-leader-lossy: faults.loss_prob=0.02 faults.dup_prob=0.01 faults.dag_timeout
 elastic: elastic.add_partitions=2 elastic.at_us=300000
 elastic-lossy: faults.loss_prob=0.02 faults.dup_prob=0.01 elastic.add_partitions=2 elastic.at_us=300000
 elastic-dup: faults.dup_prob=0.029999999999999999 elastic.add_partitions=2 elastic.at_us=300000
-tree-lossy: tcc.stabilization_topology="tree" tcc.tree_fanout=2 tcc.push_coalescing=true faults.loss_prob=0.02 faults.dup_prob=0.01
-tree-elastic: tcc.stabilization_topology="tree" tcc.tree_fanout=2 tcc.push_coalescing=true faults.loss_prob=0.01 elastic.add_partitions=2 elastic.at_us=300000
+tree-lossy: tcc.stabilization_topology="tree" tcc.tree_fanout=2 faults.loss_prob=0.02 faults.dup_prob=0.01
+tree-elastic: tcc.stabilization_topology="tree" tcc.tree_fanout=2 faults.loss_prob=0.01 elastic.add_partitions=2 elastic.at_us=300000
 elastic-in: elastic.remove_partitions=2 elastic.remove_at_us=300000
 elastic-in-lossy: faults.loss_prob=0.02 faults.dup_prob=0.01 elastic.remove_partitions=2 elastic.remove_at_us=300000
 autoscale-spike: workload.pattern="bursty" workload.pattern_period_us=600000 workload.think_time_us=20000 autoscale.max_partitions=6 autoscale.min_partitions=2 autoscale.check_period_us=50000 autoscale.high_p99_ms=8 autoscale.low_p99_ms=6 autoscale.breach_checks=2 autoscale.cooldown_us=300000
@@ -131,8 +131,8 @@ kill-leader-lossy: faults.loss_prob=0.02 faults.dup_prob=0.01 faults.dag_timeout
 elastic: elastic.add_partitions=2 elastic.at_us=300000
 elastic-lossy: faults.loss_prob=0.02 faults.dup_prob=0.01 elastic.add_partitions=2 elastic.at_us=300000
 elastic-dup: faults.dup_prob=0.029999999999999999 elastic.add_partitions=2 elastic.at_us=300000
-tree-lossy: tcc.stabilization_topology="tree" tcc.tree_fanout=2 tcc.push_coalescing=true faults.loss_prob=0.02 faults.dup_prob=0.01
-tree-elastic: tcc.stabilization_topology="tree" tcc.tree_fanout=2 tcc.push_coalescing=true faults.loss_prob=0.01 elastic.add_partitions=2 elastic.at_us=300000
+tree-lossy: tcc.stabilization_topology="tree" tcc.tree_fanout=2 faults.loss_prob=0.02 faults.dup_prob=0.01
+tree-elastic: tcc.stabilization_topology="tree" tcc.tree_fanout=2 faults.loss_prob=0.01 elastic.add_partitions=2 elastic.at_us=300000
 elastic-in: elastic.remove_partitions=2 elastic.remove_at_us=300000
 elastic-in-lossy: faults.loss_prob=0.02 faults.dup_prob=0.01 elastic.remove_partitions=2 elastic.remove_at_us=300000
 autoscale-spike: workload.pattern="bursty" workload.pattern_period_us=600000 workload.think_time_us=20000 autoscale.max_partitions=6 autoscale.min_partitions=2 autoscale.check_period_us=50000 autoscale.high_p99_ms=8 autoscale.low_p99_ms=6 autoscale.breach_checks=2 autoscale.cooldown_us=300000

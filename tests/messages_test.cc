@@ -179,21 +179,17 @@ TEST(MessageRoundTrip, GossipAndPush) {
   EXPECT_EQ(dg.partition, g.partition);
   EXPECT_EQ(dg.safe_time, g.safe_time);
 
-  storage::PushMsg p;
+  // An empty push is the promise-extension heartbeat; it still frames.
+  storage::PushBatchMsg p;
   p.partition = 3;
   p.seq = 41;
   p.stable_time = random_ts(rng);
-  storage::VersionedValue v;
-  v.key = 9;
-  v.value = "abc";
-  p.updates.push_back(v);
   check_wire_size(p);
-  const auto dp = decode_message<storage::PushMsg>(encode_message(p));
+  const auto dp = decode_message<storage::PushBatchMsg>(encode_message(p));
   EXPECT_EQ(dp.partition, 3u);
   EXPECT_EQ(dp.seq, 41u);
   EXPECT_EQ(dp.stable_time, p.stable_time);
-  ASSERT_EQ(dp.updates.size(), 1u);
-  EXPECT_EQ(dp.updates[0].value, "abc");
+  EXPECT_TRUE(dp.updates.empty());
 }
 
 TEST(MessageRoundTrip, StabilizationTreeMessages) {
@@ -329,21 +325,6 @@ TEST(MessageRoundTrip, CoalescedPushBatch) {
     EXPECT_EQ(db.updates[i].value, b.updates[i].value);
     EXPECT_EQ(db.updates[i].ts, b.updates[i].ts);
   }
-  // The batched frame drops the 8-byte per-update promise: for the same
-  // payload it is strictly smaller than the PushMsg framing.
-  storage::PushMsg plain;
-  plain.partition = b.partition;
-  plain.seq = b.seq;
-  plain.stable_time = b.stable_time;
-  for (const auto& u : b.updates) {
-    storage::VersionedValue v;
-    v.key = u.key;
-    v.value = u.value;
-    v.ts = u.ts;
-    v.promise = u.ts;
-    plain.updates.push_back(v);
-  }
-  EXPECT_EQ(encoded_size(b) + 8 * b.updates.size(), encoded_size(plain));
 }
 
 TEST(MessageRoundTrip, EventualStoreMessages) {
@@ -829,15 +810,6 @@ TEST(WireGolden, TccStorageMessages) {
   EXPECT_EQ(wire_hex(storage::GossipMsg{3, Timestamp(0x5a)}),
             "030000005a00000000000000");
 
-  storage::PushMsg push;
-  push.partition = 4;
-  push.seq = 0x5b;
-  push.stable_time = Timestamp(0x5c);
-  push.updates = {vv};
-  EXPECT_EQ(wire_hex(push),
-            "040000005b000000000000005c00000000000000010000000807060504030201"
-            "0300000078797a11000000000000001200000000000000");
-
   storage::PushUpdate pu{14, "u", Timestamp(0x5d)};
   EXPECT_EQ(wire_hex(pu), "0e0000000000000001000000755d00000000000000");
   storage::PushBatchMsg batch;
@@ -1234,11 +1206,6 @@ TEST(CorruptCount, StorageMessagesRejectHugeCounts) {
   expect_corrupt_counts_rejected(commit);
 
   expect_corrupt_counts_rejected(storage::SubscribeReq{{8, 9}, 1});
-
-  storage::PushMsg push;
-  push.updates = {storage::VersionedValue{10, "p", Timestamp(1),
-                                          Timestamp(2)}};
-  expect_corrupt_counts_rejected(push);
 
   storage::PushBatchMsg batch;
   batch.updates = {storage::PushUpdate{11, "b", Timestamp(3)}};

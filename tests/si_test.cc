@@ -62,8 +62,8 @@ class SiClusterTest : public ::testing::Test {
 
 TEST_F(SiClusterTest, NonConflictingCommitSucceeds) {
   run([&]() -> sim::Task<void> {
-    auto cts = co_await client_->commit_si(1, one_write(5, "v1"),
-                                           Timestamp::min(), Timestamp::max());
+    auto cts = co_await client_->commit(1, one_write(5, "v1"),
+                                        Timestamp::min(), Timestamp::max());
     EXPECT_TRUE(cts.has_value());
   });
 }
@@ -74,8 +74,8 @@ TEST_F(SiClusterTest, WriteAfterSnapshotConflicts) {
     const Timestamp t1 =
         *co_await client_->commit(1, one_write(5, "v1"), Timestamp::min());
     // T2's snapshot predates t1, so its write to key 5 must abort.
-    auto cts = co_await client_->commit_si(2, one_write(5, "v2"),
-                                           Timestamp::min(), t1.prev());
+    auto cts = co_await client_->commit(2, one_write(5, "v2"),
+                                        Timestamp::min(), t1.prev());
     EXPECT_FALSE(cts.has_value());
     // The version in the store is still T1's.
     const auto r = partitions_[5 % kPartitions]->store().read_at(
@@ -89,7 +89,7 @@ TEST_F(SiClusterTest, WriteBeforeSnapshotDoesNotConflict) {
     const Timestamp t1 =
         *co_await client_->commit(1, one_write(5, "v1"), Timestamp::min());
     auto cts =
-        co_await client_->commit_si(2, one_write(5, "v2"), t1, t1);
+        co_await client_->commit(2, one_write(5, "v2"), t1, t1);
     EXPECT_TRUE(cts.has_value());
   });
 }
@@ -100,10 +100,10 @@ TEST_F(SiClusterTest, ConcurrentPreparersFirstCommitterWins) {
     // prepare lock makes exactly one win, even though neither version is
     // installed when the other prepares.
     const Timestamp snapshot = partitions_[0]->stable_time();
-    auto t1 = client_->commit_si(10, one_write(5, "a"), Timestamp::min(),
-                                 snapshot);
-    auto t2 = client_->commit_si(11, one_write(5, "b"), Timestamp::min(),
-                                 snapshot);
+    auto t1 = client_->commit(10, one_write(5, "a"), Timestamp::min(),
+                              snapshot);
+    auto t2 = client_->commit(11, one_write(5, "b"), Timestamp::min(),
+                              snapshot);
     std::vector<sim::Task<std::optional<Timestamp>>> both;
     both.push_back(std::move(t1));
     both.push_back(std::move(t2));
@@ -117,10 +117,10 @@ TEST_F(SiClusterTest, ConcurrentPreparersFirstCommitterWins) {
 TEST_F(SiClusterTest, DisjointWriteSetsBothCommit) {
   run([&]() -> sim::Task<void> {
     const Timestamp snapshot = partitions_[0]->stable_time();
-    auto t1 = client_->commit_si(10, one_write(4, "a"), Timestamp::min(),
-                                 snapshot);
-    auto t2 = client_->commit_si(11, one_write(5, "b"), Timestamp::min(),
-                                 snapshot);
+    auto t1 = client_->commit(10, one_write(4, "a"), Timestamp::min(),
+                              snapshot);
+    auto t2 = client_->commit(11, one_write(5, "b"), Timestamp::min(),
+                              snapshot);
     std::vector<sim::Task<std::optional<Timestamp>>> both;
     both.push_back(std::move(t1));
     both.push_back(std::move(t2));
@@ -135,13 +135,13 @@ TEST_F(SiClusterTest, AbortReleasesLocksForLaterTxn) {
     const Timestamp t1 =
         *co_await client_->commit(1, one_write(5, "v1"), Timestamp::min());
     // Conflicting attempt aborts...
-    auto bad = co_await client_->commit_si(2, one_write(5, "v2"),
-                                           Timestamp::min(), t1.prev());
+    auto bad = co_await client_->commit(2, one_write(5, "v2"),
+                                        Timestamp::min(), t1.prev());
     EXPECT_FALSE(bad.has_value());
     // ... and a later transaction with a fresh snapshot succeeds (the
     // conflicting prepare must not have leaked a lock or a pending slot).
     auto good =
-        co_await client_->commit_si(3, one_write(5, "v3"), t1, t1);
+        co_await client_->commit(3, one_write(5, "v3"), t1, t1);
     EXPECT_TRUE(good.has_value());
   });
 }
@@ -150,8 +150,8 @@ TEST_F(SiClusterTest, AbortDoesNotWedgeStableTime) {
   run([&]() -> sim::Task<void> {
     const Timestamp t1 =
         *co_await client_->commit(1, one_write(5, "v1"), Timestamp::min());
-    auto bad = co_await client_->commit_si(2, one_write(5, "v2"),
-                                           Timestamp::min(), t1.prev());
+    auto bad = co_await client_->commit(2, one_write(5, "v2"),
+                                        Timestamp::min(), t1.prev());
     EXPECT_FALSE(bad.has_value());
     const Timestamp before = partitions_[0]->stable_time();
     co_await sim::sleep_for(loop_, milliseconds(50));
@@ -169,8 +169,8 @@ TEST_F(SiClusterTest, MultiPartitionConflictAbortsEverywhere) {
     std::vector<KeyValue> writes;
     writes.push_back(KeyValue{4, "a"});
     writes.push_back(KeyValue{5, "b"});
-    auto cts = co_await client_->commit_si(2, std::move(writes),
-                                           Timestamp::min(), t1.prev());
+    auto cts = co_await client_->commit(2, std::move(writes),
+                                        Timestamp::min(), t1.prev());
     EXPECT_FALSE(cts.has_value());
     EXPECT_EQ(partitions_[4 % kPartitions]
                   ->store()

@@ -1,7 +1,7 @@
 // Tree-aggregated stabilization: property tests for the k-ary safe-time
 // aggregation tree (stabilization_topology=tree) and the O(1) stable-time
 // tournament tree, plus small-cluster checks of the tree gossip round's
-// message budget and the coalesced push frame.
+// message budget and the push frame under faults.
 //
 // The lossy-channel harness here models exactly what the simulator's
 // network can do to tree traffic — loss, duplication, bounded reordering
@@ -308,7 +308,7 @@ TEST(StabilizerTree, LargerTagAdoptsMembershipBeforeAccepting) {
 }
 
 // ---------------------------------------------------------------------------
-// Small live clusters: message budget and coalesced pushes
+// Small live clusters: message budget and pushes under faults
 // ---------------------------------------------------------------------------
 
 harness::RunOutput run_spec_text(const std::string& text) {
@@ -345,7 +345,7 @@ TEST(StabilizerTree, MeshAndTreeAgreeOnCommittedWork) {
   std::snprintf(mesh_spec, sizeof(mesh_spec), base, "");
   std::snprintf(tree_spec, sizeof(tree_spec), base,
                 R"(, "tcc": {"stabilization_topology": "tree",
-                             "tree_fanout": 2, "push_coalescing": true})");
+                             "tree_fanout": 2})");
   const auto mesh = run_spec_text(mesh_spec);
   const auto tree = run_spec_text(tree_spec);
   // Same workload commits either way; the topology only changes freshness.

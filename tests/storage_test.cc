@@ -504,10 +504,10 @@ TEST_F(TccClusterTest, GcMakesOldSnapshotsUnreadable) {
 
 TEST_F(TccClusterTest, PushNotifiesSubscribedCache) {
   // Register a bare endpoint standing in for a cache.
-  std::vector<PushMsg> pushes;
+  std::vector<PushBatchMsg> pushes;
   net::RpcNode cache(net_, 60);
-  cache.handle_oneway(kTccPush, [&](Buffer b, net::Address) {
-    pushes.push_back(decode_message<PushMsg>(b));
+  cache.handle_oneway(kTccPushBatch, [&](Buffer b, net::Address) {
+    pushes.push_back(decode_message<PushBatchMsg>(b));
   });
   partitions_[5 % kPartitions]->add_subscriber(5, 60);
   run([&]() -> sim::Task<void> {
@@ -525,10 +525,10 @@ TEST_F(TccClusterTest, PushNotifiesSubscribedCache) {
 }
 
 TEST_F(TccClusterTest, EmptyPushesCarryStableTimeHeartbeat) {
-  std::vector<PushMsg> pushes;
+  std::vector<PushBatchMsg> pushes;
   net::RpcNode cache(net_, 60);
-  cache.handle_oneway(kTccPush, [&](Buffer b, net::Address) {
-    pushes.push_back(decode_message<PushMsg>(b));
+  cache.handle_oneway(kTccPushBatch, [&](Buffer b, net::Address) {
+    pushes.push_back(decode_message<PushBatchMsg>(b));
   });
   partitions_[0]->add_subscriber(0, 60);
   loop_.run_until(loop_.now() + milliseconds(200));
@@ -562,8 +562,8 @@ TEST(TccPartitionPush, ReachesSubscribersInAscendingAddressOrder) {
   for (net::Address a = 61; a <= 64; ++a) {
     caches.push_back(std::make_unique<net::RpcNode>(net, a));
     caches.back()->handle_oneway(
-        kTccPush, [&reached, a](Buffer b, net::Address) {
-          for (const auto& u : decode_message<PushMsg>(b).updates) {
+        kTccPushBatch, [&reached, a](Buffer b, net::Address) {
+          for (const auto& u : decode_message<PushBatchMsg>(b).updates) {
             if (u.key == 5) reached.push_back(a);
           }
         });
