@@ -63,7 +63,10 @@ sim::Task<CallOutcome<Resp>> call_epoch(net::RpcNode& rpc, net::Address to,
 // still shares a single address that actually changed — i.e. a leader
 // promotion landed.  The promoted follower inherits the dead leader's
 // resolved-txn table (replication frames and backfills both carry it), so
-// a re-sent commit dedups exactly as a retry at the old leader would.  A
+// a re-sent commit the leader applied dedups exactly as a retry at the old
+// leader would.  It does not inherit pending prepares: a re-sent commit
+// the leader never applied installs only above the follower's published
+// safe time and is refused otherwise (TccPartition::on_commit).  A
 // migration moves keys to a *different* slot whose owner has no such
 // record; that case keeps the historical abort semantics.
 bool reroute_batches(const TccTopology& topo,

@@ -536,6 +536,17 @@ sim::Task<Buffer> TccPartition::on_commit(Buffer req, net::Address) {
       q.commit_ts = clock_.tick(physical_now_us());
     }
   } else {
+    if (pending_by_txn_.count(q.txn) == 0 && q.commit_ts <= published_high_) {
+      // No prepare pinned our safe time below this timestamp, and we have
+      // already published past it: installing now would land a version
+      // under promises issued from that safe time.  This is the commit a
+      // coordinator re-sends at a promoted follower after the leader that
+      // held the prepare died (followers inherit resolved txns, not pending
+      // prepares).  Refuse without installing — the documented torn-abort
+      // class, as for a commit whose chains were handed away.
+      remember_resolved(q.txn, Timestamp::min());
+      co_return rpc_.encode(TccCommitResp{false, q.commit_ts});
+    }
     clock_.update(q.commit_ts, physical_now_us());
     release_locks(q.txn);
     resolve_pending(q.txn);
@@ -679,6 +690,7 @@ sim::Task<void> TccPartition::gossip_loop() {
       continue;
     }
     GossipMsg g{id_, published_safe()};
+    published_high_ = std::max(published_high_, g.safe_time);
     stabilizer_.on_gossip(id_, g.safe_time);
     uint64_t sent = 0;
     for (net::Address peer : all_partitions_) {
@@ -698,6 +710,7 @@ sim::Task<void> TccPartition::gossip_loop() {
 // cell-wide: one up and one down edge per parent/child pair.
 void TccPartition::tree_gossip_round() {
   const Timestamp safe = published_safe();
+  published_high_ = std::max(published_high_, safe);
   stabilizer_.on_gossip(id_, safe);
   const uint32_t membership = stabilizer_.membership_tag();
   const Timestamp fold = stabilizer_.fold_subtree_min(safe);

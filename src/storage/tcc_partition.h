@@ -305,6 +305,10 @@ class TccPartition {
   // horizon (well under a second), so oldest-first is the right order.
   std::unordered_map<TxnId, Timestamp> resolved_;
   std::deque<TxnId> resolved_order_;
+  // Highest safe time this instance gossiped (mesh or tree).  A
+  // coordinator-timestamped commit with no pending prepare here must not
+  // install at or below it: promises already rest on that safe time.
+  Timestamp published_high_ = Timestamp::min();
   void remember_resolved(TxnId txn, Timestamp ts);
   void expire_stale_prepares();
   // Snapshot Isolation: written keys locked by prepared-but-unresolved

@@ -488,6 +488,32 @@ TEST_F(TccClusterTest, PendingPrepareHoldsBackSafeTime) {
   });
 }
 
+TEST_F(TccClusterTest, UnpreparedCommitBelowPublishedSafeIsRefused) {
+  // A coordinator-timestamped commit reaching a partition that holds no
+  // prepare for it (the leader that held it died and a follower was
+  // promoted) must not install at or below a safe time the partition
+  // already gossiped: promises issued from that safe time would miss it.
+  run([&]() -> sim::Task<void> {
+    co_await sim::sleep_for(loop_, milliseconds(10));  // a few gossip rounds
+    const Timestamp published = partitions_[0]->stable_time();
+    EXPECT_GT(published, Timestamp::min());
+    TccCommitReq req;
+    req.txn = 78;
+    req.commit_ts = published;
+    req.dep_ts = Timestamp::min();
+    req.writes = one_write(0, "late");
+    const auto resp = co_await client_rpc_.call<TccCommitResp>(
+        partitions_[0]->address(), kTccCommit, req);
+    EXPECT_FALSE(resp.ok);
+    EXPECT_EQ(partitions_[0]->store().read_at(0, Timestamp::max()).version,
+              nullptr);
+    // The refusal is remembered: a retry is refused, not installed.
+    const auto retry = co_await client_rpc_.call<TccCommitResp>(
+        partitions_[0]->address(), kTccCommit, req);
+    EXPECT_FALSE(retry.ok);
+  });
+}
+
 TEST_F(TccClusterTest, GcMakesOldSnapshotsUnreadable) {
   run([&]() -> sim::Task<void> {
     TccPartitionParams params;  // defaults: 30 s window
