@@ -157,30 +157,37 @@ storage::EvTopology Cluster::ev_topology() const {
   return topo;
 }
 
+std::unique_ptr<storage::TccPartition> Cluster::make_tcc_partition(
+    net::Address addr, PartitionId id, const std::vector<net::Address>& all,
+    storage::TccPartitionParams tcc_params) {
+  // Residual NTP skew: each instance's physical clock is offset by a
+  // bounded random amount.
+  if (params_.clock_skew_us > 0) {
+    tcc_params.clock_offset_us =
+        static_cast<int64_t>(rng_.next_below(
+            2 * static_cast<uint64_t>(params_.clock_skew_us))) -
+        params_.clock_skew_us;
+  }
+  auto part = std::make_unique<storage::TccPartition>(
+      network_, addr, id, all, tcc_params, &tracer_, history_);
+  part->set_topo_service(kTopoAddr);
+  part->set_metrics(&metrics_);
+  topo_->add_listener(addr);
+  return part;
+}
+
 void Cluster::build_storage() {
   if (params_.system == SystemKind::kFaasTcc) {
     const auto topo = tcc_topology();
     for (size_t p = 0; p < params_.partitions; ++p) {
       auto tcc_params = params_.tcc;
-      // Residual NTP skew: each partition's physical clock is offset by a
-      // bounded random amount.
-      if (params_.clock_skew_us > 0) {
-        tcc_params.clock_offset_us =
-            static_cast<int64_t>(rng_.next_below(
-                2 * static_cast<uint64_t>(params_.clock_skew_us))) -
-            params_.clock_skew_us;
-      }
       if (p == 0 && params_.straggler_gossip_factor > 1) {
         tcc_params.gossip_period *= params_.straggler_gossip_factor;
       }
-      tcc_partitions_.push_back(std::make_unique<storage::TccPartition>(
-          network_, topo.partitions[p], static_cast<PartitionId>(p),
-          topo.partitions, tcc_params, &tracer_, history_));
-      auto& part = *tcc_partitions_.back();
-      part.set_routing(topo_->table());
-      part.set_topo_service(kTopoAddr);
-      part.set_metrics(&metrics_);
-      topo_->add_listener(part.address());
+      tcc_partitions_.push_back(
+          make_tcc_partition(topo.partitions[p], static_cast<PartitionId>(p),
+                             topo.partitions, tcc_params));
+      tcc_partitions_.back()->set_routing(topo_->table());
     }
     // Deferred joiners: constructed only when something can scale OUT —
     // a scheduled scale-out, or an autoscaler whose ceiling exceeds the
@@ -204,51 +211,30 @@ void Cluster::build_storage() {
         all.push_back(kPartitionBase + static_cast<net::Address>(old_n + i));
       }
       for (size_t i = 0; i < extra_partitions; ++i) {
-        auto tcc_params = params_.tcc;
-        if (params_.clock_skew_us > 0) {
-          tcc_params.clock_offset_us =
-              static_cast<int64_t>(rng_.next_below(
-                  2 * static_cast<uint64_t>(params_.clock_skew_us))) -
-              params_.clock_skew_us;
-        }
-        tcc_partitions_.push_back(std::make_unique<storage::TccPartition>(
-            network_, all[old_n + i], static_cast<PartitionId>(old_n + i),
-            all, tcc_params, &tracer_, history_));
-        auto& joiner = *tcc_partitions_.back();
-        joiner.defer_serving();
-        joiner.set_topo_service(kTopoAddr);
-        joiner.set_metrics(&metrics_);
-        topo_->add_listener(joiner.address());
+        tcc_partitions_.push_back(make_tcc_partition(
+            all[old_n + i], static_cast<PartitionId>(old_n + i), all,
+            params_.tcc));
+        tcc_partitions_.back()->defer_serving();
       }
     }
     // Followers: constructed only when replication is enabled, so the rng
     // stream (clock-skew draws) of unreplicated runs is untouched — same
     // gating discipline as the deferred joiners above.
     if (params_.replication.enabled()) {
+      auto tcc_params = params_.tcc;
+      tcc_params.repl_lease_timeout = params_.replication.lease_timeout;
       for (size_t p = 0; p < params_.partitions; ++p) {
         std::vector<net::Address> followers;
         for (size_t r = 0; r < params_.replication.factor; ++r) {
-          auto tcc_params = params_.tcc;
-          tcc_params.repl_lease_timeout = params_.replication.lease_timeout;
-          if (params_.clock_skew_us > 0) {
-            tcc_params.clock_offset_us =
-                static_cast<int64_t>(rng_.next_below(
-                    2 * static_cast<uint64_t>(params_.clock_skew_us))) -
-                params_.clock_skew_us;
-          }
           const net::Address addr = follower_address(p, r);
-          tcc_followers_.push_back(std::make_unique<storage::TccPartition>(
-              network_, addr, static_cast<PartitionId>(p), topo.partitions,
-              tcc_params, &tracer_, history_));
+          tcc_followers_.push_back(make_tcc_partition(
+              addr, static_cast<PartitionId>(p), topo.partitions, tcc_params));
           auto& follower = *tcc_followers_.back();
           // make_follower before set_routing: a follower adopting a table
           // that names it as leader promotes itself, and the role decides
           // that check.
           follower.make_follower(topo.partitions[p]);
           follower.set_routing(topo_->table());
-          follower.set_topo_service(kTopoAddr);
-          follower.set_metrics(&metrics_);
-          topo_->add_listener(addr);
           followers.push_back(addr);
         }
         tcc_partitions_[p]->set_followers(std::move(followers));

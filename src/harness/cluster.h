@@ -225,6 +225,12 @@ class Cluster {
 
  private:
   void build_storage();
+  // One TCC partition instance (leader, deferred joiner or follower) with
+  // the wiring every role shares; draws its clock skew from rng_, so
+  // instances draw in construction order.
+  std::unique_ptr<storage::TccPartition> make_tcc_partition(
+      net::Address addr, PartitionId id, const std::vector<net::Address>& all,
+      storage::TccPartitionParams tcc_params);
   void build_compute();
   void build_clients();
   void preload();
