@@ -34,10 +34,21 @@ TopologyService::TopologyService(net::Network& network, net::Address address,
               });
 }
 
+void TopologyService::set_gauges() {
+  if (metrics_ == nullptr) return;
+  auto& epoch = metrics_->counter("routing.epoch");
+  epoch.reset();
+  epoch.inc(table_->epoch);
+  auto& active = metrics_->counter("routing.active_partitions");
+  active.reset();
+  active.inc(table_->num_partitions());
+}
+
 void TopologyService::publish(TablePtr next) {
   assert(next != nullptr && next->epoch > table_->epoch);
   const TablePtr old = table_;
   table_ = std::move(next);
+  set_gauges();
   if (table_->num_partitions() < old->num_partitions()) {
     // Contraction: the dropped tail's leaders and followers leave the
     // broadcast set.  Skipping is shrink-only on purpose — a leader

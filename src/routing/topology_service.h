@@ -53,9 +53,14 @@ class TopologyService {
 
   // Addresses that receive kTopoUpdate one-ways on publish().
   void add_listener(net::Address a) { listeners_.push_back(a); }
-  // Optional metrics registry (routing.topo_update_skipped).  Lazy: runs
-  // that never retire a listener create no new entries.
-  void set_metrics(Metrics* m) { metrics_ = m; }
+  // Optional metrics registry.  The gauges routing.epoch and
+  // routing.active_partitions describe the current table from here on;
+  // routing.topo_update_skipped is lazy (runs that never retire a listener
+  // create no entry).
+  void set_metrics(Metrics* m) {
+    metrics_ = m;
+    set_gauges();
+  }
 
   // Installs `next` as the current table and broadcasts it.  Listeners
   // retired by a contraction (the dropped tail's leaders and followers)
@@ -64,6 +69,8 @@ class TopologyService {
   void publish(TablePtr next);
 
  private:
+  void set_gauges();
+
   net::RpcNode rpc_;
   TablePtr table_;
   std::vector<net::Address> listeners_;

@@ -83,12 +83,6 @@ sim::Task<void> ReconfigEngine::transition_to(routing::TablePtr next) {
   topo_.publish(next);
   if (metrics_ != nullptr) {
     metrics_->counter("routing.epoch_bumps").inc();
-    auto& ep = metrics_->counter("routing.epoch");
-    ep.reset();
-    ep.inc(next->epoch);
-    auto& ap = metrics_->counter("routing.active_partitions");
-    ap.reset();
-    ap.inc(new_n);
   }
 
   // Shepherd each (source, target) handoff: seal + extract the chains at

@@ -285,7 +285,8 @@ TEST(Autoscale, SpikeDrivesScaleOutThenInAndStaysClean) {
 }
 
 TEST(Autoscale, DisabledAutoscalerIsInert) {
-  // autoscale.max_partitions == 0: no engine, no scaler, no gauges.
+  // autoscale.max_partitions == 0: no engine, no scaler, and the routing
+  // gauges keep describing the initial table.
   ClusterParams p;
   p.system = SystemKind::kFaasTcc;
   p.partitions = 4;
@@ -298,7 +299,10 @@ TEST(Autoscale, DisabledAutoscalerIsInert) {
   EXPECT_EQ(cluster.reconfig(), nullptr);
   const RunResult r = cluster.run();
   EXPECT_GT(r.committed, 0u);
-  EXPECT_EQ(r.metrics.find_counter("routing.active_partitions"), nullptr);
+  EXPECT_EQ(cluster.metrics().counter("routing.active_partitions").value(),
+            4u);
+  EXPECT_EQ(cluster.metrics().counter("routing.epoch").value(), 1u);
+  EXPECT_EQ(r.metrics.find_counter("routing.epoch_bumps"), nullptr);
 }
 
 }  // namespace

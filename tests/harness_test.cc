@@ -2,6 +2,7 @@
 // table formatting.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 #include <string>
 #include <vector>
@@ -11,6 +12,26 @@
 
 namespace faastcc::harness {
 namespace {
+
+// The routing gauges describe the table a FaaSTCC cluster runs on from
+// the start, not only after its first reconfiguration.  The baselines
+// have no routing table and report 0.
+TEST(Summary, RoutingGaugesDescribeTheInitialTable) {
+  const char* spec = R"({"system": "%s",
+      "cluster": {"partitions": 6, "compute_nodes": 2, "clients": 2,
+                  "dags_per_client": 5},
+      "workload": {"num_keys": 200}})";
+  char text[256];
+  std::snprintf(text, sizeof(text), spec, "faastcc");
+  const RunOutput faastcc = run_one(spec_from_text(text));
+  EXPECT_GT(faastcc.result.committed, 0u);
+  EXPECT_DOUBLE_EQ(faastcc.summary.routing_active_partitions, 6);
+  EXPECT_DOUBLE_EQ(faastcc.summary.routing_epoch, 1);
+  std::snprintf(text, sizeof(text), spec, "hydrocache");
+  const RunOutput hydro = run_one(spec_from_text(text));
+  EXPECT_DOUBLE_EQ(hydro.summary.routing_active_partitions, 0);
+  EXPECT_DOUBLE_EQ(hydro.summary.routing_epoch, 0);
+}
 
 TEST(Summary, SummarizeExtractsPercentilesAndRates) {
   RunResult r;

@@ -111,6 +111,10 @@ TEST(Replication, LeaderKillPromotesFollowerWithAckedWritesDurable) {
     ASSERT_NE(followers[1]->routing_table(), nullptr);
     EXPECT_EQ(followers[1]->routing_table()->partitions[1],
               followers[1]->address());
+    // The routing.epoch gauge follows the promotion's bump.
+    const uint64_t epoch = cluster.topology_service()->table()->epoch;
+    EXPECT_GE(epoch, 2u);
+    EXPECT_EQ(cluster.metrics().counter("routing.epoch").value(), epoch);
   }
 }
 
