@@ -25,7 +25,7 @@ enum TccMethod : uint16_t {
   kTccSubscribe = 4,
   kTccUnsubscribe = 5,
   kTccGossip = 6,   // one-way: stabilization
-  // 7 is retired (the per-key pub/sub push); kTccPushBatch replaced it.
+  // 7 is retired (it was a per-key push frame); do not reuse it.
   kTccAbort = 8,    // releases prepares after an SI conflict
   // Elastic scale-out handoff (coordinator-driven, idempotent).
   kTccMigrateOut = 9,  // source: seal moved slots, extract their chains
