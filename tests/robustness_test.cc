@@ -433,5 +433,62 @@ TEST(CommitRetry, DedupWindowEvictsFifoNotWholesale) {
   });
 }
 
+TEST(CommitRetry, BackfillShipsResolvedWindowOldestFirstAfterWrap) {
+  // resolved_cap = 4 and six commits: the window has wrapped, and a
+  // backfill must ship the four newest resolutions oldest first — the
+  // order a follower replays them into its own FIFO window.  The follower
+  // is severed while the commits run, so the leader demotes it and
+  // re-syncs it by backfill once it is reachable again.
+  sim::EventLoop loop;
+  net::Network net(loop, net::NetworkParams{}, Rng(7));
+  net.set_default_rpc_timeout(milliseconds(5));
+  net.add_crash_window(net::CrashWindow{200, 0, seconds(1)});
+  net::RpcNode rpc(net, 50);
+  net::RpcNode follower(net, 200);
+  std::vector<std::vector<TxnId>> shipped;
+  follower.handle(storage::kTccReplInstall,
+                  [&](Buffer, net::Address) -> sim::Task<Buffer> {
+                    co_return follower.encode(storage::TccReplInstallResp{});
+                  });
+  follower.handle(storage::kTccReplSeal,
+                  [&](Buffer, net::Address) -> sim::Task<Buffer> {
+                    co_return follower.encode(storage::TccReplSealResp{});
+                  });
+  follower.handle(storage::kTccBackfill,
+                  [&](Buffer b, net::Address) -> sim::Task<Buffer> {
+                    const auto q = decode_message<storage::TccBackfillReq>(b);
+                    std::vector<TxnId> txns;
+                    for (const auto& t : q.resolved) txns.push_back(t.txn);
+                    shipped.push_back(std::move(txns));
+                    // Refused, so the leader keeps re-sending each beat.
+                    co_return follower.encode(storage::TccBackfillResp{false});
+                  });
+  storage::TccTopology topo;
+  topo.partitions = {100};
+  storage::TccPartitionParams params;
+  params.resolved_cap = 4;
+  storage::TccPartition part(net, 100, 0, topo.partitions, params);
+  part.set_followers({200});
+  storage::TccStorageClient client(rpc, topo);
+  part.start();
+
+  run_sim(loop, [&]() -> sim::Task<void> {
+    for (TxnId txn = 1; txn <= 6; ++txn) {
+      std::vector<storage::KeyValue> writes;
+      writes.push_back(storage::KeyValue{txn, "v"});
+      EXPECT_TRUE((co_await client.commit(txn, std::move(writes),
+                                          Timestamp::min()))
+                      .has_value());
+    }
+    // The replication stream's bounded retry gives up well inside the
+    // crash window, so the follower is demoted before it is reachable.
+    co_await sim::sleep_for(loop, seconds(2) - loop.now());
+  });
+  ASSERT_FALSE(shipped.empty());
+  for (const auto& txns : shipped) {
+    EXPECT_EQ(txns, (std::vector<TxnId>{3, 4, 5, 6}));
+  }
+}
+
 }  // namespace
 }  // namespace faastcc::harness
