@@ -2,7 +2,7 @@
 // order) and the storage layer's per-key subscriber lists.
 //
 // Entries sit in one contiguous vector of slots.  An open-addressing index
-// (linear probing over u32 slot numbers, power-of-two sized, at most half
+// (common/probe_index.h: linear probing over u32 slot numbers, at most half
 // full) finds a slot by key, and intrusive u32 prev/next links keep the
 // slots in recency order, most recent first.  A key therefore costs one
 // slot plus about two index words instead of the half-dozen heap nodes of
@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/probe_index.h"
 #include "common/types.h"
 
 namespace faastcc {
@@ -44,9 +45,9 @@ class KeyTable {
   // once, so inserting up to `n` keys neither reallocates nor rehashes.
   void reserve(size_t n) {
     slots_.reserve(n);
-    size_t cap = std::max<size_t>(index_.size(), 16);
+    size_t cap = std::max<size_t>(index_.capacity(), 16);
     while (cap < 2 * n) cap *= 2;
-    if (cap > index_.size()) rehash(cap);
+    if (cap > index_.capacity()) rehash(cap);
   }
 
   // Inserts `k` as the most recent entry, its value constructed from
@@ -57,12 +58,12 @@ class KeyTable {
     if (const uint32_t s = slot_of(k); s != kNil) {
       return {&slots_[s].value, false};
     }
-    if ((slots_.size() + 1) * 2 > index_.size()) {
-      rehash(index_.empty() ? 16 : index_.size() * 2);
+    if (index_.full_for(slots_.size())) {
+      rehash(index_.capacity() == 0 ? 16 : index_.capacity() * 2);
     }
     const auto s = static_cast<uint32_t>(slots_.size());
     slots_.push_back(Slot{k, kNil, kNil, V(std::forward<Args>(args)...)});
-    index_[free_pos(k)] = s + 1;
+    index_.insert(k, s);
     push_front(s);
     return {&slots_[s].value, true};
   }
@@ -83,25 +84,15 @@ class KeyTable {
 
   // Removes `k`; returns whether it was present.
   bool erase(Key k) {
-    size_t hole = pos_of(k);
+    const size_t hole = pos_of(k);
     if (hole == kNoPos) return false;
-    const uint32_t s = index_[hole] - 1;
+    const uint32_t s = index_.slot_at(hole);
     unlink(s);
-    // Backward-shift deletion: pull later entries of the probe run into the
-    // hole when the hole lies on their probe path, so lookups never need
-    // tombstones.
-    for (size_t j = (hole + 1) & mask_; index_[j] != 0; j = (j + 1) & mask_) {
-      const size_t home = home_of(slots_[index_[j] - 1].key);
-      if (((j - home) & mask_) >= ((j - hole) & mask_)) {
-        index_[hole] = index_[j];
-        hole = j;
-      }
-    }
-    index_[hole] = 0;
+    index_.erase_at(hole, [this](uint32_t slot) { return slots_[slot].key; });
     // Keep slots dense: the last slot moves into the freed one.
     const auto last = static_cast<uint32_t>(slots_.size() - 1);
     if (s != last) {
-      index_[pos_of(slots_[last].key)] = s + 1;
+      index_.set_slot(pos_of(slots_[last].key), s);
       slots_[s] = std::move(slots_[last]);
       const Slot& m = slots_[s];
       (m.prev == kNil ? head_ : slots_[m.prev].next) = s;
@@ -119,7 +110,7 @@ class KeyTable {
 
  private:
   static constexpr uint32_t kNil = UINT32_MAX;
-  static constexpr size_t kNoPos = SIZE_MAX;
+  static constexpr size_t kNoPos = detail::ProbeIndex::kNoPos;
 
   struct Slot {
     Key key;
@@ -128,43 +119,19 @@ class KeyTable {
     V value;
   };
 
-  // Fibonacci hashing: keys are dense small integers, so the multiply
-  // spreads neighbours across the index.
-  size_t home_of(Key k) const {
-    return static_cast<size_t>((k * 0x9E3779B97F4A7C15ull) >> shift_);
-  }
-
-  // Index position holding `k`, or kNoPos.
+  // Index position holding `k`, or kNoPos.  Keys hash to themselves.
   size_t pos_of(Key k) const {
-    if (index_.empty()) return kNoPos;
-    for (size_t i = home_of(k);; i = (i + 1) & mask_) {
-      const uint32_t e = index_[i];
-      if (e == 0) return kNoPos;
-      if (slots_[e - 1].key == k) return i;
-    }
+    return index_.find(k, [&](uint32_t s) { return slots_[s].key == k; });
   }
 
   uint32_t slot_of(Key k) const {
     const size_t pos = pos_of(k);
-    return pos == kNoPos ? kNil : index_[pos] - 1;
+    return pos == kNoPos ? kNil : index_.slot_at(pos);
   }
 
-  // First empty index position on `k`'s probe path.
-  size_t free_pos(Key k) const {
-    size_t i = home_of(k);
-    while (index_[i] != 0) i = (i + 1) & mask_;
-    return i;
-  }
-
-  // Rebuilds the index at `cap` (a power of two) positions.
   void rehash(size_t cap) {
-    index_.assign(cap, 0);
-    mask_ = cap - 1;
-    shift_ = 64;
-    for (size_t c = cap; c > 1; c >>= 1) --shift_;
-    for (uint32_t s = 0; s < slots_.size(); ++s) {
-      index_[free_pos(slots_[s].key)] = s + 1;
-    }
+    index_.rehash(cap, static_cast<uint32_t>(slots_.size()),
+                  [this](uint32_t s) { return slots_[s].key; });
   }
 
   void unlink(uint32_t s) {
@@ -182,10 +149,7 @@ class KeyTable {
   }
 
   std::vector<Slot> slots_;
-  // Slot number + 1 per position; 0 = empty.
-  std::vector<uint32_t> index_;
-  size_t mask_ = 0;
-  unsigned shift_ = 64;
+  detail::ProbeIndex index_;
   uint32_t head_ = kNil;  // most recent
   uint32_t tail_ = kNil;  // least recent
 };

@@ -344,7 +344,7 @@ struct Wire<std::string> : WireBlob {
 
 template <>
 struct Wire<Value> : WireBlob {
-  static Value get(BufReader& r) { return r.get_bytes(); }
+  static Value get(BufReader& r) { return Value(r.get_bytes_view()); }
 };
 
 template <>

@@ -2,11 +2,14 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
-#include <memory>
+#include <new>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace faastcc {
 
@@ -39,26 +42,54 @@ using Key = uint64_t;
 // a refcount instead of deep-copying the bytes, so a payload travelling
 // mv_store -> partition -> cache -> client is allocated once.  The
 // string-like read surface (size/empty/view/iteration/comparison) is what
-// the codec and the byte-accounting paths consume — `size()` is the same
-// number as before, so Fig. 5/7/8 wire and cache byte counts are
-// unaffected.  An empty value holds no allocation at all.
+// the codec and the byte-accounting paths consume, so Fig. 5/7/8 wire and
+// cache byte counts are unaffected.
+//
+// A Value is one pointer to a single heap block {refs, size, bytes...}
+// allocated with ::operator new, so a cached or stored version costs one
+// word plus one block.  An empty value holds no allocation at all.  The
+// count is a plain integer, not an atomic: the simulation runs on one
+// thread, and tcc_sweep runs cells in forked processes, not threads.
 class Value {
  public:
   Value() = default;
-  Value(std::string s)  // NOLINT(google-explicit-constructor)
-      : data_(s.empty() ? nullptr
-                        : std::make_shared<const std::string>(std::move(s))) {}
   Value(std::string_view s)  // NOLINT(google-explicit-constructor)
-      : Value(std::string(s)) {}
+      : rep_(allocate(s.size())) {
+    if (rep_ != nullptr) std::memcpy(bytes(), s.data(), s.size());
+  }
+  Value(const std::string& s)  // NOLINT(google-explicit-constructor)
+      : Value(std::string_view(s)) {}
   Value(const char* s)  // NOLINT(google-explicit-constructor)
-      : Value(std::string(s)) {}
-  Value(size_t count, char fill) : Value(std::string(count, fill)) {}
+      : Value(std::string_view(s)) {}
+  Value(size_t count, char fill) : rep_(allocate(count)) {
+    if (rep_ != nullptr) std::memset(bytes(), fill, count);
+  }
 
-  size_t size() const { return data_ ? data_->size() : 0; }
-  bool empty() const { return data_ == nullptr || data_->empty(); }
+  Value(const Value& o) noexcept : rep_(o.rep_) {
+    if (rep_ != nullptr) ++rep_->refs;
+  }
+  Value(Value&& o) noexcept : rep_(std::exchange(o.rep_, nullptr)) {}
+  // Both assignments go through a temporary, so self-assignment and
+  // self-move leave the value intact.
+  Value& operator=(const Value& o) noexcept {
+    Value(o).swap(*this);
+    return *this;
+  }
+  Value& operator=(Value&& o) noexcept {
+    Value(std::move(o)).swap(*this);
+    return *this;
+  }
+  ~Value() {
+    if (rep_ != nullptr && --rep_->refs == 0) ::operator delete(rep_);
+  }
+  void swap(Value& o) noexcept { std::swap(rep_, o.rep_); }
+
+  size_t size() const { return rep_ != nullptr ? rep_->size : 0; }
+  bool empty() const { return rep_ == nullptr; }
 
   std::string_view view() const {
-    return data_ ? std::string_view(*data_) : std::string_view();
+    return rep_ != nullptr ? std::string_view(bytes(), rep_->size)
+                           : std::string_view();
   }
   operator std::string_view() const { return view(); }  // NOLINT
   const char* data() const { return view().data(); }
@@ -68,7 +99,7 @@ class Value {
   char operator[](size_t i) const { return view()[i]; }
 
   friend bool operator==(const Value& a, const Value& b) {
-    return a.data_ == b.data_ || a.view() == b.view();
+    return a.rep_ == b.rep_ || a.view() == b.view();
   }
   friend bool operator==(const Value& a, std::string_view b) {
     return a.view() == b;
@@ -87,8 +118,26 @@ class Value {
   }
 
  private:
-  std::shared_ptr<const std::string> data_;
+  // The block header; the bytes follow it directly.
+  struct Rep {
+    uint32_t refs;
+    uint32_t size;
+  };
+
+  // One block for `n` bytes with a count of one; nullptr for n == 0.
+  static Rep* allocate(size_t n) {
+    if (n == 0) return nullptr;
+    if (n > std::numeric_limits<uint32_t>::max()) {
+      throw std::length_error("Value larger than 4 GiB");
+    }
+    return ::new (::operator new(sizeof(Rep) + n))
+        Rep{1, static_cast<uint32_t>(n)};
+  }
+  char* bytes() const { return reinterpret_cast<char*>(rep_ + 1); }
+
+  Rep* rep_ = nullptr;
 };
+static_assert(sizeof(Value) == sizeof(void*));
 
 // Unique id of one DAG execution (== one transaction attempt).
 using TxnId = uint64_t;

@@ -19,7 +19,9 @@ ComputeNode::ComputeNode(net::Network& network, net::Address self,
       params_(params),
       metrics_(metrics),
       tracer_(tracer),
-      ready_(network.loop()) {
+      ready_(network.loop()),
+      executed_(params_.executed_dedup_cap),
+      aborted_(params_.aborted_dedup_cap) {
   rpc_.handle_oneway(kTrigger, [this](Buffer b, net::Address from) {
     on_trigger(std::move(b), from);
   });
@@ -66,12 +68,12 @@ void ComputeNode::on_trigger(Buffer msg, net::Address) {
       std::make_shared<const Buffer>(std::move(msg)));
   counters_.triggers.inc();
   gc_stale_joins();
-  if (aborted_.count(t.txn_id) != 0) {
+  if (aborted_.contains(t.txn_id)) {
     counters_.stale_triggers_dropped.inc();
     return;
   }
   const JoinKey key{t.txn_id, t.fn_index};
-  if (executed_.count(key) != 0) {
+  if (executed_.contains(key)) {
     // A duplicated trigger for a function this node already ran (or
     // enqueued).  Executing it again would re-read at a different snapshot
     // and race the ghost's divergent writes against the real commit.
@@ -80,7 +82,7 @@ void ComputeNode::on_trigger(Buffer msg, net::Address) {
   }
   const uint32_t parents = t.spec.parents_of(t.fn_index);
   if (parents <= 1) {
-    mark_executed(key);
+    executed_.insert(key);
     Work w;
     std::vector<Payload> ctxs;
     if (parents == 1) ctxs.push_back(std::move(t.context));
@@ -106,7 +108,7 @@ void ComputeNode::on_trigger(Buffer msg, net::Address) {
   }
   if (state.contexts.size() < parents) return;
   counters_.joins_merged.inc();
-  mark_executed(key);
+  executed_.insert(key);
   Work w;
   w.trigger = std::move(state.first);
   w.parent_contexts = std::move(state.contexts);
@@ -116,30 +118,10 @@ void ComputeNode::on_trigger(Buffer msg, net::Address) {
   ready_.push(std::move(w));
 }
 
-void ComputeNode::mark_executed(const JoinKey& key) {
-  if (!executed_.insert(key).second) return;
-  executed_order_.push_back(key);
-  while (executed_order_.size() > params_.executed_dedup_cap) {
-    executed_.erase(executed_order_.front());
-    executed_order_.pop_front();
-  }
-}
-
-void ComputeNode::mark_aborted(TxnId txn) {
-  if (!aborted_.insert(txn).second) return;
-  aborted_order_.push_back(txn);
-  // Bound the tombstones oldest-first: a wholesale clear would forget the
-  // transactions that just aborted, whose stragglers are still in flight.
-  while (aborted_order_.size() > params_.aborted_dedup_cap) {
-    aborted_.erase(aborted_order_.front());
-    aborted_order_.pop_front();
-  }
-}
-
 void ComputeNode::on_abort_notice(Buffer msg, net::Address) {
   const AbortNoticeMsg n = decode_message<AbortNoticeMsg>(msg);
   rpc_.recycle(std::move(msg));
-  mark_aborted(n.txn_id);
+  aborted_.insert(n.txn_id);
   // Drop any half-assembled joins of the aborted transaction.
   joins_.erase(joins_.lower_bound(JoinKey{n.txn_id, 0}),
                joins_.upper_bound(JoinKey{n.txn_id, UINT32_MAX}));
@@ -154,7 +136,7 @@ sim::Task<void> ComputeNode::executor_loop() {
 
 void ComputeNode::send_abort(const TriggerMsg& t) {
   counters_.aborts_raised.inc();
-  mark_aborted(t.txn_id);
+  aborted_.insert(t.txn_id);
   DagDoneMsg done;
   done.txn_id = t.txn_id;
   done.committed = false;
@@ -171,7 +153,7 @@ void ComputeNode::send_abort(const TriggerMsg& t) {
 
 sim::Task<void> ComputeNode::execute(Work work) {
   const TriggerMsg& t = work.trigger;
-  if (aborted_.count(t.txn_id) != 0) {
+  if (aborted_.contains(t.txn_id)) {
     counters_.stale_triggers_dropped.inc();
     co_return;
   }
@@ -263,7 +245,7 @@ sim::Task<void> ComputeNode::execute(Work work) {
       done.session = std::move(*session);
       done.result = std::move(result);
     } else {
-      mark_aborted(t.txn_id);
+      aborted_.insert(t.txn_id);
       counters_.aborts_raised.inc();
     }
     rpc_.send(t.client, kDagDone, done, ctx);

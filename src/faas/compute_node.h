@@ -4,13 +4,12 @@
 // system's client library, and forwards context + results downstream.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "client/txn.h"
+#include "common/fifo_window.h"
 #include "common/metrics.h"
 #include "faas/function_registry.h"
 #include "faas/messages.h"
@@ -122,14 +121,12 @@ class ComputeNode {
   // execution re-reads at a different snapshot and races its divergent
   // writes against the real commit.  FIFO window, same idiom as the
   // partition's resolved-transaction dedup.
-  void mark_executed(const JoinKey& key);
-  std::unordered_set<JoinKey, JoinKeyHash> executed_;
-  std::deque<JoinKey> executed_order_;
+  FifoWindow<JoinKey, NoValue, JoinKeyHash> executed_;
   // Transactions known to have aborted; late triggers are dropped.  FIFO
-  // window of aborted_dedup_cap tombstones.
-  void mark_aborted(TxnId txn);
-  std::unordered_set<TxnId> aborted_;
-  std::deque<TxnId> aborted_order_;
+  // window of aborted_dedup_cap tombstones: a wholesale clear would forget
+  // the transactions that just aborted, whose stragglers are still in
+  // flight.
+  FifoWindow<TxnId> aborted_;
   Counters counters_;
 };
 

@@ -14,7 +14,8 @@ Scheduler::Scheduler(net::Network& network, net::Address self,
       nodes_(std::move(nodes)),
       params_(params),
       rng_(rng),
-      tracer_(tracer) {
+      tracer_(tracer),
+      started_(params_.start_dedup_cap) {
   assert(!nodes_.empty());
   rpc_.handle_oneway(kStartDag, [this](Buffer b, net::Address from) {
     on_start(std::move(b), from);
@@ -33,16 +34,11 @@ void Scheduler::on_start(Buffer msg, net::Address) {
   // (txn, fn) dedup on the compute nodes could not catch it: the ghost
   // root would reopen at SI_root and re-read at a different snapshot under
   // the same transaction id.
-  if (started_.count(start.txn_id) != 0) {
+  if (started_.contains(start.txn_id)) {
     dup_starts_dropped_.inc();
     return;
   }
   started_.insert(start.txn_id);
-  started_order_.push_back(start.txn_id);
-  while (started_order_.size() > params_.start_dedup_cap) {
-    started_.erase(started_order_.front());
-    started_order_.pop_front();
-  }
   sim::spawn(dispatch(std::move(start), rpc_.inbound_trace()));
 }
 

@@ -4,10 +4,9 @@
 // provide uniform-random and round-robin placement.
 #pragma once
 
-#include <deque>
-#include <unordered_set>
 #include <vector>
 
+#include "common/fifo_window.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "faas/messages.h"
@@ -51,8 +50,7 @@ class Scheduler {
   Counter dup_starts_dropped_;
   // At-most-once dispatch per transaction id (FIFO window, same idiom as
   // the compute nodes' executed-(txn, fn) window).
-  std::unordered_set<TxnId> started_;
-  std::deque<TxnId> started_order_;
+  FifoWindow<TxnId> started_;
 };
 
 }  // namespace faastcc::faas

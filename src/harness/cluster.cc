@@ -458,6 +458,8 @@ void Cluster::prewarm() {
           k, cache->address());
     }
   }
+  for (auto& p : tcc_partitions_) p->shrink_subscribers();
+  for (auto& r : ev_replicas_) r->shrink_subscribers();
 }
 
 RunResult Cluster::run_clients() {

@@ -71,6 +71,8 @@ class EvReplica {
   void add_subscriber(Key k, net::Address cache) {
     subscribers_.add(k, cache);
   }
+  // Trims the subscriber lists once the setup path is done adding.
+  void shrink_subscribers() { subscribers_.shrink_to_fit(); }
 
  private:
   sim::Task<Buffer> on_get(Buffer req, net::Address from);

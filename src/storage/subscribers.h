@@ -38,6 +38,14 @@ class SubscriberTable {
   // `k`'s subscribers in ascending address order; nullptr when none.
   const std::vector<net::Address>* find(Key k) const { return keys_.find(k); }
 
+  // Trims every list to its size.  A list built one add at a time (the
+  // prewarm path) otherwise keeps up to twice the capacity it needs.
+  void shrink_to_fit() {
+    keys_.for_each([](Key, std::vector<net::Address>& subs) {
+      subs.shrink_to_fit();
+    });
+  }
+
  private:
   KeyTable<std::vector<net::Address>> keys_;
 };

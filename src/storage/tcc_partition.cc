@@ -25,6 +25,7 @@ TccPartition::TccPartition(net::Network& network, net::Address self,
                   static_cast<uint32_t>(params.tree_fanout < 1
                                             ? 1
                                             : params.tree_fanout)),
+      resolved_(params.resolved_cap),
       oracle_(oracle) {
   rpc_.handle(kTccRead, [this](Buffer b, net::Address from) {
     return on_read(std::move(b), from);
@@ -378,20 +379,8 @@ void TccPartition::resolve_pending(TxnId txn) {
 }
 
 void TccPartition::remember_resolved(TxnId txn, Timestamp ts) {
-  auto [it, inserted] = resolved_.try_emplace(txn, ts);
-  if (!inserted) {
-    it->second = ts;
-    return;
-  }
-  resolved_order_.push_back(txn);
-  // FIFO eviction of the oldest entries only: a wholesale clear would also
-  // forget *recent* transactions, and a commit retry landing just after
-  // the clear would re-install its writes — on the fast path minting a
-  // second version at a fresh timestamp.
-  while (resolved_order_.size() > params_.resolved_cap) {
-    resolved_.erase(resolved_order_.front());
-    resolved_order_.pop_front();
-  }
+  // A re-resolved transaction keeps its place in the window.
+  if (Timestamp* e = resolved_.insert(txn, ts)) *e = ts;
 }
 
 void TccPartition::expire_stale_prepares() {
@@ -434,7 +423,7 @@ sim::Task<Buffer> TccPartition::on_prepare(Buffer req, net::Address) {
     resp.prepare_ts = it->second.ts;
     co_return rpc_.encode(resp);
   }
-  if (resolved_.count(q.txn) != 0) {
+  if (resolved_.contains(q.txn)) {
     // The transaction already committed or aborted here; a late duplicate
     // must not re-pin the safe time.  The coordinator has moved on, so the
     // refusal is never acted upon.
@@ -496,7 +485,7 @@ sim::Task<Buffer> TccPartition::on_commit(Buffer req, net::Address) {
       rpc_.loop(), params_.request_cpu + params_.per_key_cpu *
                                              static_cast<Duration>(
                                                  q.writes.size()));
-  if (auto rc = resolved_.find(q.txn); rc != resolved_.end()) {
+  if (const Timestamp* rc = resolved_.find(q.txn)) {
     // Duplicated delivery or timed-out retry of a commit already applied
     // here (or of a transaction expired/aborted meanwhile).  Answer with
     // the recorded timestamp; re-installing would mint a second version on
@@ -506,9 +495,9 @@ sim::Task<Buffer> TccPartition::on_commit(Buffer req, net::Address) {
     // refused (the coordinator then reports the abort to the client).
     counters_.duplicate_commits.inc();
     const bool ok =
-        rc->second != Timestamp::min() || params_.chaos_ack_expired_commit;
+        *rc != Timestamp::min() || params_.chaos_ack_expired_commit;
     co_return rpc_.encode(TccCommitResp{
-        ok, rc->second == Timestamp::min() ? q.commit_ts : rc->second});
+        ok, *rc == Timestamp::min() ? q.commit_ts : *rc});
   }
   // Ownership recheck after the sleep: the written chains may have been
   // handed to another partition while this commit was in flight.  Refuse
@@ -1036,12 +1025,10 @@ sim::Task<void> TccPartition::backfill_one(net::Address follower) {
   // after it (it would resurrect chains the shrink drained away).  0 when
   // no table is installed — the receiver treats that as unfenced.
   req.epoch = table_ != nullptr ? table_->epoch : 0;
-  req.resolved.reserve(resolved_order_.size());
-  for (TxnId t : resolved_order_) {
-    if (auto it = resolved_.find(t); it != resolved_.end()) {
-      req.resolved.push_back(ResolvedTxn{t, it->second});
-    }
-  }
+  req.resolved.reserve(resolved_.size());
+  resolved_.for_each([&](TxnId t, Timestamp ts) {
+    req.resolved.push_back(ResolvedTxn{t, ts});
+  });
   const auto snap = store_.snapshot_chains();
   req.chains.reserve(snap.size());
   for (const auto& [key, versions] : snap) {

@@ -13,7 +13,6 @@
 //     every `push_period` (the paper's 50 ms cache refresh period).
 #pragma once
 
-#include <deque>
 #include <map>
 #include <set>
 #include <unordered_map>
@@ -21,6 +20,7 @@
 #include <vector>
 
 #include "check/history.h"
+#include "common/fifo_window.h"
 #include "common/hlc.h"
 #include "common/metrics.h"
 #include "common/rng.h"
@@ -167,6 +167,8 @@ class TccPartition {
       }
     }
   }
+  // Trims the subscriber lists once the setup path is done adding.
+  void shrink_subscribers() { subscribers_.shrink_to_fit(); }
 
   struct Counters {
     Counter reads;
@@ -302,9 +304,11 @@ class TccPartition {
   // answered from here instead of re-pinning the safe time or re-installing
   // versions.  Bounded to params_.resolved_cap by FIFO eviction of the
   // oldest entries — entries only matter within the coordinator's retry
-  // horizon (well under a second), so oldest-first is the right order.
-  std::unordered_map<TxnId, Timestamp> resolved_;
-  std::deque<TxnId> resolved_order_;
+  // horizon (well under a second), so oldest-first is the right order.  A
+  // wholesale clear would also forget *recent* transactions, and a commit
+  // retry landing just after it would re-install its writes — on the fast
+  // path minting a second version at a fresh timestamp.
+  FifoWindow<TxnId, Timestamp> resolved_;
   // Highest safe time this instance gossiped (mesh or tree).  A
   // coordinator-timestamped commit with no pending prepare here must not
   // install at or below it: promises already rest on that safe time.

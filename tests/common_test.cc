@@ -1,20 +1,46 @@
 // Unit tests for the common module: timestamps, HLC, codec, RNG, Zipf,
-// statistics, the keyed slab table.
+// statistics, values, the keyed slab table and the FIFO window.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <deque>
 #include <list>
+#include <new>
 #include <set>
+#include <sstream>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
+#include "common/fifo_window.h"
 #include "common/hlc.h"
 #include "common/key_table.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "common/stats.h"
 #include "common/zipf.h"
+
+// ---- counting allocator ---------------------------------------------------
+// The Value tests count global allocations; every other operator new form
+// forwards to this one.
+namespace {
+uint64_t g_allocs = 0;
+}  // namespace
+
+// Out of line, so GCC sees operator new/delete pairs rather than malloc and
+// free inlined into a Value destructor, where -Wuse-after-free cannot
+// follow the shared count.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace faastcc {
 namespace {
@@ -491,6 +517,231 @@ TEST(KeyTable, ReserveSizesForAPrewarmWithoutMovingSlots) {
   table.reserve(10);  // never shrinks
   EXPECT_EQ(table.find(0), first);
   EXPECT_EQ(table.size(), n);
+}
+
+// ---------------------------------------------------------------------------
+// Value
+// ---------------------------------------------------------------------------
+
+TEST(Value, CopyAliasesTheBytesAndMoveEmptiesTheSource) {
+  Value a("a payload longer than any small-string buffer");
+  const Value b = a;
+  EXPECT_EQ(a.data(), b.data());
+  EXPECT_EQ(a, b);
+  Value c = std::move(a);
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c.data(), b.data());
+  Value d;
+  d = std::move(c);
+  EXPECT_TRUE(c.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(d.data(), b.data());
+}
+
+TEST(Value, SelfAssignmentAndSelfMoveKeepTheValue) {
+  Value v("payload");
+  const char* bytes = v.data();
+  Value& alias = v;
+  v = alias;
+  EXPECT_EQ(v.data(), bytes);
+  EXPECT_EQ(v, "payload");
+  v = std::move(alias);
+  EXPECT_EQ(v.data(), bytes);
+  EXPECT_EQ(v, "payload");
+}
+
+TEST(Value, EmptyValuesAllocateNothing) {
+  const uint64_t before = g_allocs;
+  const Value a;
+  const Value b("");
+  const Value c(std::string_view{});
+  const Value d(0, 'x');
+  Value e = a;
+  e = b;
+  EXPECT_EQ(g_allocs, before);
+  EXPECT_TRUE(a.empty() && b.empty() && c.empty() && d.empty() && e.empty());
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_EQ(a, b);
+}
+
+TEST(Value, OneAllocationPerValueAndNoneToCopy) {
+  uint64_t before = g_allocs;
+  const Value v(8, 'x');
+  EXPECT_EQ(g_allocs, before + 1);
+  EXPECT_EQ(v, "xxxxxxxx");
+
+  before = g_allocs;
+  const Value copy = v;
+  EXPECT_EQ(g_allocs, before);
+
+  // Decoding builds the value straight from the wire bytes: one block,
+  // whatever the size (a std::string temporary would add a second one
+  // above its small-string size).
+  for (const size_t n : {size_t{8}, size_t{200}}) {
+    BufWriter w;
+    w.put_bytes(std::string(n, 'y'));
+    const Buffer buf = w.take();
+    BufReader r(buf);
+    before = g_allocs;
+    const Value d = decode_from<Value>(r);
+    EXPECT_EQ(g_allocs, before + 1) << n << "-byte value";
+    EXPECT_EQ(d.size(), n);
+    EXPECT_EQ(d[n - 1], 'y');
+  }
+}
+
+TEST(Value, ReadSurfaceMatchesTheBytes) {
+  const std::string s = "abc def";
+  const Value v(s);
+  EXPECT_EQ(v.size(), s.size());
+  EXPECT_EQ(v.view(), s);
+  EXPECT_EQ(std::string(v.begin(), v.end()), s);
+  EXPECT_EQ(v[4], 'd');
+  EXPECT_EQ(v, s);
+  EXPECT_FALSE(v == Value("abc"));
+  EXPECT_EQ(Value(std::string_view("xy")), Value("xy"));
+  std::ostringstream os;
+  os << Value("printed");
+  EXPECT_EQ(os.str(), "printed");
+}
+
+TEST(Value, SizeAboveFourGibibytesThrows) {
+  // The size is checked before the block is allocated, so nothing near
+  // 4 GiB is ever requested.
+  EXPECT_THROW(Value(size_t{1} << 32, 'x'), std::length_error);
+}
+
+// ---------------------------------------------------------------------------
+// FifoWindow
+// ---------------------------------------------------------------------------
+
+// A (txn, fn) pair hashed as the compute nodes hash theirs, so distinct
+// keys can share one hash: (t, f + 1000003) and (t + 1, f) collide.
+struct PairKey {
+  uint64_t txn;
+  uint64_t fn;
+  bool operator==(const PairKey&) const = default;
+};
+struct PairKeyHash {
+  size_t operator()(const PairKey& k) const { return k.txn * 1000003 + k.fn; }
+};
+struct PairKeyStdHash {
+  size_t operator()(const PairKey& k) const {
+    return std::hash<uint64_t>()(k.txn) * 31 + k.fn;
+  }
+};
+
+// The window against the structures it replaced: an unordered_map for the
+// values and a deque of keys in insertion order.
+class FifoWindowReference : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(FifoWindowReference, MatchesUnorderedMapAndDeque) {
+  const size_t cap = GetParam();
+  Rng rng(cap + 17);
+  FifoWindow<PairKey, uint64_t, PairKeyHash> window(cap);
+  std::unordered_map<PairKey, uint64_t, PairKeyStdHash> ref;
+  std::deque<PairKey> ref_order;
+  // A key space a few times the capacity; a quarter of the draws pick
+  // the colliding partner of a small key.
+  const uint64_t key_space = 3 * cap + 8;
+  size_t collisions_inserted = 0;
+  for (int step = 0; step < 20000; ++step) {
+    PairKey k{rng.next_u64() % key_space, rng.next_u64() % 3};
+    if (rng.next_u64() % 4 == 0) {
+      k = PairKey{k.txn + 1, k.fn + 1000003};
+      ++collisions_inserted;
+    }
+    const uint64_t v = rng.next_u64();
+    switch (rng.next_u64() % 3) {
+      case 0: {  // insert; a present key keeps its value and place
+        uint64_t* got = window.insert(k, v);
+        if (cap == 0) {
+          ASSERT_EQ(got, nullptr);
+          break;
+        }
+        if (ref.emplace(k, v).second) {
+          ref_order.push_back(k);
+          if (ref_order.size() > cap) {
+            ref.erase(ref_order.front());
+            ref_order.pop_front();
+          }
+        }
+        ASSERT_NE(got, nullptr);
+        ASSERT_EQ(*got, ref.at(k));
+        break;
+      }
+      case 1: {  // insert-or-update, as the resolved window does
+        uint64_t* got = window.insert(k, v);
+        if (cap == 0) break;
+        *got = v;
+        if (ref.emplace(k, v).second) {
+          ref_order.push_back(k);
+          if (ref_order.size() > cap) {
+            ref.erase(ref_order.front());
+            ref_order.pop_front();
+          }
+        } else {
+          ref.at(k) = v;
+        }
+        break;
+      }
+      default:  // lookup only
+        break;
+    }
+    ASSERT_EQ(window.size(), ref.size());
+    ASSERT_EQ(window.contains(k), ref.count(k) != 0);
+    const uint64_t* got = window.find(k);
+    ASSERT_EQ(got != nullptr, ref.count(k) != 0);
+    if (got != nullptr) {
+      ASSERT_EQ(*got, ref.at(k));
+    }
+    if (step % 997 == 0 || step == 19999) {
+      std::vector<PairKey> order;
+      window.for_each([&](const PairKey& key, uint64_t value) {
+        order.push_back(key);
+        ASSERT_EQ(value, ref.at(key));
+      });
+      ASSERT_EQ(order, std::vector<PairKey>(ref_order.begin(), ref_order.end()));
+    }
+  }
+  EXPECT_LE(window.size(), cap);
+  EXPECT_GT(collisions_inserted, 1000u);
+  // Every remembered key is still findable through its colliding runs.
+  for (const auto& [key, value] : ref) ASSERT_EQ(*window.find(key), value);
+}
+
+INSTANTIATE_TEST_SUITE_P(Caps, FifoWindowReference,
+                         ::testing::Values(0, 1, 2, 7, 64, 1000));
+
+TEST(FifoWindow, ForEachIsOldestFirstAfterSeveralWraps) {
+  FifoWindow<TxnId> window(5);
+  for (TxnId t = 0; t < 23; ++t) window.insert(t);  // four wraps and a bit
+  std::vector<TxnId> order;
+  window.for_each([&](TxnId t, NoValue) { order.push_back(t); });
+  EXPECT_EQ(order, (std::vector<TxnId>{18, 19, 20, 21, 22}));
+  EXPECT_FALSE(window.contains(17));
+}
+
+TEST(FifoWindow, ReinsertingAPresentKeyKeepsItsPlace) {
+  FifoWindow<TxnId, uint64_t> window(3);
+  window.insert(1, 10);
+  window.insert(2, 20);
+  window.insert(3, 30);
+  *window.insert(1, 11) = 12;  // present: existing entry returned, updated
+  EXPECT_EQ(*window.find(1), 12u);
+  window.insert(4, 40);  // evicts 1, the oldest, despite its update
+  EXPECT_FALSE(window.contains(1));
+  EXPECT_TRUE(window.contains(2));
+  std::vector<TxnId> order;
+  window.for_each([&](TxnId t, uint64_t) { order.push_back(t); });
+  EXPECT_EQ(order, (std::vector<TxnId>{2, 3, 4}));
+}
+
+TEST(FifoWindow, CapacityZeroRemembersNothing) {
+  FifoWindow<TxnId> window(0);
+  EXPECT_EQ(window.insert(7), nullptr);
+  EXPECT_FALSE(window.contains(7));
+  EXPECT_EQ(window.size(), 0u);
 }
 
 // ---------------------------------------------------------------------------
