@@ -113,7 +113,6 @@ void FaasTccCache::evict_to_capacity() {
     bytes_ -= entries_.find(victim)->value.size() + kEntryOverhead;
     entries_.erase(victim);
     evicted.push_back(victim);
-    counters_.evictions.inc();
   }
   // The entries, and with them their subscription flags, are gone.
   if (!evicted.empty()) request_ctl(false, std::move(evicted));
@@ -157,7 +156,6 @@ sim::Task<void> FaasTccCache::ctl_drain() {
 
 void FaasTccCache::handle_push_gap(PartitionId p) {
   ++gap_epoch_;
-  counters_.push_gaps.inc();
   // The lost push may have carried the only announcement of a successor:
   // no open entry of this partition may keep extending its promise.
   std::vector<Key> resub;
@@ -214,7 +212,6 @@ void FaasTccCache::rehome(const routing::RoutingTable& old_table,
     ++moved;
     if (e.sub_desired) resub.push_back(k);
   });
-  counters_.rehomed_keys.inc(moved);
   if (metrics_ != nullptr && moved > 0) {
     metrics_->counter("cache.rehomed_keys").inc(moved);
   }
@@ -239,7 +236,6 @@ sim::Task<Buffer> FaasTccCache::on_read(Buffer req, net::Address) {
   }
   auto q = decode_message<CacheReadReq>(req);
   rpc_.recycle(std::move(req));
-  counters_.requests.inc();
   if (metrics_ != nullptr) metrics_->cache_lookups.inc();
   co_await sim::sleep_for(rpc_.loop(), params_.lookup_cpu);
 
@@ -275,7 +271,6 @@ sim::Task<Buffer> FaasTccCache::on_read(Buffer req, net::Address) {
   }
 
   if (to_fetch.empty()) {
-    counters_.served_from_cache.inc();
     if (metrics_ != nullptr) metrics_->cache_hits.inc();
     if (tracer_ != nullptr) {
       tracer_->annotate(span, "keys", static_cast<uint64_t>(q.keys.size()));
@@ -294,7 +289,6 @@ sim::Task<Buffer> FaasTccCache::on_read(Buffer req, net::Address) {
   // bounded retry (the stable views catch up within one gossip period)
   // closes it.  In the steady state every episode takes exactly one round
   // (§6.5).
-  counters_.storage_fetches.inc();
   if (metrics_ != nullptr) metrics_->storage_episodes.inc();
 
   size_t episode_bytes = 0;
@@ -443,7 +437,6 @@ void FaasTccCache::apply_push(storage::PushBatchMsg push) {
     Entry* e = entries_.find(u.key);
     if (e == nullptr) {
       // Evicted since we subscribed; the unsubscribe is in flight.
-      counters_.pushes_stale.inc();
       continue;
     }
     const bool may_open = in_order && e->sub_active;
@@ -457,13 +450,9 @@ void FaasTccCache::apply_push(storage::PushBatchMsg push) {
       e->ts = u.ts;
       e->promise = promise;
       e->open = may_open;
-      counters_.pushes_applied.inc();
     } else if (u.ts == e->ts) {
       e->promise = std::max(e->promise, promise);
       if (may_open) e->open = true;
-      counters_.pushes_applied.inc();
-    } else {
-      counters_.pushes_stale.inc();
     }
   }
 }

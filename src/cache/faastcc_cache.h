@@ -62,22 +62,6 @@ class FaasTccCache {
   // metadata (Fig. 8).
   size_t bytes() const { return bytes_; }
 
-  struct Counters {
-    Counter requests;
-    Counter served_from_cache;  // requests fully satisfied locally
-    Counter storage_fetches;
-    Counter pushes_applied;
-    Counter pushes_stale;
-    Counter evictions;
-    // Push-channel sequence gaps observed (lost pushes): each one closes
-    // the partition's open entries until a re-announce arrives.
-    Counter push_gaps;
-    // Cached keys whose owner changed on an epoch bump (closed and
-    // re-subscribed at the new owner).
-    Counter rehomed_keys;
-  };
-  const Counters& counters() const { return counters_; }
-
   struct Entry {
     Value value;
     Timestamp ts;
@@ -178,7 +162,6 @@ class FaasTccCache {
   std::deque<CtlOp> ctl_queue_;
   bool ctl_busy_ = false;
   uint64_t ctl_seq_ = 0;
-  Counters counters_;
 };
 
 }  // namespace faastcc::cache

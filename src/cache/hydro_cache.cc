@@ -48,7 +48,6 @@ void HydroCache::on_push(Buffer msg, net::Address) {
                item.written_at, std::move(stored.deps)};
     bytes_ += e->footprint();
     insert_stubs(e->deps);
-    counters_.pushes_applied.inc();
   }
 }
 
@@ -145,7 +144,6 @@ void HydroCache::evict_to_capacity() {
     bytes_ -= entries_.find(victim)->footprint();
     entries_.erase(victim);
     evicted.push_back(victim);
-    counters_.evictions.inc();
   }
   if (!evicted.empty()) sim::spawn(storage_.unsubscribe(std::move(evicted)));
 }
@@ -165,7 +163,6 @@ sim::Task<Buffer> HydroCache::on_read(Buffer req, net::Address) {
   // as the context view does, so it is surrendered rather than recycled).
   auto q = decode_message<HydroReadReq>(
       std::make_shared<const Buffer>(std::move(req)));
-  counters_.requests.inc();
   if (metrics_ != nullptr) metrics_->cache_lookups.inc();
   co_await sim::sleep_for(rpc_.loop(), params_.lookup_cpu);
 
@@ -245,7 +242,9 @@ sim::Task<Buffer> HydroCache::on_read(Buffer req, net::Address) {
         continue;
       }
       if (fit == Fit::kConflict) {
-        counters_.conflict_aborts.inc();
+        if (metrics_ != nullptr) {
+          metrics_->counter("hydro.conflict_aborts").inc();
+        }
         resp.abort = true;
         break;
       }
@@ -261,21 +260,18 @@ sim::Task<Buffer> HydroCache::on_read(Buffer req, net::Address) {
         LOG_DEBUG("hydro round exhaustion key=" << k << " need=" << need.counter
                   << " read=" << need.read << " level=" << int(need.level));
       }
-      counters_.round_exhaustion_aborts.inc();
       resp.abort = true;
     }
   }
 
   resp.global_cut = storage_.global_cut();
   if (storage_contacted) {
-    counters_.storage_fetch_rounds.inc(static_cast<uint64_t>(episode_rounds));
     if (metrics_ != nullptr) {
       metrics_->storage_episodes.inc();
       metrics_->storage_rounds.add(episode_rounds);
       metrics_->storage_read_bytes.add(static_cast<double>(episode_bytes));
     }
   } else {
-    counters_.served_from_cache.inc();
     if (metrics_ != nullptr) metrics_->cache_hits.inc();
   }
   if (tracer_ != nullptr) {

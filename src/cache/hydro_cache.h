@@ -45,17 +45,6 @@ class HydroCache {
   size_t bytes() const { return bytes_; }
   size_t total_keys() const { return entries_.size() + stubs_.size(); }
 
-  struct Counters {
-    Counter requests;
-    Counter served_from_cache;
-    Counter storage_fetch_rounds;
-    Counter conflict_aborts;
-    Counter round_exhaustion_aborts;
-    Counter evictions;
-    Counter pushes_applied;
-  };
-  const Counters& counters() const { return counters_; }
-
   bool has(Key k) const { return entries_.contains(k); }
 
   // Sizes the entry table for a prewarm of `n` keys.
@@ -107,7 +96,6 @@ class HydroCache {
   KeyTable<Entry> entries_;
   KeyTable<Stub> stubs_;
   size_t bytes_ = 0;
-  Counters counters_;
 };
 
 }  // namespace faastcc::cache

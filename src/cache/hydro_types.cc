@@ -285,16 +285,6 @@ void DepMap::materialize_slow() const {
   raw_ = RawImage{};
 }
 
-void DepMap::reserve(size_t n) {
-  materialize();
-  if (rep_ == nullptr) {
-    rep_ = std::make_shared<Entries>();
-    rep_->reserve(n);
-  } else if (rep_.use_count() == 1) {
-    rep_->reserve(n);
-  }
-}
-
 void DepMap::require(Key k, uint64_t counter, SimTime written_at,
                      uint8_t level) {
   const Loc loc = locate(k);

@@ -210,7 +210,6 @@ class DepMap {
     return entries().size() + pending_.size();
   }
   bool empty() const { return size() == 0; }
-  void reserve(size_t n);
 
   void merge(const DepMap& other);
   // Drops entries written before `horizon` (globally visible, so no longer

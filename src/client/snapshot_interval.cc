@@ -16,8 +16,4 @@ SnapshotInterval SnapshotInterval::merge(
   return out;
 }
 
-std::string SnapshotInterval::to_string() const {
-  return "[" + low.to_string() + ", " + high.to_string() + "]";
-}
-
 }  // namespace faastcc::client

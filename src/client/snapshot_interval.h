@@ -9,7 +9,6 @@
 #pragma once
 
 #include <span>
-#include <string>
 
 #include "common/hlc.h"
 #include "common/serialize.h"
@@ -45,8 +44,6 @@ struct SnapshotInterval {
 
   static constexpr auto kFields =
       std::tuple{&SnapshotInterval::low, &SnapshotInterval::high};
-
-  std::string to_string() const;
 };
 
 }  // namespace faastcc::client

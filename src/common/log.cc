@@ -16,7 +16,7 @@ LogLevel initial_level() {
   return LogLevel::kWarn;
 }
 
-LogLevel g_level = initial_level();
+const LogLevel g_level = initial_level();
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -30,8 +30,6 @@ const char* level_name(LogLevel level) {
 
 }  // namespace
 
-LogLevel log_level() { return g_level; }
-void set_log_level(LogLevel level) { g_level = level; }
 bool log_enabled(LogLevel level) {
   return static_cast<int>(level) <= static_cast<int>(g_level);
 }

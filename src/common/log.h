@@ -10,8 +10,6 @@ namespace faastcc {
 
 enum class LogLevel { kError = 0, kWarn = 1, kInfo = 2, kDebug = 3 };
 
-LogLevel log_level();
-void set_log_level(LogLevel level);
 bool log_enabled(LogLevel level);
 void log_write(LogLevel level, const std::string& msg);
 

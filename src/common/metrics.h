@@ -15,6 +15,12 @@
 // in declaration order, then dynamic ones in registration order — a
 // deterministic order for bit-identical JSON output.
 //
+// Component counts live only here: no component keeps a counter struct
+// of its own.  A component counts through its Metrics*: a typed member
+// on per-request paths, a registry name only on cold paths (each
+// counter(name) call is a name lookup).  docs/sweeps.md lists the names
+// each layer writes.
+//
 // At the end of a run the cluster records the fabric's fault and RPC
 // counts as registry counters (net.*); harness/summary.h reduces every
 // reported quantity by registry name.

@@ -1,7 +1,6 @@
 #include "common/rng.h"
 
 #include <cassert>
-#include <cmath>
 
 namespace faastcc {
 namespace {
@@ -54,20 +53,6 @@ uint64_t Rng::next_below(uint64_t n) {
 
 double Rng::next_double() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-double Rng::next_exponential(double mean) {
-  double u;
-  do {
-    u = next_double();
-  } while (u <= 0.0);
-  return -mean * std::log(u);
-}
-
-int64_t Rng::next_range(int64_t lo, int64_t hi) {
-  assert(lo <= hi);
-  return lo + static_cast<int64_t>(
-                  next_below(static_cast<uint64_t>(hi - lo) + 1));
 }
 
 bool Rng::next_bool(double p_true) { return next_double() < p_true; }

@@ -21,12 +21,6 @@ class Rng {
   // Uniform double in [0, 1).
   double next_double();
 
-  // Exponentially distributed with the given mean (> 0).
-  double next_exponential(double mean);
-
-  // Uniform integer in [lo, hi] inclusive.
-  int64_t next_range(int64_t lo, int64_t hi);
-
   bool next_bool(double p_true);
 
   // Derives an independent child generator; used to give every simulated

@@ -66,18 +66,13 @@ void ComputeNode::on_trigger(Buffer msg, net::Address) {
   // hot buffers the pool exists to recycle.
   TriggerMsg t = decode_message<TriggerMsg>(
       std::make_shared<const Buffer>(std::move(msg)));
-  counters_.triggers.inc();
   gc_stale_joins();
-  if (aborted_.contains(t.txn_id)) {
-    counters_.stale_triggers_dropped.inc();
-    return;
-  }
+  if (aborted_.contains(t.txn_id)) return;
   const JoinKey key{t.txn_id, t.fn_index};
   if (executed_.contains(key)) {
     // A duplicated trigger for a function this node already ran (or
     // enqueued).  Executing it again would re-read at a different snapshot
     // and race the ghost's divergent writes against the real commit.
-    counters_.stale_triggers_dropped.inc();
     return;
   }
   const uint32_t parents = t.spec.parents_of(t.fn_index);
@@ -97,7 +92,6 @@ void ComputeNode::on_trigger(Buffer msg, net::Address) {
   auto& state = joins_[key];
   if (!state.parents_seen.insert(t.from_fn).second) {
     // Duplicated trigger from a parent we already heard from.
-    counters_.stale_triggers_dropped.inc();
     return;
   }
   state.contexts.push_back(std::move(t.context));
@@ -107,7 +101,6 @@ void ComputeNode::on_trigger(Buffer msg, net::Address) {
     state.trace = inbound;
   }
   if (state.contexts.size() < parents) return;
-  counters_.joins_merged.inc();
   executed_.insert(key);
   Work w;
   w.trigger = std::move(state.first);
@@ -135,7 +128,6 @@ sim::Task<void> ComputeNode::executor_loop() {
 }
 
 void ComputeNode::send_abort(const TriggerMsg& t) {
-  counters_.aborts_raised.inc();
   aborted_.insert(t.txn_id);
   DagDoneMsg done;
   done.txn_id = t.txn_id;
@@ -153,10 +145,7 @@ void ComputeNode::send_abort(const TriggerMsg& t) {
 
 sim::Task<void> ComputeNode::execute(Work work) {
   const TriggerMsg& t = work.trigger;
-  if (aborted_.contains(t.txn_id)) {
-    counters_.stale_triggers_dropped.inc();
-    co_return;
-  }
+  if (aborted_.contains(t.txn_id)) co_return;
 
   obs::SpanHandle span;
   obs::TraceContext ctx;  // this function execution's own context
@@ -228,7 +217,6 @@ sim::Task<void> ComputeNode::execute(Work work) {
   } catch (const client::TxnAbort&) {
     env.abort_requested = true;
   }
-  counters_.functions_executed.inc();
   if (env.abort_requested) {
     send_abort(t);
     end_span(true);
@@ -246,7 +234,6 @@ sim::Task<void> ComputeNode::execute(Work work) {
       done.result = std::move(result);
     } else {
       aborted_.insert(t.txn_id);
-      counters_.aborts_raised.inc();
     }
     rpc_.send(t.client, kDagDone, done, ctx);
     end_span(!done.committed);

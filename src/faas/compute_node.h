@@ -61,15 +61,6 @@ class ComputeNode {
   net::Address address() const { return rpc_.address(); }
   net::RpcNode& rpc() { return rpc_; }
 
-  struct Counters {
-    Counter triggers;
-    Counter functions_executed;
-    Counter joins_merged;
-    Counter aborts_raised;
-    Counter stale_triggers_dropped;
-  };
-  const Counters& counters() const { return counters_; }
-
  private:
   struct Work {
     TriggerMsg trigger;                   // representative trigger
@@ -127,7 +118,6 @@ class ComputeNode {
   // the transactions that just aborted, whose stragglers are still in
   // flight.
   FifoWindow<TxnId> aborted_;
-  Counters counters_;
 };
 
 }  // namespace faastcc::faas

@@ -134,14 +134,10 @@ Cluster::~Cluster() = default;
 net::Address Cluster::scheduler_address() const { return kSchedulerAddr; }
 
 storage::TccTopology Cluster::tcc_topology() const {
-  // Table-backed when the topology service exists (epoch-1 routing is
-  // bit-identical to the legacy modulo scheme); plain vector otherwise.
-  if (topo_ != nullptr) return storage::TccTopology(topo_->table());
-  storage::TccTopology topo;
-  for (size_t p = 0; p < params_.partitions; ++p) {
-    topo.partitions.push_back(kPartitionBase + static_cast<net::Address>(p));
-  }
-  return topo;
+  // FaaSTCC only, which always builds the topology service (epoch-1
+  // routing is bit-identical to the legacy modulo scheme).
+  assert(topo_ != nullptr);
+  return storage::TccTopology(topo_->table());
 }
 
 storage::EvTopology Cluster::ev_topology() const {

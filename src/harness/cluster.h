@@ -215,6 +215,7 @@ class Cluster {
     return clients_;
   }
 
+  // FaaSTCC only.
   storage::TccTopology tcc_topology() const;
   storage::EvTopology ev_topology() const;
   // nullptr for the eventually consistent systems.

@@ -16,11 +16,6 @@ Task<void> complete_into(Task<T> task, Promise<T> promise) {
   promise.set_value(co_await std::move(task));
 }
 
-inline Task<void> complete_into_void(Task<void> task, Promise<bool> promise) {
-  co_await std::move(task);
-  promise.set_value(true);
-}
-
 }  // namespace detail
 
 // Starts every task concurrently and returns their results in input order.
@@ -37,18 +32,6 @@ Task<std::vector<T>> when_all(EventLoop& loop, std::vector<Task<T>> tasks) {
   out.reserve(futures.size());
   for (auto& f : futures) out.push_back(co_await std::move(f));
   co_return out;
-}
-
-inline Task<void> when_all_void(EventLoop& loop,
-                                std::vector<Task<void>> tasks) {
-  std::vector<Future<bool>> futures;
-  futures.reserve(tasks.size());
-  for (auto& t : tasks) {
-    Promise<bool> p(loop);
-    futures.push_back(p.get_future());
-    spawn(detail::complete_into_void(std::move(t), p));
-  }
-  for (auto& f : futures) co_await std::move(f);
 }
 
 }  // namespace faastcc::sim

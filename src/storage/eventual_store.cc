@@ -85,27 +85,24 @@ sim::Task<void> EvReplica::push_loop() {
   }
 }
 
-bool EvReplica::merge(EvItem item) {
+void EvReplica::merge(EvItem item) {
   auto it = data_.find(item.key);
   if (it == data_.end()) {
     payload_bytes_ += item.payload.size();
     if (subscribers_.contains(item.key)) dirty_.insert(item.key);
     data_.emplace(item.key, std::move(item));
-    return true;
+    return;
   }
-  if (item.version <= it->second.version) return false;
+  if (item.version <= it->second.version) return;
   payload_bytes_ -= it->second.payload.size();
   payload_bytes_ += item.payload.size();
   if (subscribers_.contains(item.key)) dirty_.insert(item.key);
   it->second = std::move(item);
-  return true;
 }
 
 sim::Task<Buffer> EvReplica::on_get(Buffer req, net::Address) {
   auto q = decode_message<EvGetReq>(req);
   rpc_.recycle(std::move(req));
-  counters_.gets.inc();
-  counters_.get_keys.inc(q.keys.size());
   co_await sim::sleep_for(
       rpc_.loop(),
       params_.request_cpu +
@@ -122,7 +119,6 @@ sim::Task<Buffer> EvReplica::on_get(Buffer req, net::Address) {
 sim::Task<Buffer> EvReplica::on_put(Buffer req, net::Address) {
   auto q = decode_message<EvPutReq>(req);
   rpc_.recycle(std::move(req));
-  counters_.puts.inc();
   co_await sim::sleep_for(
       rpc_.loop(),
       params_.request_cpu +
@@ -147,9 +143,8 @@ sim::Task<Buffer> EvReplica::on_put(Buffer req, net::Address) {
 void EvReplica::on_gossip(Buffer msg, net::Address from) {
   auto g = decode_message<EvGossipMsg>(msg);
   rpc_.recycle(std::move(msg));
-  counters_.gossip_batches.inc();
   for (EvItem& item : g.items) {
-    if (merge(std::move(item))) counters_.items_merged.inc();
+    merge(std::move(item));
   }
   auto it = peer_covered_.find(from);
   if (it != peer_covered_.end() && g.sent_at > it->second) {

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/stats.h"
 #include "net/rpc.h"
 #include "storage/messages.h"
 #include "storage/subscribers.h"
@@ -50,15 +49,6 @@ class EvReplica {
   size_t num_keys() const { return data_.size(); }
   size_t payload_bytes() const { return payload_bytes_; }
 
-  struct Counters {
-    Counter gets;
-    Counter get_keys;
-    Counter puts;
-    Counter gossip_batches;
-    Counter items_merged;
-  };
-  const Counters& counters() const { return counters_; }
-
   // Test access.
   const EvItem* peek(Key k) const;
 
@@ -85,8 +75,8 @@ class EvReplica {
   sim::Task<void> cut_loop();
   sim::Task<void> push_loop();
 
-  // Merges an item LWW; returns true if it replaced/inserted.
-  bool merge(EvItem item);
+  // Merges an item LWW.
+  void merge(EvItem item);
 
   net::RpcNode rpc_;
   uint64_t replica_id_;
@@ -107,7 +97,6 @@ class EvReplica {
   // Cache notification service.
   SubscriberTable subscribers_;
   std::unordered_set<Key> dirty_;
-  Counters counters_;
 };
 
 }  // namespace faastcc::storage

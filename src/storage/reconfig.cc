@@ -30,14 +30,6 @@ sim::Task<void> ReconfigEngine::scale_in(size_t count) {
       routing::make_table(old_table->with_partitions_removed(count)));
 }
 
-sim::Task<void> ReconfigEngine::replace_leader(
-    PartitionId p, routing::PartitionAddress candidate) {
-  const routing::TablePtr old_table = topo_.table();
-  if (p >= old_table->num_partitions()) co_return;
-  co_await transition_to(
-      routing::make_table(old_table->with_leader_replaced(p, candidate)));
-}
-
 sim::Task<void> ReconfigEngine::transition_to(routing::TablePtr next) {
   const routing::TablePtr prev = topo_.table();
   if (next == nullptr || next->epoch <= prev->epoch) co_return;

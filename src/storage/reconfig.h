@@ -18,12 +18,11 @@
 //   5. retire sources the next table no longer lists (and their
 //      followers) once their slots have drained.
 //
-// Three callers share the pipeline: scale_out (the historical elastic
-// path — byte-identical message flow to the pre-engine driver),
-// scale_in (drain the trailing partitions to the survivors), and
-// replace_leader (a pure address substitution: the slot diff is empty,
-// so the pipeline degenerates to the publish step — the same shape the
-// lease-driven promotion path produces through TopologyService).
+// Two callers share the pipeline: scale_out (the historical elastic
+// path — byte-identical message flow to the pre-engine driver) and
+// scale_in (drain the trailing partitions to the survivors).  A leader
+// replacement is not a reconfiguration here: the lease-driven promotion
+// path publishes it through TopologyService (an empty slot diff).
 //
 // Promise soundness of a drain is the scale-out argument re-run with the
 // survivor standing in for the joiner: the source seals its safe time
@@ -62,12 +61,10 @@ class ReconfigEngine {
   void register_instance(TccPartition* p) { instances_.push_back(p); }
   void register_follower(TccPartition* f) { followers_.push_back(f); }
 
-  // The three callers.  Each computes the target table from the currently
+  // The two callers.  Each computes the target table from the currently
   // published one and runs the shared pipeline.
   sim::Task<void> scale_out(std::vector<routing::PartitionAddress> added);
   sim::Task<void> scale_in(size_t count);
-  sim::Task<void> replace_leader(PartitionId p,
-                                 routing::PartitionAddress candidate);
 
   // The pipeline itself.  No-op unless `next` is strictly newer than the
   // published table.  Returns when every moved slot has drained (or its

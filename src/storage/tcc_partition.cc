@@ -203,7 +203,6 @@ void TccPartition::retire() {
 }
 
 sim::Task<void> TccPartition::parked() {
-  counters_.handoff_parked.inc();
   const SimTime t0 = rpc_.now();
   sim::Promise<bool> p(rpc_.loop());
   parked_.push_back(p);
@@ -263,7 +262,6 @@ TccReadResp::Entry TccPartition::read_one(Key key, Timestamp eff,
     if (r.below_gc_horizon) {
       // The version the snapshot needs existed but has been collected.
       e.status = TccReadResp::Status::kMiss;
-      counters_.misses.inc();
       return e;
     }
     // Key never written: serve the implicit initial version (empty value,
@@ -279,7 +277,6 @@ TccReadResp::Entry TccPartition::read_one(Key key, Timestamp eff,
                   : std::max(e.ts, stabilizer_.stable_time());
   if (r.version != nullptr && cached_ts == e.ts) {
     e.status = TccReadResp::Status::kUnchanged;
-    counters_.unchanged_responses.inc();
   } else {
     e.status = TccReadResp::Status::kValue;
     if (r.version != nullptr) e.value = r.version->value;
@@ -298,8 +295,6 @@ sim::Task<Buffer> TccPartition::on_read(Buffer req, net::Address) {
   }
   auto q = decode_message<TccReadReq>(req);
   rpc_.recycle(std::move(req));
-  counters_.reads.inc();
-  counters_.read_keys.inc(q.keys.size());
   co_await sim::sleep_for(
       rpc_.loop(), params_.request_cpu + params_.per_key_cpu *
                                              static_cast<Duration>(
@@ -317,7 +312,6 @@ sim::Task<Buffer> TccPartition::on_read(Buffer req, net::Address) {
       TccReadResp::Entry e;
       e.key = q.keys[i];
       e.status = TccReadResp::Status::kWrongOwner;
-      counters_.wrong_owner_reads.inc();
       resp.entries.push_back(std::move(e));
       continue;
     }
@@ -341,12 +335,10 @@ bool TccPartition::si_check_and_lock(TxnId txn, Timestamp snapshot_ts,
     // read snapshot, or a concurrent prepared writer, conflicts.
     const auto newest = store_.newest_ts(k);
     if (newest.has_value() && *newest > snapshot_ts) {
-      counters_.si_conflicts.inc();
       return false;
     }
     if (auto it = write_locks_.find(k);
         it != write_locks_.end() && it->second != txn) {
-      counters_.si_conflicts.inc();
       return false;
     }
   }
@@ -390,7 +382,7 @@ void TccPartition::expire_stale_prepares() {
     if (it->second.since <= cutoff) {
       // The coordinator is gone (crashed, or gave up after retry
       // exhaustion): stop pinning the safe time and release SI locks.
-      counters_.prepares_expired.inc();
+      count("tcc.prepares_expired");
       pending_by_ts_.erase(it->second.ts);
       release_locks(it->first);
       remember_resolved(it->first, Timestamp::min());
@@ -418,7 +410,6 @@ sim::Task<Buffer> TccPartition::on_prepare(Buffer req, net::Address) {
   // answer with the registered timestamp instead of pinning the safe time
   // a second time (the stray entry would never be resolved).
   if (auto it = pending_by_txn_.find(q.txn); it != pending_by_txn_.end()) {
-    counters_.duplicate_prepares.inc();
     resp.ok = true;
     resp.prepare_ts = it->second.ts;
     co_return rpc_.encode(resp);
@@ -427,7 +418,6 @@ sim::Task<Buffer> TccPartition::on_prepare(Buffer req, net::Address) {
     // The transaction already committed or aborted here; a late duplicate
     // must not re-pin the safe time.  The coordinator has moved on, so the
     // refusal is never acted upon.
-    counters_.duplicate_prepares.inc();
     resp.ok = false;
     co_return rpc_.encode(resp);
   }
@@ -447,7 +437,6 @@ sim::Task<Buffer> TccPartition::on_abort(Buffer req, net::Address) {
   auto q = decode_message<TccAbortReq>(req);
   rpc_.recycle(std::move(req));
   co_await sim::sleep_for(rpc_.loop(), params_.request_cpu);
-  counters_.aborts.inc();
   release_locks(q.txn);
   resolve_pending(q.txn);
   remember_resolved(q.txn, Timestamp::min());
@@ -474,7 +463,6 @@ void TccPartition::install_writes(const TccCommitReq& req) {
     }
     if (subscribers_.contains(kv.key)) dirty_.insert(kv.key);
   }
-  counters_.commits.inc();
 }
 
 sim::Task<Buffer> TccPartition::on_commit(Buffer req, net::Address) {
@@ -493,7 +481,7 @@ sim::Task<Buffer> TccPartition::on_commit(Buffer req, net::Address) {
     // prepare expired *without* installing anything — acking such a retry
     // would report commit for writes this partition dropped, so it must be
     // refused (the coordinator then reports the abort to the client).
-    counters_.duplicate_commits.inc();
+    count("tcc.duplicate_commits");
     const bool ok =
         *rc != Timestamp::min() || params_.chaos_ack_expired_commit;
     co_return rpc_.encode(TccCommitResp{
@@ -777,7 +765,6 @@ sim::Task<void> TccPartition::push_loop() {
       // a gap tells the subscriber a (possibly announcing) push was lost.
       batch.seq = ++push_seq_out_[sub];
       batch.stable_time = stable;
-      counters_.pushes.inc();
       rpc_.send(sub, kTccPushBatch, batch);
     }
   }
@@ -833,7 +820,7 @@ sim::Task<Buffer> TccPartition::on_migrate_out(Buffer req, net::Address) {
     }
     resp.chains.push_back(std::move(chain));
   }
-  counters_.keys_migrated_out.inc(resp.chains.size());
+  count("routing.keys_migrated_out", resp.chains.size());
   resp.last_heard = stabilizer_.last_heard_all();
   // Taken LAST, after sealing and extraction: >= every promise this
   // partition ever issued for the migrated keys (promises are bounded by
@@ -899,10 +886,7 @@ sim::Task<Buffer> TccPartition::on_migrate_in(Buffer req, net::Address) {
     }
     followers_.clear();
   }
-  counters_.keys_migrated_in.inc(q.chains.size());
-  if (metrics_ != nullptr) {
-    metrics_->counter("routing.keys_migrated").inc(q.chains.size());
-  }
+  count("routing.keys_migrated", q.chains.size());
   if (join_expected_ > 0 && join_applied_.size() >= join_expected_) {
     activate();
   }
@@ -1072,7 +1056,7 @@ void TccPartition::apply_repl_frame(const TccReplInstallReq& q) {
   // Mirror the leader's dedup window so a promoted follower answers
   // coordinator commit retries exactly as the dead leader would have.
   remember_resolved(q.txn, q.commit_ts);
-  counters_.repl_installs.inc();
+  count("repl.installs");
 }
 
 sim::Task<Buffer> TccPartition::on_repl_install(Buffer req, net::Address) {
@@ -1085,7 +1069,7 @@ sim::Task<Buffer> TccPartition::on_repl_install(Buffer req, net::Address) {
   // the store.  Install and resolve are idempotent anyway; the seq window
   // keeps the counters honest.
   if (q.seq <= repl_applied_seq_ || repl_sparse_.count(q.seq) != 0) {
-    counters_.repl_dup_frames.inc();
+    count("repl.dup_frames");
     co_return rpc_.encode(resp);
   }
   apply_repl_frame(q);
@@ -1113,10 +1097,7 @@ sim::Task<Buffer> TccPartition::on_repl_seal(Buffer req, net::Address from) {
   TccReplSealResp resp;
   resp.applied_seq = repl_applied_seq_;
   resp.ok = repl_applied_seq_ >= q.seq_high;
-  if (resp.ok && q.safe > sealed_safe_) {
-    sealed_safe_ = q.safe;
-    counters_.repl_seals.inc();
-  }
+  if (resp.ok && q.safe > sealed_safe_) sealed_safe_ = q.safe;
   co_return rpc_.encode(resp);
 }
 
@@ -1159,7 +1140,7 @@ sim::Task<Buffer> TccPartition::on_backfill(Buffer req, net::Address from) {
   }
   clock_.update(q.safe, physical_now_us());
   if (q.safe > sealed_safe_) sealed_safe_ = q.safe;
-  counters_.repl_backfills.inc();
+  count("repl.backfills");
   TccBackfillResp resp;
   co_return rpc_.encode(resp);
 }
@@ -1212,7 +1193,6 @@ sim::Task<void> TccPartition::lease_loop() {
 void TccPartition::promote_self() {
   if (repl_role_ != ReplRole::kFollower) return;
   repl_role_ = ReplRole::kLeader;
-  counters_.promotions.inc();
   // Handoff floor: the dead leader only ever published safe times it had
   // sealed here first, so every promise it issued is <= sealed_safe_ —
   // exactly the elastic scale-out argument with the seal standing in for
@@ -1242,7 +1222,7 @@ void TccPartition::promote_self() {
     }
     oracle_->on_failover(id_, surviving);
   }
-  if (metrics_ != nullptr) metrics_->counter("repl.promotions").inc();
+  count("repl.promotions");
   activate();
 }
 
@@ -1256,7 +1236,7 @@ sim::Task<void> TccPartition::gc_loop() {
         static_cast<uint64_t>(params_.gc_window);
     if (stable.physical_us() <= window_us) continue;
     const Timestamp horizon(stable.physical_us() - window_us, 0, 0);
-    counters_.versions_gced.inc(store_.gc_before(horizon));
+    store_.gc_before(horizon);
   }
 }
 

@@ -24,7 +24,6 @@
 #include "common/hlc.h"
 #include "common/metrics.h"
 #include "common/rng.h"
-#include "common/stats.h"
 #include "net/rpc.h"
 #include "routing/routing_table.h"
 #include "sim/future.h"
@@ -170,37 +169,6 @@ class TccPartition {
   // Trims the subscriber lists once the setup path is done adding.
   void shrink_subscribers() { subscribers_.shrink_to_fit(); }
 
-  struct Counters {
-    Counter reads;
-    Counter read_keys;
-    Counter unchanged_responses;
-    Counter misses;
-    Counter commits;
-    Counter pushes;
-    Counter versions_gced;
-    Counter si_conflicts;
-    Counter aborts;
-    // Fault-injection resilience: duplicated or retried protocol messages
-    // answered idempotently, and prepares expired by the TTL.
-    Counter duplicate_prepares;
-    Counter duplicate_commits;
-    Counter prepares_expired;
-    // Elastic scale-out: reads refused because the key's chain was handed
-    // away, requests parked at a not-yet-serving joiner, and keys moved.
-    Counter wrong_owner_reads;
-    Counter handoff_parked;
-    Counter keys_migrated_in;
-    Counter keys_migrated_out;
-    // Replication: install frames applied / deduplicated at a follower,
-    // seal beats sealed, backfills applied, and promotions won.
-    Counter repl_installs;
-    Counter repl_dup_frames;
-    Counter repl_seals;
-    Counter repl_backfills;
-    Counter promotions;
-  };
-  const Counters& counters() const { return counters_; }
-
   // True when the current routing table assigns `k` here (or no table is
   // installed — the static pre-elastic world).  Handlers re-check after
   // every CPU sleep: a chain can be handed away while a handler sleeps.
@@ -234,6 +202,11 @@ class TccPartition {
   // Per-round stab.* metric accounting (pure state: no events, no
   // randomness — schedules are unchanged by recording).
   void note_gossip_round(uint64_t msgs_sent);
+  // Adds `by` to the registry counter `name`.  Each call is a name lookup,
+  // so only cold paths (retries, expiry, handoff, replication) count here.
+  void count(std::string_view name, uint64_t by = 1) {
+    if (metrics_ != nullptr) metrics_->counter(name).inc(by);
+  }
   sim::Task<Buffer> on_migrate_out(Buffer req, net::Address from);
   sim::Task<Buffer> on_migrate_in(Buffer req, net::Address from);
 
@@ -387,8 +360,6 @@ class TccPartition {
   Timestamp repl_floor_ = Timestamp::min();   // max replicated install ts
   SimTime last_lease_beat_ = 0;
   bool lag_grace_used_ = false;
-
-  Counters counters_;
 };
 
 }  // namespace faastcc::storage

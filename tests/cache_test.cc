@@ -292,10 +292,10 @@ TEST_F(FaasTccCacheTest, SecondReadHitsCache) {
     co_await sim::sleep_for(loop_, milliseconds(10));
     std::vector<Key> keys(1, Key{1});
     co_await cache_read(keys, SnapshotInterval::full());
-    const auto fetches = cache_->counters().storage_fetches.value();
+    const auto fetches = metrics_.counter("storage.episodes").value();
     auto resp = co_await cache_read(keys, SnapshotInterval::full());
     EXPECT_TRUE(resp.from_cache[0]);
-    EXPECT_EQ(cache_->counters().storage_fetches.value(), fetches);
+    EXPECT_EQ(metrics_.counter("storage.episodes").value(), fetches);
   });
 }
 
@@ -362,7 +362,7 @@ TEST_F(FaasTccCacheTest, PushUpdatesSubscribedEntry) {
     co_await sim::sleep_for(loop_, milliseconds(60));  // > push period
     EXPECT_EQ(cache_->peek(1)->ts, t2);
     EXPECT_EQ(cache_->peek(1)->value, "v2");
-    EXPECT_GT(cache_->counters().pushes_applied.value(), 0u);
+    EXPECT_GE(cache_->peek(1)->promise, t2);  // the pushed promise
   });
 }
 
@@ -375,12 +375,12 @@ TEST_F(FaasTccCacheTest, PromiseExtensionKeepsIdleEntriesServable) {
     const Timestamp promise_then = cache_->peek(1)->promise;
     // No further writes to key 1; idle pushes extend the usable promise.
     co_await sim::sleep_for(loop_, milliseconds(200));
-    const auto fetches = cache_->counters().storage_fetches.value();
+    const auto fetches = metrics_.counter("storage.episodes").value();
     SnapshotInterval si;
     si.low = promise_then.next();  // beyond the stored promise
     auto resp = co_await cache_read(k1, si);
     EXPECT_TRUE(resp.from_cache[0]);
-    EXPECT_EQ(cache_->counters().storage_fetches.value(), fetches);
+    EXPECT_EQ(metrics_.counter("storage.episodes").value(), fetches);
   });
 }
 
@@ -390,13 +390,13 @@ TEST_F(FaasTccCacheTest, NoPromiseModeRequiresExactVersionInInterval) {
     co_await sim::sleep_for(loop_, milliseconds(10));
     std::vector<Key> k1(1, Key{1});
     co_await cache_read(k1, SnapshotInterval::full());
-    const auto fetches = cache_->counters().storage_fetches.value();
+    const auto fetches = metrics_.counter("storage.episodes").value();
     // With promises disabled, an interval above the version ts misses.
     SnapshotInterval si;
     si.low = t1.next();
     auto resp = co_await cache_read(k1, si, /*use_promises=*/false);
     EXPECT_FALSE(resp.abort);
-    EXPECT_GT(cache_->counters().storage_fetches.value(), fetches);
+    EXPECT_GT(metrics_.counter("storage.episodes").value(), fetches);
   });
 }
 
@@ -456,10 +456,13 @@ TEST_F(FaasTccCacheTest, PrewarmWithoutSubscriptionStaysClosed) {
     EXPECT_NE(cache_->peek(2), nullptr);
     EXPECT_FALSE(cache_->peek(2)->open);
     const Timestamp frozen = cache_->peek(2)->promise;
+    // Keys 2 and 4 live on partition 0.
+    const Timestamp stable_then = cache_->partition_stable(0);
     // A new version of key 2 the cache never hears about.
     const Timestamp t2 = co_await commit(2, "new", t1);
     co_await sim::sleep_for(loop_, milliseconds(100));
-    EXPECT_GT(cache_->counters().pushes_applied.value(), 0u);
+    EXPECT_GT(cache_->partition_stable(0), stable_then)
+        << "no stable-time push arrived";
     std::vector<Key> k2(1, Key{2});
     auto resp = co_await cache_read(k2, SnapshotInterval::full());
     EXPECT_EQ(resp.entries[0].ts, t1);
@@ -675,7 +678,7 @@ TEST_F(HydroCacheTest, ConflictingDependencyAborts) {
     ctx.mark_read(2, 3, 50);
     auto resp = co_await cache_read(1, ctx);
     EXPECT_TRUE(resp.abort);
-    EXPECT_GT(cache_->counters().conflict_aborts.value(), 0u);
+    EXPECT_GT(metrics_.counter("hydro.conflict_aborts").value(), 0u);
   });
 }
 
@@ -697,7 +700,7 @@ TEST_F(HydroCacheTest, ReadOutsideDeclaredSetStillAborts) {
     auto resp = co_await cache_read(1, std::move(ctx));
     EXPECT_TRUE(resp.abort)
         << "conflict on a read outside the declared set must still abort";
-    EXPECT_GT(cache_->counters().conflict_aborts.value(), 0u);
+    EXPECT_GT(metrics_.counter("hydro.conflict_aborts").value(), 0u);
   });
 }
 
@@ -722,15 +725,15 @@ TEST_F(HydroCacheTest, PushRefreshesSubscribedEntry) {
     co_await sim::sleep_for(loop_, milliseconds(30));
     co_await put(1, "v2", {}, 7);
     co_await sim::sleep_for(loop_, milliseconds(120));
-    EXPECT_GT(cache_->counters().pushes_applied.value(), 0u);
     // A read requiring the new version is now served from the cache.
-    const auto rounds = cache_->counters().storage_fetch_rounds.value();
+    const double rounds = metrics_.histogram("storage.rounds").sum();
     DepMap ctx;
     ctx.require(1, 7, 0, 0);
     auto resp = co_await cache_read(1, ctx);
     EXPECT_FALSE(resp.abort);
+    EXPECT_TRUE(resp.from_cache[0]) << "the push did not refresh the entry";
     EXPECT_EQ(resp.entries[0].value, "v2");
-    EXPECT_EQ(cache_->counters().storage_fetch_rounds.value(), rounds);
+    EXPECT_EQ(metrics_.histogram("storage.rounds").sum(), rounds);
   });
 }
 
@@ -780,7 +783,7 @@ TEST_F(HydroCacheTest, ReadAcceptedEarlierInRequestMakesCandidateConflict) {
     EXPECT_TRUE(cache_->has(2));
     auto resp = co_await cache_read_keys(two_keys(), shipped_context());
     EXPECT_TRUE(resp.abort);
-    EXPECT_GT(cache_->counters().conflict_aborts.value(), 0u);
+    EXPECT_GT(metrics_.counter("hydro.conflict_aborts").value(), 0u);
   });
 }
 

@@ -8,7 +8,6 @@
 #include <deque>
 #include <list>
 #include <new>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -256,27 +255,10 @@ TEST(Rng, NextDoubleInUnitInterval) {
   }
 }
 
-TEST(Rng, ExponentialHasRequestedMean) {
-  Rng r(9);
-  double sum = 0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) sum += r.next_exponential(5.0);
-  EXPECT_NEAR(sum / n, 5.0, 0.1);
-}
-
 TEST(Rng, ForkProducesIndependentStream) {
   Rng a(42);
   Rng child = a.fork();
   EXPECT_NE(a.next_u64(), child.next_u64());
-}
-
-TEST(Rng, NextRangeInclusive) {
-  Rng r(3);
-  std::set<int64_t> seen;
-  for (int i = 0; i < 1000; ++i) seen.insert(r.next_range(-2, 2));
-  EXPECT_EQ(seen.size(), 5u);
-  EXPECT_EQ(*seen.begin(), -2);
-  EXPECT_EQ(*seen.rbegin(), 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "harness/cluster.h"
+#include "harness/configs.h"
+#include "harness/run_spec.h"
 
 namespace faastcc::harness {
 namespace {
@@ -167,6 +169,32 @@ TEST(Determinism, IdleScaleInAndAutoscalerAreByteIdentical) {
     EXPECT_EQ(plain.counters, s->counters);
     EXPECT_EQ(plain.histograms, s->histograms);
     EXPECT_EQ(plain.trace, s->trace);
+  }
+}
+
+// Failover and handoff under loss, at the fuzzer's small shape.  The
+// replication, commit-retry and migration counts (repl.*, tcc.*,
+// routing.*) live only in the registry, so these counter maps are their
+// determinism check; the pins below make sure each scenario really fired.
+TEST(Determinism, LossyFailoverAndScaleOutRunsAreByteIdentical) {
+  for (const char* config : {"kill-leader-lossy", "elastic-lossy"}) {
+    SCOPED_TRACE(config);
+    const ClusterParams p = fuzz_spec(config, 3, 4, 40).resolve();
+    const RunSnapshot a = snapshot_run(p);
+    const RunSnapshot b = snapshot_run(p);
+    ASSERT_GT(a.committed, 0u);
+    EXPECT_EQ(a.committed, b.committed);
+    EXPECT_EQ(a.sim_events, b.sim_events);
+    EXPECT_EQ(a.counters, b.counters);
+    EXPECT_EQ(a.histograms, b.histograms);
+    if (p.replication.enabled()) {
+      EXPECT_GE(a.counters.at("repl.promotions"), 1u);
+      EXPECT_GT(a.counters.at("repl.installs"), 0u);
+    } else {
+      EXPECT_GT(a.counters.at("routing.keys_migrated"), 0u);
+      EXPECT_EQ(a.counters.at("routing.keys_migrated"),
+                a.counters.at("routing.keys_migrated_out"));
+    }
   }
 }
 

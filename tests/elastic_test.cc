@@ -33,17 +33,16 @@ void expect_scaled_out_clean(Cluster& cluster, const RunResult& r) {
   EXPECT_EQ(cluster.metrics().counter("routing.epoch_bumps").value(), 1u);
   auto& parts = cluster.tcc_partitions();
   ASSERT_EQ(parts.size(), 6u);
-  uint64_t migrated_in = 0;
-  uint64_t migrated_out = 0;
   for (auto& p : parts) {
     EXPECT_TRUE(p->serving()) << "partition " << p->id();
     ASSERT_NE(p->routing_table(), nullptr) << "partition " << p->id();
     EXPECT_EQ(p->routing_table()->epoch, 2u) << "partition " << p->id();
-    migrated_in += p->counters().keys_migrated_in.value();
-    migrated_out += p->counters().keys_migrated_out.value();
   }
+  const uint64_t migrated_in =
+      cluster.metrics().counter("routing.keys_migrated").value();
   EXPECT_GT(migrated_in, 0u);
-  EXPECT_EQ(migrated_in, migrated_out);
+  EXPECT_EQ(migrated_in,
+            cluster.metrics().counter("routing.keys_migrated_out").value());
 
   // Promise soundness, causal cuts, atomic visibility — and zero reads
   // served at a joiner from below its promised handoff floor.
@@ -75,10 +74,8 @@ TEST(Elastic, ScaleOutRunsAreDeterministicPerSeed) {
   auto run_digest = [](uint64_t seed) {
     Cluster cluster(elastic_params(seed));
     const RunResult r = cluster.run();
-    uint64_t migrated = 0;
-    for (auto& part : cluster.tcc_partitions()) {
-      migrated += part->counters().keys_migrated_in.value();
-    }
+    const uint64_t migrated =
+        cluster.metrics().counter("routing.keys_migrated").value();
     return std::tuple<uint64_t, uint64_t, uint64_t>(r.committed, r.sim_events,
                                                     migrated);
   };
@@ -123,11 +120,7 @@ void expect_scaled_in_clean(Cluster& cluster, const RunResult& r,
   EXPECT_EQ(cluster.metrics().counter("routing.active_partitions").value(),
             survivors);
   auto& parts = cluster.tcc_partitions();
-  uint64_t migrated_in = 0;
-  uint64_t migrated_out = 0;
   for (auto& p : parts) {
-    migrated_in += p->counters().keys_migrated_in.value();
-    migrated_out += p->counters().keys_migrated_out.value();
     if (p->id() < survivors) {
       EXPECT_TRUE(p->serving()) << "survivor " << p->id();
       EXPECT_FALSE(p->retired()) << "survivor " << p->id();
@@ -139,8 +132,11 @@ void expect_scaled_in_clean(Cluster& cluster, const RunResult& r,
     ASSERT_NE(p->routing_table(), nullptr);
     EXPECT_EQ(p->routing_table()->epoch, 2u) << "partition " << p->id();
   }
+  const uint64_t migrated_in =
+      cluster.metrics().counter("routing.keys_migrated").value();
   EXPECT_GT(migrated_in, 0u);
-  EXPECT_EQ(migrated_in, migrated_out);
+  EXPECT_EQ(migrated_in,
+            cluster.metrics().counter("routing.keys_migrated_out").value());
 
   // Promise soundness with the keyed handoff floor: survivors may commit
   // their own pre-drain keys below the floor, but never a migrated key.
@@ -221,10 +217,8 @@ TEST(ElasticIn, ScaleInRunsAreDeterministicPerSeed) {
   auto run_digest = [](uint64_t seed) {
     Cluster cluster(scale_in_params(seed));
     const RunResult r = cluster.run();
-    uint64_t migrated = 0;
-    for (auto& part : cluster.tcc_partitions()) {
-      migrated += part->counters().keys_migrated_in.value();
-    }
+    const uint64_t migrated =
+        cluster.metrics().counter("routing.keys_migrated").value();
     return std::tuple<uint64_t, uint64_t, uint64_t>(r.committed, r.sim_events,
                                                     migrated);
   };

@@ -61,23 +61,16 @@ TEST(Replication, DuplicatedAndLossyStreamAppliesAtMostOnce) {
   EXPECT_GT(r.committed, 0u);
   expect_oracle_clean(cluster);
 
-  uint64_t installs = 0;
-  uint64_t dups = 0;
-  uint64_t backfills = 0;
-  for (auto& f : cluster.tcc_followers()) {
-    EXPECT_TRUE(f->is_follower());
-    installs += f->counters().repl_installs.value();
-    dups += f->counters().repl_dup_frames.value();
-    backfills += f->counters().repl_backfills.value();
-  }
-  EXPECT_GT(installs, 0u);
+  for (auto& f : cluster.tcc_followers()) EXPECT_TRUE(f->is_follower());
+  Metrics& m = cluster.metrics();
+  EXPECT_GT(m.counter("repl.installs").value(), 0u);
   // The dup knob is high enough that some frames demonstrably arrived
   // twice — the at-most-once claim is exercised, not vacuous.
-  EXPECT_GT(dups, 0u);
+  EXPECT_GT(m.counter("repl.dup_frames").value(), 0u);
   // Loss at 2% over thousands of frames demotes at least one follower,
   // so the backfill repair path ran too.
-  EXPECT_GT(backfills, 0u);
-  EXPECT_EQ(cluster.metrics().counter("repl.promotions").value(), 0u);
+  EXPECT_GT(m.counter("repl.backfills").value(), 0u);
+  EXPECT_EQ(m.counter("repl.promotions").value(), 0u);
 }
 
 // Kill the leader of partition 1 for good mid-run.  A commit the dead
@@ -104,7 +97,7 @@ TEST(Replication, LeaderKillPromotesFollowerWithAckedWritesDurable) {
     ASSERT_EQ(followers.size(), 3u);
     EXPECT_FALSE(followers[1]->is_follower());
     EXPECT_TRUE(followers[1]->serving());
-    EXPECT_EQ(followers[1]->counters().promotions.value(), 1u);
+    EXPECT_EQ(cluster.metrics().counter("repl.promotions").value(), 1u);
     EXPECT_TRUE(followers[0]->is_follower());
     EXPECT_TRUE(followers[2]->is_follower());
     // The promotion republished the table under a bumped epoch.
@@ -139,20 +132,22 @@ TEST(Replication, PromotionDuringMigrationOutStillDeliversParcels) {
   EXPECT_GE(cluster.metrics().counter("routing.epoch_bumps").value(), 1u);
   auto& parts = cluster.tcc_partitions();
   ASSERT_EQ(parts.size(), 5u);
-  uint64_t migrated_in = 0;
   for (auto& part : parts) {
     if (part->id() == 1) continue;  // dead incumbent leader (crashed)
     EXPECT_TRUE(part->serving()) << "partition " << part->id();
-    migrated_in += part->counters().keys_migrated_in.value();
   }
   // Both joiners completed their joins — including the parcel from the
-  // slot whose leader died mid-handoff.
+  // slot whose leader died mid-handoff — and hold every migrated chain.
+  const uint64_t migrated_in =
+      cluster.metrics().counter("routing.keys_migrated").value();
   EXPECT_GT(migrated_in, 0u);
+  size_t joiner_keys = 0;
   for (PartitionId j : {PartitionId{3}, PartitionId{4}}) {
     EXPECT_TRUE(parts[j]->serving()) << "joiner " << j;
-    EXPECT_GT(parts[j]->counters().keys_migrated_in.value(), 0u)
-        << "joiner " << j;
+    EXPECT_GT(parts[j]->store().num_keys(), 0u) << "joiner " << j;
+    joiner_keys += parts[j]->store().num_keys();
   }
+  EXPECT_GE(joiner_keys, migrated_in);
 }
 
 }  // namespace

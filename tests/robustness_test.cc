@@ -307,6 +307,8 @@ TEST(CommitRetry, ExpiredPrepareRefusesRetriedCommit) {
   params.gossip_period = milliseconds(5);
   params.prepare_ttl = milliseconds(20);
   storage::TccPartition part(net, 100, 0, topo.partitions, params);
+  Metrics metrics;
+  part.set_metrics(&metrics);
   part.start();
 
   run_sim(loop, [&]() -> sim::Task<void> {
@@ -319,7 +321,7 @@ TEST(CommitRetry, ExpiredPrepareRefusesRetriedCommit) {
     EXPECT_TRUE(presp.ok);
     // Outlive the prepare lease; the expiry sweep aborts the txn.
     co_await sim::sleep_for(loop, milliseconds(60));
-    EXPECT_GT(part.counters().prepares_expired.value(), 0u);
+    EXPECT_GT(metrics.counter("tcc.prepares_expired").value(), 0u);
     storage::TccCommitReq commit;
     commit.txn = 9;
     commit.commit_ts = presp.prepare_ts;
@@ -399,6 +401,8 @@ TEST(CommitRetry, DedupWindowEvictsFifoNotWholesale) {
   storage::TccPartitionParams params;
   params.resolved_cap = 2;
   storage::TccPartition part(net, 100, 0, topo.partitions, params);
+  Metrics metrics;
+  part.set_metrics(&metrics);
   storage::TccStorageClient client(rpc, topo);
   part.start();
 
@@ -414,7 +418,7 @@ TEST(CommitRetry, DedupWindowEvictsFifoNotWholesale) {
     const Timestamp t2 = co_await commit_one(2, "b");
     co_await commit_one(3, "c");
     const size_t versions = part.store().num_versions();
-    const uint64_t dups = part.counters().duplicate_commits.value();
+    const uint64_t dups = metrics.counter("tcc.duplicate_commits").value();
 
     storage::TccCommitReq replay;
     replay.txn = 2;
@@ -429,7 +433,7 @@ TEST(CommitRetry, DedupWindowEvictsFifoNotWholesale) {
     EXPECT_EQ(resp.commit_ts, t2) << "replay re-assigned a timestamp";
     EXPECT_EQ(part.store().num_versions(), versions)
         << "replayed commit minted a second version";
-    EXPECT_EQ(part.counters().duplicate_commits.value(), dups + 1);
+    EXPECT_EQ(metrics.counter("tcc.duplicate_commits").value(), dups + 1);
   });
 }
 
