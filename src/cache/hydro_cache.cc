@@ -69,7 +69,7 @@ HydroCache::Fit HydroCache::check(const DepMap& ctx, Key key,
     Dep need;
     return seeker.seek(key, need) && counter < need.counter;
   };
-  for (const StoredDep& d : deps) {
+  for (const StoredDep d : deps) {
     if (!key_checked && key <= d.key) {
       if (too_old()) return Fit::kTooOld;
       if (conflict) return Fit::kConflict;
@@ -121,7 +121,7 @@ void HydroCache::insert_stubs(const DepList& deps) {
   if (params_.capacity == 0) return;
   const size_t stub_cap =
       params_.capacity == SIZE_MAX ? SIZE_MAX : params_.capacity * 4;
-  for (const StoredDep& d : deps) {
+  for (const StoredDep d : deps) {
     if (entries_.contains(d.key)) continue;
     auto [st, inserted] = stubs_.try_emplace(d.key, d.counter, d.written_at);
     if (inserted) {

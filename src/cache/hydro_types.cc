@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <string>
+#include <string_view>
 
 namespace faastcc::cache {
 namespace {
@@ -310,7 +312,7 @@ void DepMap::require(Key k, uint64_t counter, SimTime written_at,
 void DepMap::require_all(const DepList& deps) {
   if (deps.empty()) return;
   KeyInterner& interner = KeyInterner::instance();
-  const std::vector<StoredDep>& list = deps.items();
+  const size_t n = deps.size();
   // In-place updates below change no key, so the Seeker stays valid.
   Seeker seeker(*this);
   // Entries the overlay does not hold yet (new keys, and updates shadowing
@@ -318,22 +320,24 @@ void DepMap::require_all(const DepList& deps) {
   Entries& add = scratch();
   add.clear();
   uint32_t shadows = 0;
-  for (size_t i = 0; i < list.size();) {
-    const Key k = list[i].key;
+  for (size_t i = 0; i < n;) {
+    const StoredDep first = deps[i];
+    const Key k = first.key;
     const Loc loc = seeker.next(k);
     // Every list entry for k, in list order, as require() would apply it.
     bool changed = loc.where == Loc::kNone;
     Dep cur;
     if (changed) {
-      cur = Dep{list[i].counter, list[i].written_at, 0, false,
-                context_level(list[i])};
+      cur = Dep{first.counter, first.written_at, 0, false,
+                context_level(first)};
       ++i;
     } else {
       cur = at(loc);
     }
-    for (; i < list.size() && list[i].key == k; ++i) {
-      changed |= raise(cur, list[i].counter, list[i].written_at,
-                       context_level(list[i]));
+    for (; i < n; ++i) {
+      const StoredDep d = deps[i];
+      if (d.key != k) break;
+      changed |= raise(cur, d.counter, d.written_at, context_level(d));
     }
     if (!changed) continue;
     if (loc.where == Loc::kPending || loc.where == Loc::kRep) {
@@ -673,6 +677,43 @@ DepMap DepMap::decode(BufReader& r) {
   });
   m.rep_ = std::move(rep);
   return m;
+}
+
+DepList::DepList(std::vector<StoredDep> deps) {
+  auto by_key = [](const StoredDep& a, const StoredDep& b) {
+    return a.key < b.key;
+  };
+  if (!std::is_sorted(deps.begin(), deps.end(), by_key)) {
+    std::stable_sort(deps.begin(), deps.end(), by_key);
+  }
+  // Laid out in a reused buffer, then copied into one exact-size block.
+  thread_local std::string image;
+  image.resize(deps.size() * kStoredDepWireBytes);
+  char* p = image.data();
+  for (const StoredDep& d : deps) {
+    std::memcpy(p, &d.key, 8);
+    std::memcpy(p + 8, &d.counter, 8);
+    std::memcpy(p + 16, &d.written_at, 8);
+    p[24] = static_cast<char>(d.level);
+    p += kStoredDepWireBytes;
+  }
+  records_ = Value(std::string_view(image));
+}
+
+DepList DepList::decode(BufReader& r) {
+  const size_t n = r.get_count(kStoredDepWireBytes);
+  DepList out;
+  out.records_ = Value(std::string_view(
+      reinterpret_cast<const char*>(r.get_span(n * kStoredDepWireBytes)),
+      n * kStoredDepWireBytes));
+  for (size_t i = 1; i < n; ++i) {
+    if (out[i].key < out[i - 1].key) {  // unsorted: stable-sort a copy
+      std::vector<StoredDep> deps;
+      for (const StoredDep d : out) deps.push_back(d);
+      return DepList(std::move(deps));
+    }
+  }
+  return out;
 }
 
 }  // namespace faastcc::cache

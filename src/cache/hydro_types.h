@@ -648,54 +648,72 @@ struct StoredDep {
                  &StoredDep::level};
 };
 
-// Immutable, refcounted stored-dependency list.  One decoded or built list
-// is shared by every holder — cache entry, read response, client context —
-// instead of being vector-copied at each hop.  Wire format is that of a
-// std::vector<StoredDep> (u32 count + entries); the hand codec only adds
-// the sharing and the sort.
+// Wire size of one stored dependency: key + counter + written_at + level.
+constexpr size_t kStoredDepWireBytes = 8 + 8 + 8 + 1;
+static_assert(Wire<StoredDep>::kMinSize == kStoredDepWireBytes);
+
+// Immutable stored-dependency list in one word: a `Value` block holding
+// exactly the list's wire records, with no count prefix.  Every holder —
+// cache entry, read response, client context — shares the block; reading
+// parses a record into a StoredDep by value.  Decoding copies the records
+// into one exact-size block, so a long-lived list never keeps a push or
+// response frame alive.  Wire format is that of a std::vector<StoredDep>.
 //
 // Entries are in non-decreasing key order (the order commits write them),
 // which is what lets validation walk a list against a context as one
 // merge (DepMap::Seeker, DepMap::require_all).  An unsorted input is
-// stable-sorted on construction, so equal keys keep their relative order.
+// stable-sorted on construction or decode, so equal keys keep their
+// relative order.
 class DepList {
  public:
-  DepList() = default;
-  DepList(std::vector<StoredDep> deps)  // NOLINT(google-explicit-constructor)
-      : list_(deps.empty() ? nullptr : sorted(std::move(deps))) {}
+  class const_iterator {
+   public:
+    explicit const_iterator(const char* p) : p_(p) {}
+    StoredDep operator*() const { return parse(p_); }
+    const_iterator& operator++() {
+      p_ += kStoredDepWireBytes;
+      return *this;
+    }
+    bool operator==(const const_iterator& o) const = default;
 
-  size_t size() const { return list_ ? list_->size() : 0; }
-  bool empty() const { return size() == 0; }
-  const std::vector<StoredDep>& items() const {
-    static const std::vector<StoredDep> kEmpty;
-    return list_ ? *list_ : kEmpty;
+   private:
+    const char* p_;
+  };
+
+  DepList() = default;
+  DepList(std::vector<StoredDep> deps);  // NOLINT(google-explicit-constructor)
+
+  size_t size() const { return records_.size() / kStoredDepWireBytes; }
+  bool empty() const { return records_.empty(); }
+  const_iterator begin() const { return const_iterator(records_.data()); }
+  const_iterator end() const {
+    return const_iterator(records_.data() + records_.size());
   }
-  auto begin() const { return items().begin(); }
-  auto end() const { return items().end(); }
-  const StoredDep& operator[](size_t i) const { return items()[i]; }
+  StoredDep operator[](size_t i) const {
+    return parse(records_.data() + i * kStoredDepWireBytes);
+  }
 
   template <typename W>
   void encode(W& w) const {
-    encode_to(w, items());
+    w.put_u32(static_cast<uint32_t>(size()));
+    w.put_span(reinterpret_cast<const uint8_t*>(records_.data()),
+               records_.size());
   }
-  static DepList decode(BufReader& r) {
-    return DepList(decode_from<std::vector<StoredDep>>(r));
-  }
+  static DepList decode(BufReader& r);
 
  private:
-  static std::shared_ptr<const std::vector<StoredDep>> sorted(
-      std::vector<StoredDep> deps) {
-    auto by_key = [](const StoredDep& a, const StoredDep& b) {
-      return a.key < b.key;
-    };
-    if (!std::is_sorted(deps.begin(), deps.end(), by_key)) {
-      std::stable_sort(deps.begin(), deps.end(), by_key);
-    }
-    return std::make_shared<const std::vector<StoredDep>>(std::move(deps));
+  static StoredDep parse(const char* rec) {
+    StoredDep d;
+    std::memcpy(&d.key, rec, 8);
+    std::memcpy(&d.counter, rec + 8, 8);
+    std::memcpy(&d.written_at, rec + 16, 8);
+    d.level = static_cast<uint8_t>(rec[24]);
+    return d;
   }
 
-  std::shared_ptr<const std::vector<StoredDep>> list_;
+  Value records_;
 };
+static_assert(sizeof(DepList) == sizeof(void*));
 
 // Payload persisted in the eventual store for every HydroCache write:
 // the application value plus the dependency list.

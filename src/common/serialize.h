@@ -29,8 +29,9 @@
 //   - TccReadReq: two parallel vectors interleaved per key;
 //   - FaasTccContext and HydroContext: a leading version tag selects the
 //     layout;
-//   - DepMap, DepList and HydroSession: records stream through writers and
-//     decode as views aliasing the message buffer;
+//   - DepMap and HydroSession: records stream through writers and decode
+//     as views aliasing the message buffer;
+//   - DepList: its records are copied in and out as one span;
 //   - RoutingTable: decode validates slot owners, and the replica block is
 //     a trailing optional section.
 // Hand codecs are generic over the writer, so the same body drives both

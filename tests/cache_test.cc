@@ -372,12 +372,19 @@ TEST_F(FaasTccCacheTest, PromiseExtensionKeepsIdleEntriesServable) {
     co_await sim::sleep_for(loop_, milliseconds(10));
     std::vector<Key> k1(1, Key{1});
     co_await cache_read(k1, SnapshotInterval::full());
-    const Timestamp promise_then = cache_->peek(1)->promise;
-    // No further writes to key 1; idle pushes extend the usable promise.
+    // No further writes to key 1: pushes stop carrying it, so its stored
+    // promise stays put while each push advances the partition's stable
+    // time.
     co_await sim::sleep_for(loop_, milliseconds(200));
+    const Timestamp stored = cache_->peek(1)->promise;
+    const Timestamp stable = cache_->partition_stable(
+        storage::TccTopology{100, 101}.partition_of(1));
+    EXPECT_LT(stored, stable);
     const auto fetches = metrics_.counter("storage.episodes").value();
+    // Past the stored promise, within the stable time: only the extension
+    // can serve it.
     SnapshotInterval si;
-    si.low = promise_then.next();  // beyond the stored promise
+    si.low = stored.next();
     auto resp = co_await cache_read(k1, si);
     EXPECT_TRUE(resp.from_cache[0]);
     EXPECT_EQ(metrics_.counter("storage.episodes").value(), fetches);

@@ -18,8 +18,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <new>
 #include <tuple>
 #include <unordered_set>
 #include <vector>
@@ -27,6 +29,34 @@
 #include "cache/hydro_cache.h"
 #include "cache/hydro_types.h"
 #include "common/rng.h"
+
+// The DepList memory test counts global allocations.  The nothrow forms
+// are replaced too: std::stable_sort's temporary buffer uses them, and a
+// sanitizer runtime would otherwise serve them from its own heap.
+namespace {
+uint64_t g_allocs = 0;
+}  // namespace
+
+// Out of line, as in common_test: GCC then sees operator new/delete pairs
+// rather than malloc and free inlined into a Value destructor.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new(std::size_t n,
+                                     const std::nothrow_t&) noexcept {
+  ++g_allocs;
+  return std::malloc(n == 0 ? 1 : n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace faastcc::cache {
 namespace {
@@ -477,6 +507,86 @@ TEST(DepMapProperties, DepListDecodeSortsUnsortedInputStably) {
   const std::vector<std::pair<Key, uint64_t>> want{{2, 2}, {5, 4}, {9, 1},
                                                    {9, 3}};
   EXPECT_EQ(got, want);
+}
+
+auto fields(const StoredDep& d) {
+  return std::tuple{d.key, d.counter, d.written_at, d.level};
+}
+
+Buffer encoded_list(const std::vector<StoredDep>& deps) {
+  BufWriter w;
+  encode_to(w, deps);
+  return w.take();
+}
+
+// DepList against a std::vector<StoredDep> model, the input stable-sorted
+// by key: random lists with repeated keys, sorted or not, built from a
+// vector or decoded off the wire, iterate, index and encode as the model.
+TEST(DepMapProperties, DepListMatchesVectorModel) {
+  Rng rng(4646);
+  auto by_key = [](const StoredDep& a, const StoredDep& b) {
+    return a.key < b.key;
+  };
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<StoredDep> input;
+    for (size_t i = rng.next_below(40); i > 0; --i) {
+      const bool repeat = !input.empty() && rng.next_bool(0.25);
+      const Key k = repeat ? input[rng.next_below(input.size())].key
+                   : rng.next_bool(0.1) ? rng.next_u64()
+                                        : rng.next_below(64);
+      input.push_back(StoredDep{k, rng.next_u64(),
+                                static_cast<SimTime>(rng.next_u64()),
+                                static_cast<uint8_t>(rng.next_below(3))});
+    }
+    if (rng.next_bool(0.5)) {
+      std::stable_sort(input.begin(), input.end(), by_key);
+    }
+    std::vector<StoredDep> model = input;
+    std::stable_sort(model.begin(), model.end(), by_key);
+
+    const Buffer wire = encoded_list(input);
+    BufReader r(wire);
+    const DepList decoded = DepList::decode(r);
+    EXPECT_TRUE(r.done());
+    for (const DepList& list : {DepList(input), decoded}) {
+      ASSERT_EQ(list.size(), model.size()) << "trial " << trial;
+      EXPECT_EQ(list.empty(), model.empty());
+      size_t i = 0;
+      for (const StoredDep& d : list) {
+        ASSERT_LT(i, model.size());
+        EXPECT_EQ(fields(d), fields(model[i])) << "trial " << trial;
+        ++i;
+      }
+      EXPECT_EQ(i, model.size());
+      for (size_t j = 0; j < model.size(); ++j) {
+        EXPECT_EQ(fields(list[j]), fields(model[j])) << "trial " << trial;
+      }
+      BufWriter w;
+      encode_to(w, list);
+      EXPECT_EQ(w.take(), encoded_list(model)) << "trial " << trial;
+      EXPECT_EQ(encoded_size(list), 4 + model.size() * kStoredDepWireBytes);
+    }
+  }
+}
+
+// A list is one word; decoding it is one exact-size block and copying it
+// is a count bump.
+TEST(DepMapProperties, DepListDecodeAllocatesOnceAndCopiesAllocateNothing) {
+  std::vector<StoredDep> deps;
+  for (Key k = 0; k < 50; ++k) deps.push_back(StoredDep{k, k + 1, 10, 1});
+  const Buffer wire = encoded_list(deps);
+  BufReader r(wire);
+  uint64_t before = g_allocs;
+  const DepList list = DepList::decode(r);
+  EXPECT_EQ(g_allocs, before + 1);
+  ASSERT_EQ(list.size(), deps.size());
+
+  before = g_allocs;
+  const DepList copy = list;  // NOLINT(performance-unnecessary-copy-initialization)
+  DepList assigned;
+  assigned = copy;
+  EXPECT_EQ(g_allocs, before);
+  EXPECT_EQ(fields(assigned[49]), fields(deps[49]));
 }
 
 // encode() and for_each() walk the main representation and the pending
