@@ -68,7 +68,7 @@ class HydroCache {
     Value value;
     uint64_t counter = 0;
     SimTime written_at = 0;
-    DepList deps;  // shared with responses and the stored payload
+    DepList deps;  // one block per distinct list, shared by content
 
     size_t footprint() const {
       return value.size() + 24 + deps.size() * 24;  // key+version+time

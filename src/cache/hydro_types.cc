@@ -1,10 +1,15 @@
 #include "cache/hydro_types.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <vector>
+
+#include "common/probe_index.h"
 
 namespace faastcc::cache {
 namespace {
@@ -62,6 +67,66 @@ inline bool raise(Dep& cur, uint64_t counter, SimTime written_at,
 // The context level of a stored dependency (see DepMap::require_all).
 inline uint8_t context_level(const StoredDep& d) {
   return static_cast<uint8_t>(std::min<int>(d.level + 1, 2));
+}
+
+// The table behind DepList's block sharing: every live record block of a
+// built or decoded list, found by content through a probing index
+// (common/probe_index.h) hashed over all the block's bytes.
+//
+// A block that only the table still holds is swept when the table reaches
+// `sweep_at_`: twice the blocks that survived the previous sweep, and at
+// least kMinSweep.  Only a sweep scans the table.  The block vector and
+// the index are sized for `sweep_at_` blocks at each sweep, so between
+// sweeps a new list costs exactly its one block.
+class RecordBlocks {
+ public:
+  RecordBlocks() { resize_for(kMinSweep); }
+
+  // The held block with bytes `records`, or a new one the table keeps.
+  Value intern(std::string_view records) {
+    if (records.empty()) return Value();
+    const uint64_t h = hash(records);
+    const size_t pos = index_.find(
+        h, [&](uint32_t s) { return blocks_[s].view() == records; });
+    if (pos != detail::ProbeIndex::kNoPos) {
+      return blocks_[index_.slot_at(pos)];
+    }
+    if (blocks_.size() == sweep_at_) sweep();
+    const auto s = static_cast<uint32_t>(blocks_.size());
+    blocks_.emplace_back(records);
+    index_.insert(h, s);
+    return blocks_.back();
+  }
+
+ private:
+  static constexpr size_t kMinSweep = 1024;
+
+  static uint64_t hash(std::string_view bytes) {
+    return std::hash<std::string_view>()(bytes);
+  }
+
+  void sweep() {
+    std::erase_if(blocks_, [](const Value& b) { return b.unique(); });
+    sweep_at_ = std::max(kMinSweep, 2 * blocks_.size());
+    resize_for(sweep_at_);
+  }
+
+  // Room for `n` blocks: the vector reserved, the index at most half full.
+  void resize_for(size_t n) {
+    blocks_.reserve(n);
+    index_.rehash(std::bit_ceil(2 * n), static_cast<uint32_t>(blocks_.size()),
+                  [this](uint32_t s) { return hash(blocks_[s].view()); });
+  }
+
+  std::vector<Value> blocks_;
+  detail::ProbeIndex index_;
+  size_t sweep_at_ = kMinSweep;
+};
+
+// This thread's block holding `records` (see DepList).
+Value shared_block(std::string_view records) {
+  thread_local RecordBlocks table;
+  return table.intern(records);
 }
 
 }  // namespace
@@ -686,7 +751,7 @@ DepList::DepList(std::vector<StoredDep> deps) {
   if (!std::is_sorted(deps.begin(), deps.end(), by_key)) {
     std::stable_sort(deps.begin(), deps.end(), by_key);
   }
-  // Laid out in a reused buffer, then copied into one exact-size block.
+  // Laid out in a reused buffer, then looked up in the table.
   thread_local std::string image;
   image.resize(deps.size() * kStoredDepWireBytes);
   char* p = image.data();
@@ -697,22 +762,26 @@ DepList::DepList(std::vector<StoredDep> deps) {
     p[24] = static_cast<char>(d.level);
     p += kStoredDepWireBytes;
   }
-  records_ = Value(std::string_view(image));
+  records_ = shared_block(image);
 }
 
 DepList DepList::decode(BufReader& r) {
   const size_t n = r.get_count(kStoredDepWireBytes);
-  DepList out;
-  out.records_ = Value(std::string_view(
-      reinterpret_cast<const char*>(r.get_span(n * kStoredDepWireBytes)),
-      n * kStoredDepWireBytes));
+  const auto* bytes =
+      reinterpret_cast<const char*>(r.get_span(n * kStoredDepWireBytes));
+  auto at = [bytes](size_t i) {
+    return parse(bytes + i * kStoredDepWireBytes);
+  };
   for (size_t i = 1; i < n; ++i) {
-    if (out[i].key < out[i - 1].key) {  // unsorted: stable-sort a copy
-      std::vector<StoredDep> deps;
-      for (const StoredDep d : out) deps.push_back(d);
+    if (at(i).key < at(i - 1).key) {  // unsorted: stable-sort a copy
+      std::vector<StoredDep> deps(n);
+      for (size_t j = 0; j < n; ++j) deps[j] = at(j);
       return DepList(std::move(deps));
     }
   }
+  DepList out;
+  out.records_ =
+      shared_block(std::string_view(bytes, n * kStoredDepWireBytes));
   return out;
 }
 

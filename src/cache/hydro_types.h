@@ -655,9 +655,19 @@ static_assert(Wire<StoredDep>::kMinSize == kStoredDepWireBytes);
 // Immutable stored-dependency list in one word: a `Value` block holding
 // exactly the list's wire records, with no count prefix.  Every holder —
 // cache entry, read response, client context — shares the block; reading
-// parses a record into a StoredDep by value.  Decoding copies the records
-// into one exact-size block, so a long-lived list never keeps a push or
-// response frame alive.  Wire format is that of a std::vector<StoredDep>.
+// parses a record into a StoredDep by value.  Wire format is that of a
+// std::vector<StoredDep>.
+//
+// Blocks are shared by content: building or decoding a list looks its
+// record bytes up in a thread-local table of live blocks (compared byte
+// for byte) and takes the held block on a hit, so the caches that decode
+// one push, and the client that decodes the list a cache just sent, hold
+// one block between them.  A miss allocates one exact-size
+// block, so a long-lived list never keeps a push or response frame alive.
+// Blocks only the table still holds are swept once the table has doubled
+// since its last sweep (and holds at least 1024), which keeps it within
+// twice the live distinct lists.  No simulated decision reads a block's
+// address, so sharing changes no schedule.
 //
 // Entries are in non-decreasing key order (the order commits write them),
 // which is what lets validation walk a list against a context as one
@@ -685,6 +695,8 @@ class DepList {
 
   size_t size() const { return records_.size() / kStoredDepWireBytes; }
   bool empty() const { return records_.empty(); }
+  // The records' bytes; lists with equal records share them.
+  const char* data() const { return records_.data(); }
   const_iterator begin() const { return const_iterator(records_.data()); }
   const_iterator end() const {
     return const_iterator(records_.data() + records_.size());

@@ -77,6 +77,19 @@ const Samples* Metrics::find_histogram(std::string_view name) const {
   return nullptr;
 }
 
+Metrics Metrics::drain_histograms() {
+  Metrics out;
+  for (const auto& d : kCounters) out.*(d.member) = this->*(d.member);
+  out.dynamic_counters_ = dynamic_counters_;
+  for (const auto& d : kHistograms) {
+    out.*(d.member) = std::exchange(this->*(d.member), Samples{});
+  }
+  for (auto& [n, h] : dynamic_histograms_) {
+    out.dynamic_histograms_.emplace_back(n, std::exchange(h, Samples{}));
+  }
+  return out;
+}
+
 void Metrics::each_counter(
     const std::function<void(const char*, const Counter&)>& fn) const {
   for (const auto& d : kCounters) fn(d.name, this->*(d.member));

@@ -76,6 +76,11 @@ struct Metrics {
   const Counter* find_counter(std::string_view name) const;
   const Samples* find_histogram(std::string_view name) const;
 
+  // A snapshot that takes the histograms' samples instead of copying
+  // them: counters are copied, and this instance's histograms are left
+  // empty.  Handles into this instance stay valid.
+  Metrics drain_histograms();
+
   // Deterministic iteration: well-known metrics in declaration order, then
   // dynamic metrics in registration order.
   void each_counter(

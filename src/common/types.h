@@ -86,6 +86,8 @@ class Value {
 
   size_t size() const { return rep_ != nullptr ? rep_->size : 0; }
   bool empty() const { return rep_ == nullptr; }
+  // Whether this is the block's only holder (false for an empty value).
+  bool unique() const { return rep_ != nullptr && rep_->refs == 1; }
 
   std::string_view view() const {
     return rep_ != nullptr ? std::string_view(bytes(), rep_->size)

@@ -478,7 +478,9 @@ RunResult Cluster::run_clients() {
   }
 
   RunResult out;
-  out.metrics = metrics_;
+  // The samples move into the result, so the cluster's histograms are
+  // drained; its counters stay readable through metrics().
+  out.metrics = metrics_.drain_histograms();
   SimTime t_end = t_start;
   for (const auto& c : clients_) {
     out.committed += c->committed();

@@ -21,8 +21,6 @@ using client::SnapshotInterval;
 using storage::KeyValue;
 using storage::TccReadResp;
 
-Timestamp ts(uint64_t us) { return Timestamp(us, 0, 0); }
-
 // ---------------------------------------------------------------------------
 // LruIndex
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include "common/fifo_window.h"
 #include "common/hlc.h"
 #include "common/key_table.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "common/stats.h"
@@ -209,6 +210,34 @@ TEST(Codec, SizesAreExact) {
   w.put_u64(1);
   w.put_u64(2);
   EXPECT_EQ(w.size(), 16u);  // the snapshot-interval wire size (Fig. 5)
+}
+
+// ---------------------------------------------------------------------------
+// Metrics
+// ---------------------------------------------------------------------------
+
+// A run's snapshot takes the histograms' samples and copies the counters;
+// the source keeps its counters (and handles to them) but no samples.
+TEST(Metrics, DrainHistogramsMovesSamplesAndCopiesCounters) {
+  Metrics m;
+  m.dag_commits.inc(3);
+  Counter& dynamic = m.counter("routing.epoch");
+  dynamic.inc(2);
+  m.dag_latency_ms.add(1.5);
+  m.histogram("breakdown.compute_ms").add(4);
+
+  const Metrics out = m.drain_histograms();
+  EXPECT_EQ(out.dag_commits.value(), 3u);
+  EXPECT_EQ(out.find_counter("routing.epoch")->value(), 2u);
+  EXPECT_EQ(out.dag_latency_ms.raw(), std::vector<double>{1.5});
+  EXPECT_EQ(out.find_histogram("breakdown.compute_ms")->raw(),
+            std::vector<double>{4});
+
+  EXPECT_EQ(m.dag_commits.value(), 3u);
+  EXPECT_EQ(&m.counter("routing.epoch"), &dynamic);
+  EXPECT_EQ(dynamic.value(), 2u);
+  EXPECT_TRUE(m.dag_latency_ms.empty());
+  EXPECT_TRUE(m.find_histogram("breakdown.compute_ms")->empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -570,6 +599,21 @@ TEST(Value, OneAllocationPerValueAndNoneToCopy) {
     EXPECT_EQ(d.size(), n);
     EXPECT_EQ(d[n - 1], 'y');
   }
+}
+
+TEST(Value, UniqueWhenTheOnlyHolder) {
+  EXPECT_FALSE(Value().unique());
+  Value v("payload");
+  EXPECT_TRUE(v.unique());
+  {
+    const Value copy = v;  // NOLINT(performance-unnecessary-copy-initialization)
+    EXPECT_FALSE(v.unique());
+    EXPECT_FALSE(copy.unique());
+  }
+  EXPECT_TRUE(v.unique());
+  const Value moved = std::move(v);
+  EXPECT_TRUE(moved.unique());
+  EXPECT_FALSE(v.unique());  // NOLINT(bugprone-use-after-move)
 }
 
 TEST(Value, ReadSurfaceMatchesTheBytes) {

@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <new>
+#include <thread>
 #include <tuple>
 #include <unordered_set>
 #include <vector>
@@ -30,11 +31,24 @@
 #include "cache/hydro_types.h"
 #include "common/rng.h"
 
-// The DepList memory test counts global allocations.  The nothrow forms
-// are replaced too: std::stable_sort's temporary buffer uses them, and a
-// sanitizer runtime would otherwise serve them from its own heap.
+// The DepList memory tests count global allocations and watch for one
+// block's release.  The nothrow forms are replaced too: std::stable_sort's
+// temporary buffer uses them, and a sanitizer runtime would otherwise
+// serve them from its own heap.
 namespace {
 uint64_t g_allocs = 0;
+// The bytes of a watched Value block, and whether the block was freed.
+const char* g_watched = nullptr;
+bool g_watched_freed = false;
+
+void release(void* p) {
+  // A Value's bytes follow its {refs, size} header in the same block.
+  if (g_watched != nullptr &&
+      static_cast<const char*>(p) + 2 * sizeof(uint32_t) == g_watched) {
+    g_watched_freed = true;
+  }
+  std::free(p);
+}
 }  // namespace
 
 // Out of line, as in common_test: GCC then sees operator new/delete pairs
@@ -49,13 +63,13 @@ uint64_t g_allocs = 0;
   ++g_allocs;
   return std::malloc(n == 0 ? 1 : n);
 }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { release(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
+  release(p);
 }
 [[gnu::noinline]] void operator delete(void* p,
                                        const std::nothrow_t&) noexcept {
-  std::free(p);
+  release(p);
 }
 
 namespace faastcc::cache {
@@ -141,7 +155,9 @@ void expect_equivalent(const DepMap& map, const Model& model,
     EXPECT_EQ(got->counter, d.counter) << what << " key " << k;
     EXPECT_EQ(got->written_at, d.written_at) << what << " key " << k;
     EXPECT_EQ(got->read, d.read) << what << " key " << k;
-    if (!d.read) EXPECT_EQ(got->level, d.level) << what << " key " << k;
+    if (!d.read) {
+      EXPECT_EQ(got->level, d.level) << what << " key " << k;
+    }
   }
   // And the iteration agrees (also exercises the sorted-order contract).
   Key prev = 0;
@@ -569,24 +585,130 @@ TEST(DepMapProperties, DepListMatchesVectorModel) {
   }
 }
 
-// A list is one word; decoding it is one exact-size block and copying it
-// is a count bump.
-TEST(DepMapProperties, DepListDecodeAllocatesOnceAndCopiesAllocateNothing) {
+// `n` sorted records whose counters start at `first`: lists with
+// different `first` differ in every record.
+std::vector<StoredDep> counted_deps(size_t n, uint64_t first) {
   std::vector<StoredDep> deps;
-  for (Key k = 0; k < 50; ++k) deps.push_back(StoredDep{k, k + 1, 10, 1});
-  const Buffer wire = encoded_list(deps);
-  BufReader r(wire);
-  uint64_t before = g_allocs;
-  const DepList list = DepList::decode(r);
-  EXPECT_EQ(g_allocs, before + 1);
-  ASSERT_EQ(list.size(), deps.size());
+  for (Key k = 0; k < n; ++k) deps.push_back(StoredDep{k, first + k, 10, 1});
+  return deps;
+}
 
-  before = g_allocs;
-  const DepList copy = list;  // NOLINT(performance-unnecessary-copy-initialization)
-  DepList assigned;
-  assigned = copy;
-  EXPECT_EQ(g_allocs, before);
-  EXPECT_EQ(fields(assigned[49]), fields(deps[49]));
+DepList decoded(const Buffer& wire) {
+  BufReader r(wire);
+  return DepList::decode(r);
+}
+
+// Runs `body` on a new thread, whose block table starts empty, so the
+// table's growth and sweeps fall where the test expects them.
+template <typename F>
+void on_fresh_table(F body) {
+  std::thread(body).join();
+}
+
+// A list is one word.  Once the thread's table is set up, a new list is
+// one exact-size block; decoding bytes already held is a lookup returning
+// the held block, and copying a list is a count bump.
+TEST(DepMapProperties, DepListDecodeAllocatesOnceAndCopiesAllocateNothing) {
+  on_fresh_table([] {
+    (void)decoded(encoded_list(counted_deps(1, 0)));  // sets the table up
+    const std::vector<StoredDep> deps = counted_deps(50, 1);
+    const Buffer wire = encoded_list(deps);
+    BufReader r(wire);
+    uint64_t before = g_allocs;
+    const DepList list = DepList::decode(r);
+    EXPECT_EQ(g_allocs, before + 1);
+    ASSERT_EQ(list.size(), deps.size());
+
+    BufReader again(wire);
+    before = g_allocs;
+    const DepList held = DepList::decode(again);
+    EXPECT_EQ(g_allocs, before);
+    EXPECT_EQ(held.data(), list.data());
+
+    before = g_allocs;
+    const DepList copy = list;  // NOLINT(performance-unnecessary-copy-initialization)
+    DepList assigned;
+    assigned = copy;
+    EXPECT_EQ(g_allocs, before);
+    EXPECT_EQ(fields(assigned[49]), fields(deps[49]));
+  });
+}
+
+// Lists share a block exactly when their record bytes are equal: random
+// short lists over a small alphabet (so equal lists recur, and unequal
+// ones often differ in one byte or are a prefix of one another), all held
+// at once, built or decoded.
+TEST(DepMapProperties, DepListsShareABlockExactlyWhenTheirBytesAreEqual) {
+  Rng rng(5151);
+  std::vector<DepList> lists;
+  std::vector<Buffer> wires;
+  for (int i = 0; i < 400; ++i) {
+    std::vector<StoredDep> deps;
+    for (size_t n = 1 + rng.next_below(3); n > 0; --n) {
+      deps.push_back(StoredDep{deps.size(), rng.next_below(2), 10,
+                               static_cast<uint8_t>(rng.next_below(2))});
+    }
+    wires.push_back(encoded_list(deps));
+    lists.push_back(rng.next_bool(0.5) ? DepList(deps) : decoded(wires.back()));
+  }
+  for (size_t i = 0; i < lists.size(); ++i) {
+    BufWriter w;
+    encode_to(w, lists[i]);
+    ASSERT_EQ(w.take(), wires[i]) << "list " << i;
+    for (size_t j = 0; j < i; ++j) {
+      EXPECT_EQ(lists[i].data() == lists[j].data(), wires[i] == wires[j])
+          << "lists " << j << " and " << i;
+    }
+  }
+}
+
+// A block no list holds any more stays in the table until the table's
+// next sweep, which frees it; a block a list still holds survives the
+// sweep.  A fresh table first sweeps when a new list finds 1024 blocks.
+TEST(DepMapProperties, DepListSweepFreesBlocksNoListHolds) {
+  on_fresh_table([] {
+    const Buffer kept_wire = encoded_list(counted_deps(4, 1));
+    const DepList kept = decoded(kept_wire);
+    {
+      const DepList dropped = decoded(encoded_list(counted_deps(4, 2)));
+      g_watched = dropped.data();
+      g_watched_freed = false;
+    }
+    EXPECT_FALSE(g_watched_freed);  // the table still holds it
+    // 1022 more blocks fill the table to 1024 without a sweep...
+    for (uint64_t first = 3; first < 3 + 1022; ++first) {
+      (void)decoded(encoded_list(counted_deps(4, first)));
+    }
+    EXPECT_FALSE(g_watched_freed);
+    // ...and the next new list sweeps first.
+    (void)decoded(encoded_list(counted_deps(4, 3 + 1022)));
+    EXPECT_TRUE(g_watched_freed);
+    g_watched = nullptr;
+
+    const uint64_t before = g_allocs;
+    BufReader r(kept_wire);
+    EXPECT_EQ(DepList::decode(r).data(), kept.data());
+    EXPECT_EQ(g_allocs, before);
+  });
+}
+
+// An unsorted list is stable-sorted before the lookup, so it shares the
+// block of the sorted list it is equal to.
+TEST(DepMapProperties, DepListUnsortedInputSharesTheSortedBlock) {
+  const std::vector<StoredDep> unsorted{
+      StoredDep{9, 1, 10, 0}, StoredDep{2, 2, 20, 1}, StoredDep{9, 3, 30, 1},
+      StoredDep{5, 4, 40, 0}};
+  const std::vector<StoredDep> sorted{unsorted[1], unsorted[3], unsorted[0],
+                                      unsorted[2]};
+  const DepList from_unsorted = decoded(encoded_list(unsorted));
+  const DepList from_sorted = decoded(encoded_list(sorted));
+  EXPECT_EQ(from_unsorted.data(), from_sorted.data());
+  const DepList built = DepList(unsorted);
+  EXPECT_EQ(built.data(), from_sorted.data());
+  ASSERT_EQ(from_unsorted.size(), sorted.size());
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    EXPECT_EQ(fields(from_unsorted[i]), fields(sorted[i])) << i;
+  }
 }
 
 // encode() and for_each() walk the main representation and the pending

@@ -477,9 +477,11 @@ TEST_F(TccClusterTest, StableTimeAdvancesWithGossip) {
 
 TEST_F(TccClusterTest, PendingPrepareHoldsBackSafeTime) {
   run([&]() -> sim::Task<void> {
+    TccPrepareReq req;
+    req.txn = 77;
+    req.dep_ts = Timestamp::min();
     auto resp = co_await client_rpc_.call<TccPrepareResp>(
-        partitions_[0]->address(), kTccPrepare,
-        TccPrepareReq{77, Timestamp::min()});
+        partitions_[0]->address(), kTccPrepare, req);
     co_await sim::sleep_for(loop_, milliseconds(30));
     // With txn 77 prepared but never committed, partition 0's safe time is
     // pinned just below the prepare timestamp.
