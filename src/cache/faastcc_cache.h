@@ -82,6 +82,7 @@ class FaasTccCache {
   // Test access.
   bool has(Key k) const { return entries_.contains(k); }
   const Entry* peek(Key k) const;
+  std::optional<Key> least_recent() const { return entries_.least_recent(); }
   Timestamp partition_stable(PartitionId p) const {
     return partition_stable_.at(p);
   }

@@ -46,6 +46,7 @@ class HydroCache {
   size_t total_keys() const { return entries_.size() + stubs_.size(); }
 
   bool has(Key k) const { return entries_.contains(k); }
+  std::optional<Key> least_recent() const { return entries_.least_recent(); }
 
   // Sizes the entry table for a prewarm of `n` keys.
   void reserve(size_t n) { entries_.reserve(n); }

@@ -25,6 +25,8 @@ class PlainCache {
   net::Address address() const { return rpc_.address(); }
   size_t entry_count() const { return entries_.size(); }
   size_t bytes() const { return bytes_; }
+  bool has(Key k) const { return entries_.contains(k); }
+  std::optional<Key> least_recent() const { return entries_.least_recent(); }
 
   // Sizes the entry table for a prewarm of `n` keys.
   void reserve(size_t n) { entries_.reserve(n); }

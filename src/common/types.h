@@ -79,9 +79,14 @@ class Value {
     Value(std::move(o)).swap(*this);
     return *this;
   }
+  // GCC 12 reports one holder's decrement after another's inlined delete
+  // as a use after free: it cannot see that the count stayed above zero.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuse-after-free"
   ~Value() {
     if (rep_ != nullptr && --rep_->refs == 0) ::operator delete(rep_);
   }
+#pragma GCC diagnostic pop
   void swap(Value& o) noexcept { std::swap(rep_, o.rep_); }
 
   size_t size() const { return rep_ != nullptr ? rep_->size : 0; }

@@ -124,7 +124,9 @@ DagView DagView::decode(BufReader& r) {
   }
   const auto size = static_cast<size_t>(r.cursor() - begin);
   if (const auto& owner = r.owner()) return DagView(Payload(owner, begin, size));
-  return DagView(Payload(Buffer(begin, begin + size)));
+  // Built in place: GCC 12 misreads a moved-from Buffer as a non-heap free.
+  auto copy = std::make_shared<const Buffer>(begin, begin + size);
+  return DagView(Payload(copy, copy->data(), size));
 }
 
 uint32_t DagView::num_functions() const { return reader().get_u32(); }

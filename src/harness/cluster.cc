@@ -416,46 +416,46 @@ void Cluster::start() {
 
 void Cluster::prewarm() {
   // Zipf ranks map to key ids directly, so warming keys [0, n) warms the
-  // hottest n keys.  Bounded caches are warmed to capacity.
+  // hottest n keys.  Bounded caches are warmed to capacity.  Tables fill
+  // one at a time (interleaving them key by key is slower), then each key's
+  // subscriber list is built once, at its size; no event runs in between,
+  // so open entries stay sound.  The chaos knob reproduces the historical
+  // API misuse: open prewarm entries without a subscription backing them.
   const Value value(params_.workload.value_size, 'x');
   const Timestamp init_ts(1, 0, 0);
   const uint64_t limit =
       std::min<uint64_t>(params_.workload.num_keys, params_.cache_capacity);
+  const size_t parts = params_.partitions;
+  const bool chaos = params_.faastcc_cache.chaos_prewarm_open;
+  std::vector<net::Address> caches;
   for (auto& cache : faastcc_caches_) {
-    // Subscribe before installing the warm entry so its promise may stay
-    // open soundly.  The chaos knob reproduces the historical API misuse:
-    // open prewarm entries without a subscription backing them.
-    const bool chaos = params_.faastcc_cache.chaos_prewarm_open;
     cache->reserve(limit);
     for (Key k = 0; k < limit; ++k) {
-      const size_t p = k % params_.partitions;
-      const Timestamp promise = tcc_partitions_[p]->stable_time();
-      if (!chaos) tcc_partitions_[p]->add_subscriber(k, cache->address());
+      const Timestamp promise = tcc_partitions_[k % parts]->stable_time();
       cache->prewarm(storage::VersionedValue{k, value, init_ts, promise},
                      /*subscribed=*/!chaos);
     }
+    if (!chaos) caches.push_back(cache->address());
   }
   for (auto& cache : hydro_caches_) {
     cache->reserve(limit);
-    for (Key k = 0; k < limit; ++k) {
-      cache->prewarm(k, value, 1, 0);
-      // Subscribe at the notifier replica (replica 0 of the partition).
-      const size_t p = k % params_.partitions;
-      ev_replicas_[p * params_.ev_replicas]->add_subscriber(
-          k, cache->address());
-    }
+    for (Key k = 0; k < limit; ++k) cache->prewarm(k, value, 1, 0);
+    caches.push_back(cache->address());
   }
   for (auto& cache : plain_caches_) {
     cache->reserve(limit);
-    for (Key k = 0; k < limit; ++k) {
-      cache->prewarm(k, value);
-      const size_t p = k % params_.partitions;
-      ev_replicas_[p * params_.ev_replicas]->add_subscriber(
-          k, cache->address());
-    }
+    for (Key k = 0; k < limit; ++k) cache->prewarm(k, value);
+    caches.push_back(cache->address());
   }
-  for (auto& p : tcc_partitions_) p->shrink_subscribers();
-  for (auto& r : ev_replicas_) r->shrink_subscribers();
+  std::sort(caches.begin(), caches.end());
+  // FaaSTCC caches subscribe at the partition, the others at its notifier
+  // replica (replica 0).
+  const bool tcc = !faastcc_caches_.empty();
+  for (Key k = 0; k < limit; ++k) {
+    const size_t p = k % parts;
+    if (tcc) tcc_partitions_[p]->add_subscribers(k, caches);
+    else ev_replicas_[p * params_.ev_replicas]->add_subscribers(k, caches);
+  }
 }
 
 RunResult Cluster::run_clients() {

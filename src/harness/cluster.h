@@ -211,6 +211,9 @@ class Cluster {
   std::vector<std::unique_ptr<cache::HydroCache>>& hydro_caches() {
     return hydro_caches_;
   }
+  std::vector<std::unique_ptr<cache::PlainCache>>& plain_caches() {
+    return plain_caches_;
+  }
   std::vector<std::unique_ptr<workload::ClientDriver>>& clients() {
     return clients_;
   }

@@ -49,7 +49,7 @@ sim::Task<Buffer> EvReplica::on_subscribe(Buffer req, net::Address from) {
   rpc_.recycle(std::move(req));
   co_await sim::sleep_for(rpc_.loop(), params_.request_cpu);
   for (Key k : q.keys) {
-    add_subscriber(k, from);
+    add_subscribers(k, {&from, 1});
     dirty_.insert(k);  // re-announce the current version on the next push
   }
   co_return Buffer{};

@@ -55,14 +55,14 @@ class EvReplica {
   // Installs an item directly, bypassing the protocol (dataset preload).
   void preload(EvItem item) { merge(std::move(item)); }
 
-  // Registers a cache for update notifications (setup path; the protocol
-  // path is the kEvSubscribe RPC).  Caches subscribe at one replica of the
-  // owning partition.
-  void add_subscriber(Key k, net::Address cache) {
-    subscribers_.add(k, cache);
+  // Registers caches for `k`'s update notifications (the kEvSubscribe
+  // handler and the cache prewarm).  Caches subscribe at one replica of the
+  // owning partition.  `ascending_caches` is strictly ascending.
+  void add_subscribers(Key k, std::span<const net::Address> ascending_caches) {
+    subscribers_.add(k, ascending_caches, [](net::Address) {});
   }
-  // Trims the subscriber lists once the setup path is done adding.
-  void shrink_subscribers() { subscribers_.shrink_to_fit(); }
+  // Test access.
+  const SubscriberTable& subscribers() const { return subscribers_; }
 
  private:
   sim::Task<Buffer> on_get(Buffer req, net::Address from);

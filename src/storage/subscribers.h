@@ -4,6 +4,7 @@
 #pragma once
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/key_table.h"
@@ -13,13 +14,21 @@ namespace faastcc::storage {
 
 class SubscriberTable {
  public:
-  // Adds `cache` to `k`'s subscribers; returns whether it was new.
-  bool add(Key k, net::Address cache) {
+  // Adds every cache of `ascending` (strictly ascending) to `k`'s
+  // subscribers and calls `on_added` with each one that was new, in
+  // ascending order.  An absent key's list is allocated once, at its size.
+  template <typename F>
+  void add(Key k, std::span<const net::Address> ascending, F&& on_added) {
+    if (ascending.empty()) return;
     std::vector<net::Address>& subs = *keys_.try_emplace(k).first;
-    const auto pos = std::lower_bound(subs.begin(), subs.end(), cache);
-    if (pos != subs.end() && *pos == cache) return false;
-    subs.insert(pos, cache);
-    return true;
+    if (subs.empty()) subs.reserve(ascending.size());
+    auto pos = subs.begin();
+    for (net::Address cache : ascending) {
+      pos = std::lower_bound(pos, subs.end(), cache);
+      if (pos != subs.end() && *pos == cache) continue;
+      pos = subs.insert(pos, cache);
+      on_added(cache);
+    }
   }
 
   // Removes `cache` from `k`'s subscribers; returns whether it was one.
@@ -37,14 +46,6 @@ class SubscriberTable {
 
   // `k`'s subscribers in ascending address order; nullptr when none.
   const std::vector<net::Address>* find(Key k) const { return keys_.find(k); }
-
-  // Trims every list to its size.  A list built one add at a time (the
-  // prewarm path) otherwise keeps up to twice the capacity it needs.
-  void shrink_to_fit() {
-    keys_.for_each([](Key, std::vector<net::Address>& subs) {
-      subs.shrink_to_fit();
-    });
-  }
 
  private:
   KeyTable<std::vector<net::Address>> keys_;

@@ -565,7 +565,7 @@ sim::Task<Buffer> TccPartition::on_subscribe(Buffer req, net::Address from) {
     // Keys handed away while this handler slept are skipped: the cache
     // re-subscribes at the new owner once it adopts the fresh table.
     if (!owns(k)) continue;
-    add_subscriber(k, from);
+    add_subscribers(k, {&from, 1});
     // Re-announce the key's latest version on the next push: a successor
     // may have been installed between the read that triggered this
     // subscription and now, and the subscriber must not treat its (stale)
@@ -575,12 +575,25 @@ sim::Task<Buffer> TccPartition::on_subscribe(Buffer req, net::Address from) {
   co_return Buffer{};
 }
 
+void TccPartition::add_subscribers(
+    Key k, std::span<const net::Address> ascending_caches) {
+  // The caches arrive ascending, so one forward walk finds their refs.
+  auto ref = subscriber_refs_.begin();
+  subscribers_.add(k, ascending_caches, [&](net::Address cache) {
+    while (ref != subscriber_refs_.end() && ref->first < cache) ++ref;
+    if (ref == subscriber_refs_.end() || ref->first != cache) {
+      ref = subscriber_refs_.emplace(ref, cache, 0);
+    }
+    ++(ref++)->second;
+  });
+}
+
 void TccPartition::drop_subscriber(Key k, net::Address cache) {
   if (!subscribers_.remove(k, cache)) return;
-  auto ref = subscriber_refs_.find(cache);
+  auto ref = std::find_if(subscriber_refs_.begin(), subscriber_refs_.end(),
+                          [&](const auto& r) { return r.first == cache; });
   if (ref != subscriber_refs_.end() && --ref->second == 0) {
     subscriber_refs_.erase(ref);
-    subscriber_addresses_.erase(cache);
   }
 }
 
@@ -758,7 +771,7 @@ sim::Task<void> TccPartition::push_loop() {
     dirty_.clear();
     // Every subscriber gets a push each period, even an empty one: the
     // absence of a key in the batch is the promise-extension signal.
-    for (net::Address sub : subscriber_addresses_) {
+    for (const auto& [sub, refs] : subscriber_refs_) {
       auto& batch = batches[sub];  // creates empty batches as needed
       batch.partition = id_;
       // Channel sequence, starting at 1 and persisting across resubscribes:

@@ -157,17 +157,14 @@ class TccPartition {
   MvStore& store() { return store_; }
   const MvStore& store() const { return store_; }
 
-  // Registers a subscriber directly (pre-warm setup path; the protocol
-  // path is the kTccSubscribe RPC).
-  void add_subscriber(Key k, net::Address cache) {
-    if (subscribers_.add(k, cache)) {
-      if (++subscriber_refs_[cache] == 1) {
-        subscriber_addresses_.insert(cache);
-      }
-    }
+  // Registers caches as `k`'s subscribers (the kTccSubscribe handler and
+  // the cache prewarm).  `ascending_caches` is strictly ascending.
+  void add_subscribers(Key k, std::span<const net::Address> ascending_caches);
+  // Test access.
+  const SubscriberTable& subscribers() const { return subscribers_; }
+  const std::vector<std::pair<net::Address, size_t>>& subscriber_refs() const {
+    return subscriber_refs_;
   }
-  // Trims the subscriber lists once the setup path is done adding.
-  void shrink_subscribers() { subscribers_.shrink_to_fit(); }
 
   // True when the current routing table assigns `k` here (or no table is
   // installed — the static pre-elastic world).  Handlers re-check after
@@ -296,8 +293,8 @@ class TccPartition {
 
   // Pub/sub.
   SubscriberTable subscribers_;
-  std::unordered_map<net::Address, size_t> subscriber_refs_;
-  std::set<net::Address> subscriber_addresses_;
+  // Every subscriber with its number of subscribed keys, by address.
+  std::vector<std::pair<net::Address, size_t>> subscriber_refs_;
   std::unordered_set<Key> dirty_;
   // Per-subscriber push-channel sequence (first push carries seq 1) and the
   // newest control-channel (subscribe/unsubscribe) sequence processed per

@@ -480,7 +480,7 @@ TEST_F(FaasTccCacheTest, SubscribedPrewarmOpensEntry) {
   run([&]() -> sim::Task<void> {
     const Timestamp t1 = co_await commit(2, "warm", Timestamp::min());
     co_await sim::sleep_for(loop_, milliseconds(10));
-    partitions_[0]->add_subscriber(2, cache_->address());
+    partitions_[0]->add_subscribers(2, std::vector{cache_->address()});
     cache_->prewarm(storage::VersionedValue{2, "warm", t1,
                                             partitions_[0]->stable_time()},
                     /*subscribed=*/true);

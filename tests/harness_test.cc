@@ -2,6 +2,7 @@
 // table formatting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -198,6 +199,161 @@ TEST(Cluster, BoundedPrewarmRespectsCapacity) {
     EXPECT_FALSE(cache->has(49));
   }
 }
+
+// The per-cache build the one-pass prewarm replaced: each cache fills its
+// table key by key and subscribes each key as it installs it.
+void reference_prewarm(Cluster& c) {
+  const ClusterParams& p = c.params();
+  const Value value(p.workload.value_size, 'x');
+  const uint64_t limit =
+      std::min<uint64_t>(p.workload.num_keys, p.cache_capacity);
+  const bool chaos = p.faastcc_cache.chaos_prewarm_open;
+  auto notifier = [&](Key k) {
+    return c.ev_replicas()[(k % p.partitions) * p.ev_replicas].get();
+  };
+  for (auto& cache : c.faastcc_caches()) {
+    cache->reserve(limit);
+    for (Key k = 0; k < limit; ++k) {
+      storage::TccPartition& part = *c.tcc_partitions()[k % p.partitions];
+      if (!chaos) part.add_subscribers(k, std::vector{cache->address()});
+      cache->prewarm(storage::VersionedValue{k, value, Timestamp(1, 0, 0),
+                                             part.stable_time()},
+                     /*subscribed=*/!chaos);
+    }
+  }
+  for (auto& cache : c.hydro_caches()) {
+    cache->reserve(limit);
+    for (Key k = 0; k < limit; ++k) {
+      cache->prewarm(k, value, 1, 0);
+      notifier(k)->add_subscribers(k, std::vector{cache->address()});
+    }
+  }
+  for (auto& cache : c.plain_caches()) {
+    cache->reserve(limit);
+    for (Key k = 0; k < limit; ++k) {
+      cache->prewarm(k, value);
+      notifier(k)->add_subscribers(k, std::vector{cache->address()});
+    }
+  }
+}
+
+template <typename C>
+void expect_same_caches(const std::vector<std::unique_ptr<C>>& got,
+                        const std::vector<std::unique_ptr<C>>& want,
+                        Key keys) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i]->entry_count(), want[i]->entry_count());
+    EXPECT_EQ(got[i]->bytes(), want[i]->bytes());
+    EXPECT_EQ(got[i]->least_recent(), want[i]->least_recent());
+    for (Key k = 0; k < keys; ++k) EXPECT_EQ(got[i]->has(k), want[i]->has(k));
+  }
+}
+
+void expect_exact_lists(const storage::SubscriberTable& got,
+                        const storage::SubscriberTable& want, Key keys) {
+  for (Key k = 0; k < keys; ++k) {
+    const auto* g = got.find(k);
+    const auto* w = want.find(k);
+    ASSERT_EQ(g == nullptr, w == nullptr) << "key " << k;
+    if (g == nullptr) continue;
+    EXPECT_EQ(*g, *w) << "key " << k;
+    EXPECT_TRUE(std::is_sorted(g->begin(), g->end())) << "key " << k;
+    EXPECT_EQ(g->capacity(), g->size()) << "key " << k;
+  }
+}
+
+// Prewarming in one sized pass leaves every cache table, subscriber list
+// and subscriber count as the per-cache build does, with each list
+// allocated at its size.
+class PrewarmEquivalence
+    : public ::testing::TestWithParam<std::pair<SystemKind, bool>> {};
+
+TEST_P(PrewarmEquivalence, MatchesPerCacheBuild) {
+  const auto [system, chaos] = GetParam();
+  ClusterParams p;
+  p.system = system;
+  p.partitions = 4;
+  p.compute_nodes = 3;
+  p.clients = 0;
+  p.workload.num_keys = 1000;
+  p.faastcc_cache.chaos_prewarm_open = chaos;
+  p.prewarm_caches = true;
+  Cluster one_pass(p);
+  one_pass.start();
+  p.prewarm_caches = false;
+  Cluster per_cache(p);
+  per_cache.start();
+  reference_prewarm(per_cache);
+
+  const Key keys = p.workload.num_keys;
+  size_t subscribed = 0;
+  for (size_t i = 0; i < one_pass.tcc_partitions().size(); ++i) {
+    const auto& got = *one_pass.tcc_partitions()[i];
+    const auto& want = *per_cache.tcc_partitions()[i];
+    expect_exact_lists(got.subscribers(), want.subscribers(), keys);
+    EXPECT_EQ(got.subscriber_refs(), want.subscriber_refs());
+    for (const auto& [cache, refs] : got.subscriber_refs()) subscribed += refs;
+  }
+  for (size_t i = 0; i < one_pass.ev_replicas().size(); ++i) {
+    expect_exact_lists(one_pass.ev_replicas()[i]->subscribers(),
+                       per_cache.ev_replicas()[i]->subscribers(), keys);
+  }
+  // Every prewarmed key is subscribed by every cache, ascending.
+  std::vector<net::Address> caches;
+  for (auto& c : one_pass.faastcc_caches()) caches.push_back(c->address());
+  for (auto& c : one_pass.hydro_caches()) caches.push_back(c->address());
+  for (auto& c : one_pass.plain_caches()) caches.push_back(c->address());
+  std::sort(caches.begin(), caches.end());
+  ASSERT_EQ(caches.size(), p.compute_nodes);
+  for (Key k = 0; k < keys; ++k) {
+    const size_t part = k % p.partitions;
+    const auto* subs =
+        system == SystemKind::kFaasTcc
+            ? one_pass.tcc_partitions()[part]->subscribers().find(k)
+            : one_pass.ev_replicas()[part * p.ev_replicas]->subscribers().find(
+                  k);
+    if (chaos) {
+      EXPECT_EQ(subs, nullptr);
+      continue;
+    }
+    ASSERT_NE(subs, nullptr) << "key " << k;
+    EXPECT_EQ(*subs, caches) << "key " << k;
+  }
+  EXPECT_EQ(subscribed, system == SystemKind::kFaasTcc && !chaos
+                            ? keys * caches.size()
+                            : 0);
+
+  expect_same_caches(one_pass.faastcc_caches(), per_cache.faastcc_caches(),
+                     keys);
+  expect_same_caches(one_pass.hydro_caches(), per_cache.hydro_caches(), keys);
+  expect_same_caches(one_pass.plain_caches(), per_cache.plain_caches(), keys);
+  for (size_t i = 0; i < one_pass.faastcc_caches().size(); ++i) {
+    for (Key k = 0; k < keys; ++k) {
+      const auto* g = one_pass.faastcc_caches()[i]->peek(k);
+      const auto* w = per_cache.faastcc_caches()[i]->peek(k);
+      ASSERT_NE(g, nullptr);
+      ASSERT_NE(w, nullptr);
+      EXPECT_EQ(g->value, w->value);
+      EXPECT_EQ(g->ts, w->ts);
+      EXPECT_EQ(g->promise, w->promise);
+      EXPECT_EQ(g->open, w->open);
+      EXPECT_EQ(g->sub_desired, w->sub_desired);
+      EXPECT_EQ(g->sub_active, w->sub_active);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Systems, PrewarmEquivalence,
+    ::testing::Values(std::make_pair(SystemKind::kFaasTcc, false),
+                      std::make_pair(SystemKind::kFaasTcc, true),
+                      std::make_pair(SystemKind::kHydroCache, false),
+                      std::make_pair(SystemKind::kCloudburst, false)),
+    [](const auto& info) {
+      return std::string(system_name(info.param.first)) +
+             (info.param.second ? "ChaosPrewarmOpen" : "");
+    });
 
 }  // namespace
 }  // namespace faastcc::harness

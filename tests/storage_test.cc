@@ -5,6 +5,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 
 #include "net/network.h"
 #include "sim/future.h"
@@ -244,6 +245,66 @@ TEST_P(MvStoreRandomOps, MatchesReferenceModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MvStoreRandomOps,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
+
+// ---------------------------------------------------------------------------
+// SubscriberTable
+// ---------------------------------------------------------------------------
+
+// Property sweep: the table agrees with a map of sets under random
+// one-cache adds, removes and bulk adds onto absent and present keys.  An
+// add reports exactly the caches it added, ascending, and sizes a fresh
+// list exactly.
+class SubscriberTableRandomOps : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SubscriberTableRandomOps, MatchesReferenceModel) {
+  Rng rng(GetParam());
+  SubscriberTable table;
+  std::map<Key, std::set<net::Address>> model;
+  constexpr Key kKeys = 12;
+  for (int op = 0; op < 3000; ++op) {
+    const Key k = rng.next_below(kKeys);
+    const auto cache = static_cast<net::Address>(60 + rng.next_below(8));
+    const int what = static_cast<int>(rng.next_below(10));
+    if (what < 3) {
+      bool added = false;
+      table.add(k, {&cache, 1}, [&](net::Address) { added = true; });
+      EXPECT_EQ(added, model[k].insert(cache).second);
+    } else if (what < 6) {
+      const bool had = model.count(k) != 0 && model[k].erase(cache) == 1;
+      EXPECT_EQ(table.remove(k, cache), had);
+    } else {
+      std::vector<net::Address> ascending;
+      for (net::Address a = 60; a < 68; ++a) {
+        if (rng.next_bool(0.4)) ascending.push_back(a);
+      }
+      const bool absent = !table.contains(k);
+      std::vector<net::Address> added;
+      std::vector<net::Address> expected;
+      for (net::Address a : ascending) {
+        if (model[k].insert(a).second) expected.push_back(a);
+      }
+      table.add(k, ascending, [&](net::Address a) { added.push_back(a); });
+      EXPECT_EQ(added, expected) << "seed " << GetParam() << " op " << op;
+      if (absent && !ascending.empty()) {
+        EXPECT_EQ(table.find(k)->capacity(), ascending.size());
+      }
+    }
+    for (Key key = 0; key < kKeys; ++key) {
+      const auto it = model.find(key);
+      const bool subscribed = it != model.end() && !it->second.empty();
+      ASSERT_EQ(table.contains(key), subscribed) << "key " << key;
+      if (!subscribed) {
+        EXPECT_EQ(table.find(key), nullptr);
+        continue;
+      }
+      EXPECT_EQ(*table.find(key), std::vector<net::Address>(
+                                      it->second.begin(), it->second.end()));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SubscriberTableRandomOps,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 // ---------------------------------------------------------------------------
 // Stabilizer
@@ -537,7 +598,8 @@ TEST_F(TccClusterTest, PushNotifiesSubscribedCache) {
   cache.handle_oneway(kTccPushBatch, [&](Buffer b, net::Address) {
     pushes.push_back(decode_message<PushBatchMsg>(b));
   });
-  partitions_[5 % kPartitions]->add_subscriber(5, 60);
+  partitions_[5 % kPartitions]->add_subscribers(
+      5, std::vector<net::Address>{60});
   run([&]() -> sim::Task<void> {
     *co_await client_->commit(1, one_write(5, "fresh"), Timestamp::min());
     co_await sim::sleep_for(loop_, milliseconds(120));  // > push period
@@ -558,7 +620,7 @@ TEST_F(TccClusterTest, EmptyPushesCarryStableTimeHeartbeat) {
   cache.handle_oneway(kTccPushBatch, [&](Buffer b, net::Address) {
     pushes.push_back(decode_message<PushBatchMsg>(b));
   });
-  partitions_[0]->add_subscriber(0, 60);
+  partitions_[0]->add_subscribers(0, std::vector<net::Address>{60});
   loop_.run_until(loop_.now() + milliseconds(200));
   ASSERT_GE(pushes.size(), 2u);
   EXPECT_GT(pushes.back().stable_time, pushes.front().stable_time);
@@ -598,7 +660,7 @@ TEST(TccPartitionPush, ReachesSubscribersInAscendingAddressOrder) {
   }
   // Subscribers register out of address order, one of them twice.
   for (net::Address a : {64u, 61u, 63u, 62u, 63u}) {
-    partition.add_subscriber(5, a);
+    partition.add_subscribers(5, std::vector{a});
   }
   bool committed = false;
   sim::spawn(commit_one_write(client, 5, committed));
@@ -740,7 +802,7 @@ TEST_F(EvClusterTest, SubscribedCacheReceivesPush) {
   cache.handle_oneway(kEvPush, [&](Buffer b, net::Address) {
     pushes.push_back(decode_message<EvGossipMsg>(b));
   });
-  replicas_[0]->add_subscriber(0, 60);
+  replicas_[0]->add_subscribers(0, std::vector<net::Address>{60});
   run([&]() -> sim::Task<void> {
     EvItem item;
     item.key = 0;
