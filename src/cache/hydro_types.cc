@@ -1,15 +1,13 @@
 #include "cache/hydro_types.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/probe_index.h"
+#include "common/shared_block.h"
 
 namespace faastcc::cache {
 namespace {
@@ -67,66 +65,6 @@ inline bool raise(Dep& cur, uint64_t counter, SimTime written_at,
 // The context level of a stored dependency (see DepMap::require_all).
 inline uint8_t context_level(const StoredDep& d) {
   return static_cast<uint8_t>(std::min<int>(d.level + 1, 2));
-}
-
-// The table behind DepList's block sharing: every live record block of a
-// built or decoded list, found by content through a probing index
-// (common/probe_index.h) hashed over all the block's bytes.
-//
-// A block that only the table still holds is swept when the table reaches
-// `sweep_at_`: twice the blocks that survived the previous sweep, and at
-// least kMinSweep.  Only a sweep scans the table.  The block vector and
-// the index are sized for `sweep_at_` blocks at each sweep, so between
-// sweeps a new list costs exactly its one block.
-class RecordBlocks {
- public:
-  RecordBlocks() { resize_for(kMinSweep); }
-
-  // The held block with bytes `records`, or a new one the table keeps.
-  Value intern(std::string_view records) {
-    if (records.empty()) return Value();
-    const uint64_t h = hash(records);
-    const size_t pos = index_.find(
-        h, [&](uint32_t s) { return blocks_[s].view() == records; });
-    if (pos != detail::ProbeIndex::kNoPos) {
-      return blocks_[index_.slot_at(pos)];
-    }
-    if (blocks_.size() == sweep_at_) sweep();
-    const auto s = static_cast<uint32_t>(blocks_.size());
-    blocks_.emplace_back(records);
-    index_.insert(h, s);
-    return blocks_.back();
-  }
-
- private:
-  static constexpr size_t kMinSweep = 1024;
-
-  static uint64_t hash(std::string_view bytes) {
-    return std::hash<std::string_view>()(bytes);
-  }
-
-  void sweep() {
-    std::erase_if(blocks_, [](const Value& b) { return b.unique(); });
-    sweep_at_ = std::max(kMinSweep, 2 * blocks_.size());
-    resize_for(sweep_at_);
-  }
-
-  // Room for `n` blocks: the vector reserved, the index at most half full.
-  void resize_for(size_t n) {
-    blocks_.reserve(n);
-    index_.rehash(std::bit_ceil(2 * n), static_cast<uint32_t>(blocks_.size()),
-                  [this](uint32_t s) { return hash(blocks_[s].view()); });
-  }
-
-  std::vector<Value> blocks_;
-  detail::ProbeIndex index_;
-  size_t sweep_at_ = kMinSweep;
-};
-
-// This thread's block holding `records` (see DepList).
-Value shared_block(std::string_view records) {
-  thread_local RecordBlocks table;
-  return table.intern(records);
 }
 
 }  // namespace

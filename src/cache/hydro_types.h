@@ -658,16 +658,12 @@ static_assert(Wire<StoredDep>::kMinSize == kStoredDepWireBytes);
 // parses a record into a StoredDep by value.  Wire format is that of a
 // std::vector<StoredDep>.
 //
-// Blocks are shared by content: building or decoding a list looks its
-// record bytes up in a thread-local table of live blocks (compared byte
-// for byte) and takes the held block on a hit, so the caches that decode
-// one push, and the client that decodes the list a cache just sent, hold
-// one block between them.  A miss allocates one exact-size
-// block, so a long-lived list never keeps a push or response frame alive.
-// Blocks only the table still holds are swept once the table has doubled
-// since its last sweep (and holds at least 1024), which keeps it within
-// twice the live distinct lists.  No simulated decision reads a block's
-// address, so sharing changes no schedule.
+// Blocks are shared by content (common/shared_block.h): building or
+// decoding a list takes the held block with its record bytes, so the
+// caches that decode one push, and the client that decodes the list a
+// cache just sent, hold one block between them.  A miss allocates one
+// exact-size block, so a long-lived list never keeps a push or response
+// frame alive.
 //
 // Entries are in non-decreasing key order (the order commits write them),
 // which is what lets validation walk a list against a context as one

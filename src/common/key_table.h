@@ -1,5 +1,6 @@
 // A keyed slab table: the map behind every cache's entries (with their LRU
-// order) and the storage layer's per-key subscriber lists.
+// order) and the storage layer's per-key state: MvStore version chains,
+// eventual-store items and subscriber sets.
 //
 // Entries sit in one contiguous vector of slots.  An open-addressing index
 // (common/probe_index.h: linear probing over u32 slot numbers, at most half
@@ -106,6 +107,10 @@ class KeyTable {
   template <typename F>
   void for_each(F&& f) {
     for (Slot& s : slots_) f(s.key, s.value);
+  }
+  template <typename F>
+  void for_each(F&& f) const {
+    for (const Slot& s : slots_) f(s.key, s.value);
   }
 
  private:

@@ -346,9 +346,21 @@ void Cluster::build_clients() {
 void Cluster::preload() {
   const Value value(params_.workload.value_size, 'x');
   const Timestamp init_ts(1, 0, 0);
+  // Partition p preloads the keys k with k % partitions == p.
+  const uint64_t keys = params_.workload.num_keys;
+  const size_t parts = params_.partitions;
+  auto keys_of = [&](size_t p) { return (keys + parts - 1 - p) / parts; };
   if (params_.system == SystemKind::kFaasTcc) {
-    for (Key k = 0; k < params_.workload.num_keys; ++k) {
-      const size_t p = k % params_.partitions;
+    for (size_t p = 0; p < parts; ++p) {
+      tcc_partitions_[p]->store().reserve(keys_of(p));
+      if (!params_.replication.enabled()) continue;
+      for (size_t r = 0; r < params_.replication.factor; ++r) {
+        tcc_followers_[p * params_.replication.factor + r]->store().reserve(
+            keys_of(p));
+      }
+    }
+    for (Key k = 0; k < keys; ++k) {
+      const size_t p = k % parts;
       tcc_partitions_[p]->store().install(k, value, init_ts);
       // Followers start from the same preloaded image as their leader, so
       // the replication stream only ever carries post-start commits.  Not
@@ -374,13 +386,18 @@ void Cluster::preload() {
   } else {
     payload = value;
   }
-  for (Key k = 0; k < params_.workload.num_keys; ++k) {
+  for (size_t p = 0; p < parts; ++p) {
+    for (size_t r = 0; r < params_.ev_replicas; ++r) {
+      ev_replicas_[p * params_.ev_replicas + r]->reserve(keys_of(p));
+    }
+  }
+  for (Key k = 0; k < keys; ++k) {
     storage::EvItem item;
     item.key = k;
     item.version = storage::EvVersion{1, 0};
     item.written_at = 0;
     item.payload = payload;
-    const size_t p = k % params_.partitions;
+    const size_t p = k % parts;
     for (size_t r = 0; r < params_.ev_replicas; ++r) {
       ev_replicas_[p * params_.ev_replicas + r]->preload(item);
     }

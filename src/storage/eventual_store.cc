@@ -69,13 +69,11 @@ sim::Task<void> EvReplica::push_loop() {
     if (dirty_.empty()) continue;
     std::unordered_map<net::Address, EvGossipMsg> batches;
     for (Key k : dirty_) {
-      const auto* subs = subscribers_.find(k);
-      if (subs == nullptr) continue;
-      auto data_it = data_.find(k);
-      if (data_it == data_.end()) continue;
-      for (net::Address sub : *subs) {
-        batches[sub].items.push_back(data_it->second);
-      }
+      const auto subs = subscribers_.find(k);
+      if (subs.empty()) continue;
+      const EvItem* item = data_.find(k);
+      if (item == nullptr) continue;
+      for (net::Address sub : subs) batches[sub].items.push_back(*item);
     }
     dirty_.clear();
     for (auto& [addr, batch] : batches) {
@@ -86,18 +84,13 @@ sim::Task<void> EvReplica::push_loop() {
 }
 
 void EvReplica::merge(EvItem item) {
-  auto it = data_.find(item.key);
-  if (it == data_.end()) {
-    payload_bytes_ += item.payload.size();
-    if (subscribers_.contains(item.key)) dirty_.insert(item.key);
-    data_.emplace(item.key, std::move(item));
-    return;
-  }
-  if (item.version <= it->second.version) return;
-  payload_bytes_ -= it->second.payload.size();
+  const Key k = item.key;
+  auto [cur, inserted] = data_.try_emplace(k);
+  if (!inserted && item.version <= cur->version) return;
+  payload_bytes_ -= cur->payload.size();
   payload_bytes_ += item.payload.size();
-  if (subscribers_.contains(item.key)) dirty_.insert(item.key);
-  it->second = std::move(item);
+  if (subscribers_.contains(k)) dirty_.insert(k);
+  *cur = std::move(item);
 }
 
 sim::Task<Buffer> EvReplica::on_get(Buffer req, net::Address) {
@@ -110,8 +103,7 @@ sim::Task<Buffer> EvReplica::on_get(Buffer req, net::Address) {
   EvGetResp resp;
   resp.global_cut = global_cut_;
   for (Key k : q.keys) {
-    auto it = data_.find(k);
-    if (it != data_.end()) resp.found.push_back(it->second);
+    if (const EvItem* item = data_.find(k)) resp.found.push_back(*item);
   }
   co_return rpc_.encode(resp);
 }
@@ -129,8 +121,8 @@ sim::Task<Buffer> EvReplica::on_put(Buffer req, net::Address) {
     // The replica ensures the assigned counter exceeds the newest version
     // it has seen for the key; clients that track versions (HydroCache)
     // propose a counter reflecting their causal past, others propose 0.
-    auto it = data_.find(item.key);
-    const uint64_t base = it == data_.end() ? 0 : it->second.version.counter;
+    const EvItem* cur = data_.find(item.key);
+    const uint64_t base = cur == nullptr ? 0 : cur->version.counter;
     item.version.counter = std::max(base + 1, item.version.counter);
     item.written_at = rpc_.now();
     resp.versions.push_back(item.version);
@@ -200,9 +192,6 @@ sim::Task<void> EvReplica::cut_loop() {
   }
 }
 
-const EvItem* EvReplica::peek(Key k) const {
-  auto it = data_.find(k);
-  return it == data_.end() ? nullptr : &it->second;
-}
+const EvItem* EvReplica::peek(Key k) const { return data_.find(k); }
 
 }  // namespace faastcc::storage

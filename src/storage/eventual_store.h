@@ -15,6 +15,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/key_table.h"
 #include "common/rng.h"
 #include "net/rpc.h"
 #include "storage/messages.h"
@@ -54,6 +55,8 @@ class EvReplica {
 
   // Installs an item directly, bypassing the protocol (dataset preload).
   void preload(EvItem item) { merge(std::move(item)); }
+  // Sizes the item table for `n` keys (before the preload).
+  void reserve(size_t n) { data_.reserve(n); }
 
   // Registers caches for `k`'s update notifications (the kEvSubscribe
   // handler and the cache prewarm).  Caches subscribe at one replica of the
@@ -83,7 +86,7 @@ class EvReplica {
   std::vector<net::Address> peers_;
   std::vector<net::Address> all_replicas_;
   EventualStoreParams params_;
-  std::unordered_map<Key, EvItem> data_;
+  KeyTable<EvItem> data_;
   size_t payload_bytes_ = 0;
   // Items accepted locally but not yet gossiped to peers.
   std::vector<EvItem> outbox_;

@@ -5,16 +5,22 @@
 // successor's timestamp, from which the partition derives the promise
 // (§4.2: "either the timestamp of the next version, or the timestamp of
 // the last committed transaction").
+//
+// Chains sit in the slots of a KeyTable (common/key_table.h).  A slot
+// holds the key's newest version inline; older versions go behind one
+// pointer that stays null while the key has a single version, as every
+// preloaded key does until its first write.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/hlc.h"
+#include "common/key_table.h"
 #include "common/types.h"
 
 namespace faastcc::storage {
@@ -44,7 +50,7 @@ class MvStore {
 
   // Removes and returns every chain whose key satisfies `pred` (the slots
   // leaving this partition).  Results are sorted by key: chains_ iterates
-  // in hash order, and the extracted set goes on the wire where byte
+  // in slot order, and the extracted set goes on the wire where byte
   // layout must be deterministic.
   std::vector<std::pair<Key, std::vector<Version>>> extract_chains(
       const std::function<bool(Key)>& pred);
@@ -62,6 +68,9 @@ class MvStore {
   // snapshot in [its ts, horizon]).  Returns number of versions dropped.
   size_t gc_before(Timestamp horizon);
 
+  // Sizes the table for `n` keys (the dataset preload).
+  void reserve(size_t n) { chains_.reserve(n); }
+
   size_t num_keys() const { return chains_.size(); }
   size_t num_versions() const { return num_versions_; }
   size_t value_bytes() const { return value_bytes_; }
@@ -71,9 +80,18 @@ class MvStore {
   std::optional<Timestamp> newest_ts(Key key) const;
 
  private:
-  // Chains are small (GC keeps them short), so a sorted vector wins over
-  // any tree on both memory and scan speed.
-  std::unordered_map<Key, std::vector<Version>> chains_;
+  // One key's versions: the newest inline, the older ones ascending by
+  // timestamp behind `older` (null when there are none).  A chain is never
+  // empty.
+  struct Chain {
+    Version newest;
+    std::unique_ptr<std::vector<Version>> older;
+  };
+
+  // The chain's versions, oldest first.
+  static std::vector<Version> flatten(const Chain& c);
+
+  KeyTable<Chain> chains_;
   size_t num_versions_ = 0;
   size_t value_bytes_ = 0;
 };

@@ -759,12 +759,12 @@ sim::Task<void> TccPartition::push_loop() {
     // re-derives it from the frame's stable time.
     std::unordered_map<net::Address, PushBatchMsg> batches;
     for (Key k : dirty_) {
-      const auto* subs = subscribers_.find(k);
-      if (subs == nullptr) continue;
+      const auto subs = subscribers_.find(k);
+      if (subs.empty()) continue;
       const auto r = store_.read_at(k, Timestamp::max());
       if (r.version == nullptr) continue;
       const PushUpdate u{k, r.version->value, r.version->ts};
-      for (net::Address sub : *subs) {
+      for (net::Address sub : subs) {
         batches[sub].updates.push_back(u);
       }
     }
@@ -821,10 +821,10 @@ sim::Task<Buffer> TccPartition::on_migrate_out(Buffer req, net::Address) {
     // Drop pub/sub state for the moved keys: the caches re-home their
     // subscriptions at the new owner when they adopt the fresh table.
     dirty_.erase(key);
-    if (const auto* subs = subscribers_.find(key); subs != nullptr) {
-      const std::vector<net::Address> copy = *subs;
-      for (net::Address c : copy) drop_subscriber(key, c);
-    }
+    const auto subs = subscribers_.find(key);
+    // A copy: each drop replaces the key's set.
+    const std::vector<net::Address> copy(subs.begin(), subs.end());
+    for (net::Address c : copy) drop_subscriber(key, c);
     MigratedChain chain;
     chain.key = key;
     chain.versions.reserve(versions.size());

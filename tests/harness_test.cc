@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -250,22 +251,26 @@ void expect_same_caches(const std::vector<std::unique_ptr<C>>& got,
   }
 }
 
+std::vector<net::Address> list_of(std::span<const net::Address> subs) {
+  return std::vector<net::Address>(subs.begin(), subs.end());
+}
+
 void expect_exact_lists(const storage::SubscriberTable& got,
                         const storage::SubscriberTable& want, Key keys) {
   for (Key k = 0; k < keys; ++k) {
-    const auto* g = got.find(k);
-    const auto* w = want.find(k);
-    ASSERT_EQ(g == nullptr, w == nullptr) << "key " << k;
-    if (g == nullptr) continue;
-    EXPECT_EQ(*g, *w) << "key " << k;
-    EXPECT_TRUE(std::is_sorted(g->begin(), g->end())) << "key " << k;
-    EXPECT_EQ(g->capacity(), g->size()) << "key " << k;
+    const auto g = got.find(k);
+    const auto w = want.find(k);
+    ASSERT_EQ(got.contains(k), want.contains(k)) << "key " << k;
+    EXPECT_EQ(list_of(g), list_of(w)) << "key " << k;
+    EXPECT_TRUE(std::is_sorted(g.begin(), g.end())) << "key " << k;
+    // Equal sets share one block, across tables too.
+    EXPECT_EQ(g.data(), w.data()) << "key " << k;
   }
 }
 
 // Prewarming in one sized pass leaves every cache table, subscriber list
-// and subscriber count as the per-cache build does, with each list
-// allocated at its size.
+// and subscriber count as the per-cache build does, and every prewarmed
+// key holds the same shared subscriber block.
 class PrewarmEquivalence
     : public ::testing::TestWithParam<std::pair<SystemKind, bool>> {};
 
@@ -306,19 +311,23 @@ TEST_P(PrewarmEquivalence, MatchesPerCacheBuild) {
   for (auto& c : one_pass.plain_caches()) caches.push_back(c->address());
   std::sort(caches.begin(), caches.end());
   ASSERT_EQ(caches.size(), p.compute_nodes);
+  const net::Address* block = nullptr;
   for (Key k = 0; k < keys; ++k) {
     const size_t part = k % p.partitions;
-    const auto* subs =
+    const storage::SubscriberTable& table =
         system == SystemKind::kFaasTcc
-            ? one_pass.tcc_partitions()[part]->subscribers().find(k)
-            : one_pass.ev_replicas()[part * p.ev_replicas]->subscribers().find(
-                  k);
+            ? one_pass.tcc_partitions()[part]->subscribers()
+            : one_pass.ev_replicas()[part * p.ev_replicas]->subscribers();
+    const auto subs = table.find(k);
     if (chaos) {
-      EXPECT_EQ(subs, nullptr);
+      EXPECT_FALSE(table.contains(k));
+      EXPECT_TRUE(subs.empty());
       continue;
     }
-    ASSERT_NE(subs, nullptr) << "key " << k;
-    EXPECT_EQ(*subs, caches) << "key " << k;
+    EXPECT_EQ(list_of(subs), caches) << "key " << k;
+    if (k == 0) block = subs.data();
+    ASSERT_NE(block, nullptr);
+    EXPECT_EQ(subs.data(), block) << "key " << k;
   }
   EXPECT_EQ(subscribed, system == SystemKind::kFaasTcc && !chaos
                             ? keys * caches.size()
