@@ -55,9 +55,9 @@ HydroCache::Fit HydroCache::check(const DepMap& ctx, Key key,
                                   uint64_t counter, const DepList& deps) {
   // One forward pass: the key-sorted list walks the context with a
   // Seeker, the candidate's own key probed at its place in that order.
-  // The shipped context stays in raw wire form — never parsed.  A
-  // too-old verdict outranks a conflict, so a conflict found before the
-  // key is reached only returns once the key has passed.
+  // The shipped context stays a wire image: only probed records are
+  // parsed.  A too-old verdict outranks a conflict, so a conflict found
+  // before the key is reached only returns once the key has passed.
   DepMap::Seeker seeker(ctx);
   bool key_checked = false;
   bool conflict = false;

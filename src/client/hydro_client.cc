@@ -57,8 +57,8 @@ std::unique_ptr<FunctionTxn> HydroAdapter::open(
       HydroContext p = decode_message<HydroContext>(b);
       // Parallel branches that read *different* versions of the same key
       // cannot be reconciled: the values were already consumed.  Against an
-      // empty accumulator the check is vacuous — skipping it keeps the first
-      // parent's decoded map in raw wire form for the merge below.
+      // empty accumulator the check is vacuous, so the first parent's map
+      // is adopted by the merge below without a walk.
       if (!ctx.deps.empty()) {
         bool conflict = false;
         p.deps.for_each([&](Key k, const cache::Dep& d) {
@@ -83,10 +83,8 @@ std::unique_ptr<FunctionTxn> HydroAdapter::open(
 HydroTxn::HydroTxn(HydroAdapter& adapter, TxnInfo info, HydroContext context)
     : adapter_(adapter),
       info_(std::move(info)),
-      ctx_(std::move(context)),
-      restricted_(info_.is_static &&
-                  adapter_.config_.static_metadata_optimization) {
-  if (restricted_) {
+      ctx_(std::move(context)) {
+  if (info_.is_static) {
     relevant_.insert(info_.declared_read_set.begin(),
                      info_.declared_read_set.end());
     relevant_.insert(info_.declared_write_set.begin(),
@@ -113,7 +111,7 @@ sim::Task<std::optional<std::vector<Value>>> HydroTxn::read(
   cache::HydroReadReq req;
   req.keys.reserve(missing.size());
   for (size_t idx : missing) req.keys.push_back(keys[idx]);
-  // Shares the main node; the encode walks node and overlay without a fold.
+  // Shares the image; the encode walks image and overlay without a fold.
   req.context = ctx_.deps;
 
   obs::Tracer* tracer = adapter_.tracer_;
@@ -215,7 +213,7 @@ Buffer encode_hydro_session(const HydroContext& ctx, uint64_t lamport,
     auto own = ctx.write_set.begin();  // parallel to `versions`
     size_t i = 0;
     auto put_own = [&] {
-      out.append(own->first, cache::Dep{versions[i].counter, now, 0, false, 1});
+      out.append(own->first, cache::Dep{versions[i].counter, now, false, 1});
       ++own;
       ++i;
     };
@@ -229,13 +227,13 @@ Buffer encode_hydro_session(const HydroContext& ctx, uint64_t lamport,
           put_own();
           return;
         }
-        out.append(k, cache::Dep{d.counter, d.written_at, 0, false,
+        out.append(k, cache::Dep{d.counter, d.written_at, false,
                                  static_cast<uint8_t>(c == d.counter ? 1 : 2)});
         ++own;
         ++i;
         return;
       }
-      if (past) out.append(k, cache::Dep{d.counter, d.written_at, 0, false, 2});
+      if (past) out.append(k, cache::Dep{d.counter, d.written_at, false, 2});
     });
     while (i < versions.size()) put_own();
     out.finish();

@@ -23,8 +23,6 @@
 namespace faastcc::client {
 
 struct HydroConfig {
-  // Apply the declared-read-set metadata pruning for static transactions.
-  bool static_metadata_optimization = true;
   // Dependencies older than max(global stable cut, now - window) are
   // globally visible and pruned from shipped metadata.
   Duration dep_gc_window = seconds(15);
@@ -102,14 +100,13 @@ class HydroTxn final : public FunctionTxn {
   bool shipped(Key k, const cache::Dep& d, SimTime horizon) const {
     if (d.read) return true;
     return d.written_at >= horizon &&
-           (!restricted_ || relevant_.count(k) != 0);
+           (!info_.is_static || relevant_.count(k) != 0);
   }
   HydroAdapter& adapter_;
   TxnInfo info_;
   HydroContext ctx_;
   std::unordered_map<Key, Value> read_set_;
-  // Static metadata optimization: the declared read/write set.
-  bool restricted_ = false;
+  // Static transactions: the declared read/write set.
   std::unordered_set<Key> relevant_;
   // What the last export_context() shipped, so metadata_bytes() reuses its
   // count instead of rescanning: the entry count, the horizon it was cut

@@ -30,7 +30,8 @@
 //   - FaasTccContext and HydroContext: a leading version tag selects the
 //     layout;
 //   - DepMap and HydroSession: records stream through writers and decode
-//     as views aliasing the message buffer;
+//     as views aliasing the message buffer (DepMap decode checks that the
+//     keys ascend);
 //   - DepList: its records are copied in and out as one span;
 //   - RoutingTable: decode validates slot owners, and the replica block is
 //     a trailing optional section.

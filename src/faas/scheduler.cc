@@ -73,11 +73,7 @@ sim::Task<void> Scheduler::dispatch(StartDagMsg start,
   t.session = std::move(start.session);
   t.placement.reserve(spec.functions.size());
   for (size_t i = 0; i < spec.functions.size(); ++i) {
-    if (params_.round_robin) {
-      t.placement.push_back(nodes_[next_node_++ % nodes_.size()]);
-    } else {
-      t.placement.push_back(nodes_[rng_.next_below(nodes_.size())]);
-    }
+    t.placement.push_back(nodes_[rng_.next_below(nodes_.size())]);
   }
   t.fn_index = spec.root();
   // The client's bytes ride on unless the sync function was added.

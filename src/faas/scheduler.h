@@ -1,7 +1,7 @@
 // The function scheduler: receives DAG execution requests from clients,
 // places every function on a compute node, and fires the root trigger.
 // The paper's design is agnostic to the placement heuristic (§3.2); we
-// provide uniform-random and round-robin placement.
+// place uniformly at random.
 #pragma once
 
 #include <vector>
@@ -17,7 +17,6 @@ namespace faastcc::faas {
 
 struct SchedulerParams {
   Duration service_time = microseconds(150);
-  bool round_robin = false;  // default: uniform random placement
   // Capacity of the dispatched-txn dedup window (FIFO eviction).  Clients
   // use a fresh transaction id per DAG attempt, so a repeated id is always
   // a fabric-duplicated kStartDag; dispatching it again would place a
@@ -45,7 +44,6 @@ class Scheduler {
   SchedulerParams params_;
   Rng rng_;
   obs::Tracer* tracer_;
-  size_t next_node_ = 0;
   Counter dags_started_;
   Counter dup_starts_dropped_;
   // At-most-once dispatch per transaction id (FIFO window, same idiom as

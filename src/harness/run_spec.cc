@@ -204,9 +204,7 @@ class SpecFields {
               [&p](const json::Value& v) {
                 if (!workload::parse_load_pattern(v.as_string(),
                                                   &p.workload.pattern)) {
-                  bad_value(
-                      "expected \"none\", \"bursty\", \"diurnal\" or "
-                      "\"hotspot-shift\"");
+                  bad_value("expected \"none\" or \"bursty\"");
                 }
               }},
              f_duration("pattern_period_us", &p.workload.pattern_period),
@@ -222,8 +220,6 @@ class SpecFields {
          }},
         {"hydro",
          {
-             f_bool("static_metadata_optimization",
-                    &p.hydro.static_metadata_optimization),
              f_duration("dep_gc_window_us", &p.hydro.dep_gc_window),
              f_size("stored_dep_cap", &p.hydro.stored_dep_cap),
          }},
@@ -275,7 +271,6 @@ class SpecFields {
         {"scheduler",
          {
              f_duration("service_time_us", &p.scheduler.service_time),
-             f_bool("round_robin", &p.scheduler.round_robin),
              f_size("start_dedup_cap", &p.scheduler.start_dedup_cap),
          }},
         {"net",

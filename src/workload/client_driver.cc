@@ -106,7 +106,7 @@ sim::Task<void> ClientDriver::run() {
     const Duration think = workload_.think_time_at(rpc_.now());
     if (think > Duration{0}) co_await sim::sleep_for(rpc_.loop(), think);
     // Encoded once per DAG; every attempt's StartDag shares the bytes.
-    const faas::DagView spec = workload_.next_dag(rpc_.now());
+    const faas::DagView spec = workload_.next_dag();
     for (int attempt = 0; attempt <= params_.max_retries; ++attempt) {
       const SimTime t0 = rpc_.now();
       if (metrics_ != nullptr) metrics_->dag_attempts.inc();

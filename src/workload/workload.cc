@@ -15,51 +15,25 @@ WorkloadGen::WorkloadGen(WorkloadParams params, Rng rng, ZipfSampler zipf)
   assert(zipf_.num_keys() == params.num_keys && zipf_.theta() == params.zipf);
 }
 
-Key WorkloadGen::sample_key(SimTime now) {
-  const Key base = zipf_.sample(rng_);
-  if (params_.pattern != LoadPattern::kHotspotShift ||
-      params_.pattern_period <= Duration{0} || params_.num_keys == 0) {
-    return base;
-  }
-  // Rotate the Zipf head by a fixed stride once per period: the hot set
-  // moves to keys whose chains (and cache entries, and partition load)
-  // were previously cold.  The stride is co-prime-ish with small key
-  // counts so consecutive rotations do not overlap.
-  const uint64_t rotation =
-      static_cast<uint64_t>(now) / static_cast<uint64_t>(params_.pattern_period);
-  const uint64_t stride = params_.num_keys / 7 + 1;
-  return (base + rotation * stride) % params_.num_keys;
-}
-
 Duration WorkloadGen::think_time_at(SimTime now) const {
   if (params_.think_time <= Duration{0} ||
       params_.pattern_period <= Duration{0}) {
     return Duration{0};
   }
   const auto period = static_cast<SimTime>(params_.pattern_period);
-  const SimTime phase = now % period;
   switch (params_.pattern) {
     case LoadPattern::kNone:
-    case LoadPattern::kHotspotShift:
       return Duration{0};
     case LoadPattern::kBursty:
       // Full speed for the first half of every period, throttled for the
       // second: the spike the autoscaler should chase, then the trough it
       // should give capacity back in.
-      return phase < period / 2 ? Duration{0} : params_.think_time;
-    case LoadPattern::kDiurnal: {
-      // Triangle wave peaking mid-period: think time shrinks linearly to 0
-      // at the peak and grows back to think_time at the edges.
-      const SimTime half = period / 2;
-      if (half <= 0) return Duration{0};
-      const SimTime dist = phase < half ? half - phase : phase - half;
-      return Duration{static_cast<Duration>(params_.think_time) * dist / half};
-    }
+      return now % period < period / 2 ? Duration{0} : params_.think_time;
   }
   return Duration{0};
 }
 
-faas::DagSpec WorkloadGen::next_dag(SimTime now) {
+faas::DagSpec WorkloadGen::next_dag() {
   ++seq_;
   std::vector<faas::FunctionSpec> fns;
   fns.reserve(static_cast<size_t>(params_.dag_size));
@@ -69,7 +43,7 @@ faas::DagSpec WorkloadGen::next_dag(SimTime now) {
     std::vector<Key> keys;
     keys.reserve(static_cast<size_t>(params_.reads_per_function));
     for (int r = 0; r < params_.reads_per_function; ++r) {
-      keys.push_back(sample_key(now));
+      keys.push_back(zipf_.sample(rng_));
     }
     if (params_.static_txns) read_set.insert(keys.begin(), keys.end());
     faas::FunctionSpec fn;
@@ -81,7 +55,7 @@ faas::DagSpec WorkloadGen::next_dag(SimTime now) {
       fn.name = "wl_sink";
       SinkArgs args;
       args.keys = std::move(keys);
-      args.write_key = sample_key(now);
+      args.write_key = zipf_.sample(rng_);
       args.value = Value(params_.value_size, static_cast<char>('a' + seq_ % 26));
       fn.args = encode_message(args);
     }

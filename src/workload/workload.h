@@ -15,22 +15,18 @@
 
 namespace faastcc::workload {
 
-// Time-varying load shapes for driving the autoscaler.  All are
-// deterministic functions of sim time (no extra randomness), so a run
-// with kNone is bit-identical to one predating the pattern machinery.
+// Time-varying load shapes for driving the autoscaler.  A deterministic
+// function of sim time (no extra randomness), so a run with kNone is
+// bit-identical to one predating the pattern machinery.
 enum class LoadPattern : uint8_t {
-  kNone = 0,     // constant closed-loop load (historical behavior)
-  kBursty,       // on/off: full speed for half the period, idle the rest
-  kDiurnal,      // triangle wave: load peaks mid-period, troughs at edges
-  kHotspotShift, // constant rate, but the Zipf hotspot rotates per period
+  kNone = 0,  // constant closed-loop load (historical behavior)
+  kBursty,    // on/off: full speed for half the period, idle the rest
 };
 
 inline const char* load_pattern_name(LoadPattern p) {
   switch (p) {
     case LoadPattern::kNone: return "none";
     case LoadPattern::kBursty: return "bursty";
-    case LoadPattern::kDiurnal: return "diurnal";
-    case LoadPattern::kHotspotShift: return "hotspot-shift";
   }
   return "?";
 }
@@ -39,10 +35,6 @@ inline bool parse_load_pattern(std::string_view name, LoadPattern* out) {
     *out = LoadPattern::kNone;
   } else if (name == "bursty") {
     *out = LoadPattern::kBursty;
-  } else if (name == "diurnal") {
-    *out = LoadPattern::kDiurnal;
-  } else if (name == "hotspot-shift") {
-    *out = LoadPattern::kHotspotShift;
   } else {
     return false;
   }
@@ -57,9 +49,9 @@ struct WorkloadParams {
   size_t value_size = 8;       // bytes
   bool static_txns = false;
   // Load shaping (autoscaler experiments).  kNone is inert: clients never
-  // sleep between DAGs and key sampling ignores time.
+  // sleep between DAGs.
   LoadPattern pattern = LoadPattern::kNone;
-  Duration pattern_period = seconds(1);  // burst/diurnal cycle; rotation step
+  Duration pattern_period = seconds(1);  // burst cycle
   Duration think_time = Duration{0};     // max inter-DAG pause when off-peak
 };
 
@@ -87,15 +79,12 @@ class WorkloadGen {
   // cluster builds one table for all of its clients).
   WorkloadGen(WorkloadParams params, Rng rng, ZipfSampler zipf);
 
-  // Builds one chain DAG with freshly sampled keys.  `now` only matters to
-  // the hotspot-shifting pattern (it decides the current rotation); every
-  // other pattern ignores it, keeping historical runs bit-identical.
-  faas::DagSpec next_dag(SimTime now = 0);
+  // Builds one chain DAG with freshly sampled keys.
+  faas::DagSpec next_dag();
 
   // How long the closed-loop client should pause before its next DAG at
-  // sim time `now`.  Zero for kNone and kHotspotShift (no pause — the
-  // paper's closed loop), on/off for kBursty, a triangle wave for
-  // kDiurnal.  Pure function of (params, now): no randomness.
+  // sim time `now`.  Zero for kNone (no pause — the paper's closed loop),
+  // on/off for kBursty.  Pure function of (params, now): no randomness.
   Duration think_time_at(SimTime now) const;
 
   const WorkloadParams& params() const { return params_; }
@@ -104,8 +93,6 @@ class WorkloadGen {
   static void register_functions(faas::FunctionRegistry& registry);
 
  private:
-  Key sample_key(SimTime now);
-
   WorkloadParams params_;
   Rng rng_;
   ZipfSampler zipf_;

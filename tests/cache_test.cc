@@ -64,29 +64,52 @@ TEST(LruIndex, TouchIsIdempotentOnSize) {
 // DepMap
 // ---------------------------------------------------------------------------
 
+// The entry for `k`, which must be present.
+Dep entry(const DepMap& m, Key k) {
+  Dep d;
+  EXPECT_TRUE(m.lookup(k, d)) << "key " << k;
+  return d;
+}
+
+bool has(const DepMap& m, Key k) {
+  Dep d;
+  return m.lookup(k, d);
+}
+
+// `m` pruned to the entries satisfying keep(key, entry), the way a context
+// ships: an encode_if export, decoded back.
+template <typename Pred>
+DepMap pruned(const DepMap& m, Pred keep) {
+  BufWriter w;
+  m.encode_if(w, keep);
+  const Buffer b = w.take();
+  BufReader r(b);
+  return DepMap::decode(r);
+}
+
 TEST(DepMap, RequireKeepsMaxCounter) {
   DepMap m;
   m.require(1, 5, 100, 1);
   m.require(1, 3, 50, 0);
-  EXPECT_EQ(m.find(1)->counter, 5u);
+  EXPECT_EQ(entry(m, 1).counter, 5u);
   m.require(1, 9, 200, 2);
-  EXPECT_EQ(m.find(1)->counter, 9u);
-  EXPECT_EQ(m.find(1)->level, 2);
+  EXPECT_EQ(entry(m, 1).counter, 9u);
+  EXPECT_EQ(entry(m, 1).level, 2);
 }
 
 TEST(DepMap, EqualCounterKeepsMinLevel) {
   DepMap m;
   m.require(1, 5, 100, 2);
   m.require(1, 5, 100, 1);
-  EXPECT_EQ(m.find(1)->level, 1);
+  EXPECT_EQ(entry(m, 1).level, 1);
 }
 
 TEST(DepMap, ReadFlagIsSticky) {
   DepMap m;
   m.mark_read(1, 5, 100);
   m.require(1, 7, 200, 1);
-  EXPECT_TRUE(m.find(1)->read);
-  EXPECT_EQ(m.find(1)->counter, 7u);
+  EXPECT_TRUE(entry(m, 1).read);
+  EXPECT_EQ(entry(m, 1).counter, 7u);
 }
 
 TEST(DepMap, MergePreservesReadsAndMaxima) {
@@ -96,21 +119,25 @@ TEST(DepMap, MergePreservesReadsAndMaxima) {
   b.require(1, 9, 200, 2);
   b.mark_read(3, 1, 10);
   a.merge(b);
-  EXPECT_TRUE(a.find(1)->read);
-  EXPECT_EQ(a.find(1)->counter, 9u);
-  EXPECT_EQ(a.find(2)->counter, 3u);
-  EXPECT_TRUE(a.find(3)->read);
+  EXPECT_TRUE(entry(a, 1).read);
+  EXPECT_EQ(entry(a, 1).counter, 9u);
+  EXPECT_EQ(entry(a, 2).counter, 3u);
+  EXPECT_TRUE(entry(a, 3).read);
 }
 
+// Metadata GC as a context ships: entries written before the horizon are
+// dropped, read markers never.
 TEST(DepMap, GcDropsOldNonReadEntries) {
   DepMap m;
   m.require(1, 5, 100, 1);
   m.mark_read(2, 5, 100);
   m.require(3, 5, 5000, 1);
-  m.gc_before(1000);
-  EXPECT_EQ(m.find(1), nullptr);     // old, not read
-  EXPECT_NE(m.find(2), nullptr);     // read markers survive
-  EXPECT_NE(m.find(3), nullptr);     // young
+  m = pruned(m, [](Key, const Dep& d) {
+    return d.read || d.written_at >= 1000;
+  });
+  EXPECT_FALSE(has(m, 1));  // old, not read
+  EXPECT_TRUE(has(m, 2));   // read markers survive
+  EXPECT_TRUE(has(m, 3));   // young
 }
 
 TEST(DepMap, RestrictToDropsIrrelevantKeys) {
@@ -118,10 +145,9 @@ TEST(DepMap, RestrictToDropsIrrelevantKeys) {
   m.require(1, 5, 100, 1);
   m.require(2, 5, 100, 1);
   m.require(3, 5, 100, 1);
-  std::unordered_set<Key> keep{1, 3};
-  m.restrict_to(keep);
+  m = pruned(m, [](Key k, const Dep&) { return k != 2; });
   EXPECT_EQ(m.size(), 2u);
-  EXPECT_EQ(m.find(2), nullptr);
+  EXPECT_FALSE(has(m, 2));
 }
 
 // Regression: the hash-map DepMap encoded in bucket-iteration order, so
@@ -161,22 +187,22 @@ TEST(DepMap, EncodeIsCanonicalAcrossInsertionOrders) {
   }
 }
 
-// Regression: restrict_to used to erase read-marked entries whose keys
-// fell outside the declared key set, silently disabling conflict detection
-// for reads the static analysis did not anticipate.  Read markers must be
-// exempt from pruning.
+// Regression: the declared-set prune used to erase read-marked entries
+// whose keys fell outside the declared key set, silently disabling
+// conflict detection for reads the static analysis did not anticipate.
+// Read markers must be exempt from pruning (HydroTxn's shipped() predicate;
+// HydroOpenTest.StaticPruneKeepsReadMarkersOutsideDeclaredSet runs it).
 TEST(DepMap, RestrictToKeepsReadMarkersOutsideDeclaredSet) {
   DepMap m;
   m.mark_read(2, 3, 50);       // actually read, NOT in the declared set
   m.require(5, 7, 100, 1);     // plain dep outside the set: prunable
   m.require(1, 4, 100, 1);     // in the set
-  std::unordered_set<Key> declared{1};
-  m.restrict_to(declared);
-  ASSERT_NE(m.find(2), nullptr) << "read marker dropped by restrict_to";
-  EXPECT_TRUE(m.find(2)->read);
-  EXPECT_EQ(m.find(2)->counter, 3u);
-  EXPECT_NE(m.find(1), nullptr);
-  EXPECT_EQ(m.find(5), nullptr);  // non-read entries still pruned
+  m = pruned(m, [](Key k, const Dep& d) { return d.read || k == 1; });
+  ASSERT_TRUE(has(m, 2)) << "read marker dropped by the prune";
+  EXPECT_TRUE(entry(m, 2).read);
+  EXPECT_EQ(entry(m, 2).counter, 3u);
+  EXPECT_TRUE(has(m, 1));
+  EXPECT_FALSE(has(m, 5));  // non-read entries still pruned
 }
 
 TEST(DepMap, WireBytesMatchEncodedSize) {
@@ -197,9 +223,9 @@ TEST(DepMap, EncodeDecodeRoundTrip) {
   BufReader r(b);
   DepMap d = DepMap::decode(r);
   EXPECT_EQ(d.size(), 2u);
-  EXPECT_TRUE(d.find(1)->read);
-  EXPECT_EQ(d.find(2)->counter, 9u);
-  EXPECT_EQ(d.find(2)->level, 2);
+  EXPECT_TRUE(entry(d, 1).read);
+  EXPECT_EQ(entry(d, 2).counter, 9u);
+  EXPECT_EQ(entry(d, 2).level, 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -689,9 +715,9 @@ TEST_F(HydroCacheTest, ConflictingDependencyAborts) {
 
 TEST_F(HydroCacheTest, ReadOutsideDeclaredSetStillAborts) {
   run([&]() -> sim::Task<void> {
-    // Regression for the restrict_to pruning bug: the transaction read
+    // Regression for the declared-set pruning bug: the transaction read
     // key 2 (counter 3), but key 2 is not in the statically declared set,
-    // so the old restrict_to dropped the read marker.  The subsequent read
+    // so the old prune dropped the read marker.  The subsequent read
     // of key 1 — whose stored value depends on key 2 @ counter 9 — then
     // sailed through instead of aborting on the irreconcilable conflict.
     std::vector<StoredDep> deps;
@@ -700,8 +726,9 @@ TEST_F(HydroCacheTest, ReadOutsideDeclaredSetStillAborts) {
     co_await sim::sleep_for(loop_, milliseconds(20));
     DepMap ctx;
     ctx.mark_read(2, 3, 50);
-    ctx.restrict_to(std::unordered_set<Key>{1});  // declared set: {1} only
-    EXPECT_NE(ctx.find(2), nullptr);
+    // The declared-set prune, declared set {1} only.
+    ctx = pruned(ctx, [](Key k, const Dep& d) { return d.read || k == 1; });
+    EXPECT_TRUE(has(ctx, 2));
     auto resp = co_await cache_read(1, std::move(ctx));
     EXPECT_TRUE(resp.abort)
         << "conflict on a read outside the declared set must still abort";

@@ -29,7 +29,7 @@ from docs_cli_lines import changed_fields, dump_spec  # noqa: E402
 CLI, FUZZ = (os.path.abspath(p) for p in sys.argv[1:3])
 
 DEFAULT_SPEC_SHA256 = (
-    "80e208f2e96971604880998a2bab4c997060f3df29ce24fa161c05cdb96bd207")
+    "580f8f5d86a902fa5f71156826fb3747c99b5cfe52cb7bfb3fb6a0ac4708fe95")
 
 CASES = [
     # .github/workflows/ci.yml: trace smoke

@@ -280,8 +280,9 @@ TEST_F(HydroOpenTest, RootInheritsSessionCausalPast) {
   ASSERT_NE(txn, nullptr);
   const auto ctx = decode_message<HydroContext>(txn->export_context());
   EXPECT_EQ(ctx.lamport, 42u);
-  ASSERT_NE(ctx.deps.find(7), nullptr);
-  EXPECT_EQ(ctx.deps.find(7)->counter, 9u);
+  cache::Dep d;
+  ASSERT_TRUE(ctx.deps.lookup(7, d));
+  EXPECT_EQ(d.counter, 9u);
 }
 
 TEST_F(HydroOpenTest, ParentsMergeDependencies) {
@@ -296,8 +297,9 @@ TEST_F(HydroOpenTest, ParentsMergeDependencies) {
   ASSERT_NE(txn, nullptr);
   const auto ctx = decode_message<HydroContext>(txn->export_context());
   EXPECT_EQ(ctx.lamport, 20u);
-  EXPECT_NE(ctx.deps.find(1), nullptr);
-  EXPECT_NE(ctx.deps.find(2), nullptr);
+  cache::Dep d;
+  EXPECT_TRUE(ctx.deps.lookup(1, d));
+  EXPECT_TRUE(ctx.deps.lookup(2, d));
 }
 
 TEST_F(HydroOpenTest, ConflictingParentReadsAbort) {
@@ -332,6 +334,27 @@ TEST_F(HydroOpenTest, StaticRestrictionPrunesMetadata) {
   EXPECT_LE(txn->metadata_bytes(), 4 + 3 * cache::kDepWireBytes);
 }
 
+// Regression: the declared-set prune once dropped read markers outside the
+// declared set, so a later conflict on such a read went undetected.  Read
+// markers ship whatever the declared set says.
+TEST_F(HydroOpenTest, StaticPruneKeepsReadMarkersOutsideDeclaredSet) {
+  info_.is_static = true;
+  info_.declared_read_set = {1};
+  HydroContext parent;
+  parent.deps.mark_read(2, 3, 50);    // read, outside the declared set
+  parent.deps.require(5, 7, 100, 1);  // plain dependency outside it
+  parent.deps.require(1, 4, 100, 1);  // in the set
+  auto txn = adapter_.open(info_, {encode_message(parent)}, Buffer{});
+  ASSERT_NE(txn, nullptr);
+  const auto ctx = decode_message<HydroContext>(txn->export_context());
+  cache::Dep d;
+  ASSERT_TRUE(ctx.deps.lookup(2, d)) << "read marker pruned";
+  EXPECT_TRUE(d.read);
+  EXPECT_EQ(d.counter, 3u);
+  EXPECT_TRUE(ctx.deps.lookup(1, d));
+  EXPECT_FALSE(ctx.deps.lookup(5, d));
+}
+
 TEST_F(HydroOpenTest, DynamicShipsFullMetadata) {
   HydroContext parent;
   for (Key k = 0; k < 100; ++k) {
@@ -343,25 +366,25 @@ TEST_F(HydroOpenTest, DynamicShipsFullMetadata) {
 }
 
 // The two-step export that export_context() streams in one pass, kept as
-// the reference: prune a copy of the dependency map (GC for dynamic
-// transactions, GC plus declared-set pruning for static ones; read markers
-// exempt from both), then encode the context around it.
+// the reference: rebuild a pruned copy of the dependency map entry by
+// entry (GC for dynamic transactions, GC plus declared-set pruning for
+// static ones; read markers exempt from both), then encode the context
+// around it.
 Buffer reference_export(const HydroContext& ctx, const TxnInfo& info,
                         SimTime horizon) {
+  std::unordered_set<Key> relevant(info.declared_read_set.begin(),
+                                   info.declared_read_set.end());
+  relevant.insert(info.declared_write_set.begin(),
+                  info.declared_write_set.end());
   HydroContext out;
-  out.deps = ctx.deps;
-  out.deps.compact();
-  if (info.is_static) {
-    std::unordered_set<Key> relevant(info.declared_read_set.begin(),
-                                     info.declared_read_set.end());
-    relevant.insert(info.declared_write_set.begin(),
-                    info.declared_write_set.end());
-    out.deps.retain([&](Key k, const cache::Dep& d) {
-      return d.read || (d.written_at >= horizon && relevant.count(k) != 0);
-    });
-  } else {
-    out.deps.gc_before(horizon);
-  }
+  ctx.deps.for_each([&](Key k, const cache::Dep& d) {
+    if (d.read) {
+      out.deps.mark_read(k, d.counter, d.written_at);
+    } else if (d.written_at >= horizon &&
+               (!info.is_static || relevant.count(k) != 0)) {
+      out.deps.require(k, d.counter, d.written_at, d.level);
+    }
+  });
   out.lamport = ctx.lamport;
   out.global_cut = ctx.global_cut;
   out.write_set = ctx.write_set;
@@ -388,7 +411,7 @@ TEST_F(HydroExport, OnePassMatchesReference) {
       }
     }
   };
-  enum Shape { kRawWithOverlay, kRep, kEmpty, kAllCollected };
+  enum Shape { kDecodedWithOverlay, kLocal, kEmpty, kAllCollected };
   for (int trial = 0; trial < 200; ++trial) {
     const auto shape = static_cast<Shape>(trial % 4);
     HydroContext ctx;
@@ -398,13 +421,13 @@ TEST_F(HydroExport, OnePassMatchesReference) {
       ctx.write_set[rng.next_below(kKeys)] = "w" + std::to_string(i);
     }
     switch (shape) {
-      case kRawWithOverlay: {
+      case kDecodedWithOverlay: {
         random_deps(ctx.deps, 300, true);
         ctx = decode_message<HydroContext>(encode_message(ctx));
         random_deps(ctx.deps, rng.next_below(40), true);  // the overlay
         break;
       }
-      case kRep:
+      case kLocal:
         random_deps(ctx.deps, 300, true);
         break;
       case kEmpty:

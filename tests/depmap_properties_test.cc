@@ -1,11 +1,12 @@
 // Property tests for the dependency-metadata engine (cache/hydro_types).
 //
 // Strategy, following the tcc_properties_test harness style: drive
-// randomized operation sequences against both the flat COW `DepMap` and a
-// deliberately naive reference model (a `std::map` replaying the
-// documented require/mark_read/merge/gc/restrict semantics — effectively
-// the pre-rewrite hash-map implementation), then compare observable
-// content after every step.  On top of the differential, the algebraic
+// randomized operation sequences against both `DepMap` (a wire image plus
+// a sorted overlay) and a deliberately naive reference model (a `std::map`
+// replaying the documented require/mark_read/merge semantics and the
+// GC/declared-set prunes a context ships through — effectively the
+// pre-rewrite hash-map implementation), then compare observable content
+// after every step.  On top of the differential, the algebraic
 // laws the merge relies on are checked directly: commutativity,
 // associativity, idempotence, and the canonical (sorted, insertion-order
 // independent) wire encoding.
@@ -150,26 +151,26 @@ void expect_equivalent(const DepMap& map, const Model& model,
                        const char* what) {
   ASSERT_EQ(map.size(), model.size()) << what;
   for (const auto& [k, d] : model) {
-    const Dep* got = map.find(k);
-    ASSERT_NE(got, nullptr) << what << " key " << k;
-    EXPECT_EQ(got->counter, d.counter) << what << " key " << k;
-    EXPECT_EQ(got->written_at, d.written_at) << what << " key " << k;
-    EXPECT_EQ(got->read, d.read) << what << " key " << k;
+    Dep got;
+    ASSERT_TRUE(map.lookup(k, got)) << what << " key " << k;
+    EXPECT_EQ(got.counter, d.counter) << what << " key " << k;
+    EXPECT_EQ(got.written_at, d.written_at) << what << " key " << k;
+    EXPECT_EQ(got.read, d.read) << what << " key " << k;
     if (!d.read) {
-      EXPECT_EQ(got->level, d.level) << what << " key " << k;
+      EXPECT_EQ(got.level, d.level) << what << " key " << k;
     }
   }
-  // And the iteration agrees (also exercises the sorted-order contract).
+  // And the traversal agrees (also exercises the sorted-order contract).
   Key prev = 0;
   size_t n = 0;
-  for (const auto& [k, d] : map) {
+  map.for_each([&](Key k, const Dep&) {
     if (n > 0) {
-      EXPECT_LT(prev, k) << what << ": iteration not sorted";
+      EXPECT_LT(prev, k) << what << ": traversal not sorted";
     }
     prev = k;
     ++n;
     EXPECT_EQ(model.count(k), 1u) << what << " extra key " << k;
-  }
+  });
   EXPECT_EQ(n, model.size()) << what;
 }
 
@@ -248,9 +249,21 @@ void expect_same_content(const DepMap& a, const DepMap& b, const char* what) {
   EXPECT_EQ(encoded(a), encoded(b)) << what;
 }
 
+// `m` pruned to the entries satisfying keep(key, entry), the way a context
+// ships (metadata GC and the declared-set prune): an encode_if export,
+// decoded back through a shared-ownership reader.
+template <typename Pred>
+DepMap pruned(const DepMap& m, Pred keep) {
+  BufWriter w;
+  m.encode_if(w, keep);
+  auto wire = std::make_shared<const Buffer>(w.take());
+  BufReader r(wire);
+  return DepMap::decode(r);
+}
+
 // ---------------------------------------------------------------------------
-// Old-vs-new differential over full op sequences (including merge, gc,
-// restrict and an encode/decode round trip after every phase).
+// Old-vs-new differential over full op sequences (including merge, the
+// GC and declared-set prunes and an encode/decode round trip).
 // ---------------------------------------------------------------------------
 
 class Differential : public ::testing::TestWithParam<uint64_t> {};
@@ -275,14 +288,18 @@ TEST_P(Differential, RandomOpSequencesMatchModel) {
     } else if (action < 88) {
       const SimTime horizon =
           static_cast<SimTime>(rng.next_below(kMaxCounter * 100));
-      map.gc_before(horizon);
+      map = pruned(map, [horizon](Key, const Dep& d) {
+        return d.read || d.written_at >= horizon;
+      });
       model_gc(model, horizon);
     } else if (action < 94) {
       std::unordered_set<Key> keep;
       for (Key k = 0; k < kKeySpace; ++k) {
         if (rng.next_bool(0.5)) keep.insert(k);
       }
-      map.restrict_to(keep);
+      map = pruned(map, [&keep](Key k, const Dep& d) {
+        return d.read || keep.count(k) != 0;
+      });
       model_restrict(model, keep);
     } else {
       // Encode/decode round trip must be the identity on content.
@@ -375,64 +392,15 @@ TEST(DepMapProperties, RequireKeepsMaxCounterStickyReadMinLevel) {
       }
       read = read || pinned.kind == Op::kMarkRead;
     }
-    const Dep* d = m.find(7);
-    ASSERT_NE(d, nullptr);
-    EXPECT_EQ(d->counter, max_counter);
-    EXPECT_EQ(d->written_at, wa(7, max_counter));
-    EXPECT_EQ(d->read, read);
+    Dep d;
+    ASSERT_TRUE(m.lookup(7, d));
+    EXPECT_EQ(d.counter, max_counter);
+    EXPECT_EQ(d.written_at, wa(7, max_counter));
+    EXPECT_EQ(d.read, read);
     if (read) {
-      EXPECT_EQ(d->level, 0) << "read entries are canonical at level 0";
+      EXPECT_EQ(d.level, 0) << "read entries are canonical at level 0";
     } else {
-      EXPECT_EQ(d->level, min_level_at_max);
-    }
-  }
-}
-
-TEST(DepMapProperties, GcInvariants) {
-  Rng rng(88);
-  for (int trial = 0; trial < 50; ++trial) {
-    DepMap m = build_map(random_ops(rng, 120));
-    const DepMap before = m;  // COW snapshot
-    const SimTime horizon =
-        static_cast<SimTime>(rng.next_below(kMaxCounter * 100));
-    m.gc_before(horizon);
-    size_t expected = 0;
-    for (const auto& [k, d] : before) {
-      const bool survives = d.read || d.written_at >= horizon;
-      if (survives) ++expected;
-      const Dep* got = m.find(k);
-      if (survives) {
-        ASSERT_NE(got, nullptr) << "gc dropped a live entry, key " << k;
-        EXPECT_EQ(got->counter, d.counter);
-      } else {
-        EXPECT_EQ(got, nullptr) << "gc kept a dead entry, key " << k;
-      }
-    }
-    EXPECT_EQ(m.size(), expected);
-  }
-}
-
-TEST(DepMapProperties, RestrictInvariants) {
-  Rng rng(99);
-  for (int trial = 0; trial < 50; ++trial) {
-    DepMap m = build_map(random_ops(rng, 120));
-    const DepMap before = m;  // COW snapshot
-    std::unordered_set<Key> keep;
-    for (Key k = 0; k < kKeySpace; ++k) {
-      if (rng.next_bool(0.4)) keep.insert(k);
-    }
-    m.restrict_to(keep);
-    for (const auto& [k, d] : before) {
-      const Dep* got = m.find(k);
-      if (d.read) {
-        ASSERT_NE(got, nullptr)
-            << "restrict_to dropped a read marker, key " << k;
-        EXPECT_TRUE(got->read);
-      } else if (keep.count(k) != 0) {
-        ASSERT_NE(got, nullptr) << "restrict_to dropped a kept key " << k;
-      } else {
-        EXPECT_EQ(got, nullptr) << "restrict_to kept a pruned key " << k;
-      }
+      EXPECT_EQ(d.level, min_level_at_max);
     }
   }
 }
@@ -485,25 +453,29 @@ TEST(DepMapProperties, EncodeDecodeIsIdentityAndSorted) {
   }
 }
 
-// Decode accepts a non-canonical (unsorted) stream and canonicalizes it.
-TEST(DepMapProperties, DecodeCanonicalizesUnsortedInput) {
-  BufWriter w;
-  w.put_u32(3);
-  for (Key k : {Key{9}, Key{2}, Key{5}}) {
-    w.put_u64(k);
-    w.put_u64(k + 1);         // counter
-    w.put_i64(static_cast<int64_t>(k * 10));
-    w.put_bool(false);
-    w.put_u8(1);
+// Decode rejects a stream whose keys are not strictly ascending: every
+// encoder writes canonical order, and a repeated key would otherwise be
+// counted twice by size().
+TEST(DepMapProperties, DecodeRejectsNonCanonicalInput) {
+  auto stream = [](std::initializer_list<Key> keys) {
+    BufWriter w;
+    w.put_u32(static_cast<uint32_t>(keys.size()));
+    for (Key k : keys) {
+      w.put_u64(k);
+      w.put_u64(k + 1);  // counter
+      w.put_i64(static_cast<int64_t>(k * 10));
+      w.put_bool(false);
+      w.put_u8(1);
+    }
+    return w.take();
+  };
+  for (const Buffer& b : {stream({9, 2, 5}), stream({2, 5, 5, 9})}) {
+    BufReader r(b);
+    EXPECT_THROW(DepMap::decode(r), CodecError);
   }
-  const Buffer b = w.take();
-  BufReader r(b);
-  const DepMap m = DepMap::decode(r);
-  EXPECT_EQ(m.size(), 3u);
-  const Buffer canon = encoded(m);
-  BufReader scan(canon);
-  scan.get_u32();
-  EXPECT_EQ(scan.get_u64(), 2u);  // re-encoded in key order
+  const Buffer canonical = stream({2, 5, 9});
+  BufReader r(canonical);
+  EXPECT_EQ(DepMap::decode(r).size(), 3u);
 }
 
 // DepList keeps key order: an unsorted list (on construction, or off the
@@ -711,11 +683,12 @@ TEST(DepMapProperties, DepListUnsortedInputSharesTheSortedBlock) {
   }
 }
 
-// encode() and for_each() walk the main representation and the pending
-// overlay as one merged stream instead of folding first: the result must
-// equal the traversal and encoding of the compacted map, and the overlay
-// must still be pending afterwards.  A map decoded through a shared-
-// ownership reader aliases the wire buffer, so a fold (which rebuilds the
+// encode() and for_each() walk the image and the pending overlay as one
+// merged stream instead of folding first: the result must equal the
+// traversal and encoding of the compacted map, and the overlay must still
+// be pending afterwards.  Both a decoded map and a locally built one are
+// an image plus an overlay; the decoded one, read through a shared-
+// ownership reader, aliases the wire buffer, so a fold (which rebuilds the
 // image in a buffer of its own) is visible as that buffer losing a holder.
 TEST(DepMapProperties, FoldFreeWalkMatchesCompactedMap) {
   using Entry = std::tuple<Key, uint64_t, SimTime, bool, uint8_t>;
@@ -730,19 +703,20 @@ TEST(DepMapProperties, FoldFreeWalkMatchesCompactedMap) {
   for (int trial = 0; trial < 100; ++trial) {
     auto wire =
         std::make_shared<const Buffer>(encoded(build_map(random_ops(rng, 60))));
-    DepMap raw = [&wire] {  // raw-backed, aliasing `wire`
+    DepMap decoded = [&wire] {  // aliasing `wire`
       BufReader r(wire);
       return DepMap::decode(r);
     }();
-    DepMap rep = build_map(random_ops(rng, 60));  // entry node + overlay
+    DepMap local = build_map(random_ops(rng, 60));
+    local.compact();  // its own image
     for (const Op& op : random_ops(rng, rng.next_below(12))) {
-      apply(raw, op);
-      apply(rep, op);
+      apply(decoded, op);
+      apply(local, op);
     }
     // A key the image lacks always lands in the overlay.
-    raw.mark_read(kKeySpace + 1, 1, 1);
+    decoded.mark_read(kKeySpace + 1, 1, 1);
     ASSERT_EQ(wire.use_count(), 2) << "decode did not alias the wire";
-    for (const DepMap* m : {&raw, &rep}) {
+    for (const DepMap* m : {&decoded, &local}) {
       const std::vector<Entry> walked = traversal(*m);
       const Buffer bytes = encoded(*m);
       DepMap folded = *m;
@@ -752,7 +726,7 @@ TEST(DepMapProperties, FoldFreeWalkMatchesCompactedMap) {
       EXPECT_EQ(bytes.size(), m->wire_bytes()) << "trial " << trial;
     }
     EXPECT_EQ(wire.use_count(), 2) << "walk folded the overlay";
-    raw.compact();
+    decoded.compact();
     EXPECT_EQ(wire.use_count(), 1) << "fold probe is blind";
   }
 }
@@ -775,14 +749,14 @@ std::vector<Op> random_ops_over(Rng& rng, size_t n, Key keys) {
   return ops;
 }
 
-enum class Shape { kRawWithOverlay, kEntryNodeWithOverlay, kEmpty };
+enum class Shape { kDecodedWithOverlay, kLocalWithOverlay, kEmpty };
 
-// A map of the given shape.  The raw image aliases a shared wire buffer,
-// as a context decoded off a request does.
+// A map of the given shape.  A decoded image aliases a shared wire buffer,
+// as a context decoded off a request does; a local one owns its image.
 DepMap shaped_map(Rng& rng, Shape shape) {
   if (shape == Shape::kEmpty) return DepMap{};
   DepMap m = build_map(random_ops_over(rng, 40, kImageKeys));
-  if (shape == Shape::kRawWithOverlay) {
+  if (shape == Shape::kDecodedWithOverlay) {
     auto wire = std::make_shared<const Buffer>(encoded(m));
     BufReader r(wire);
     m = DepMap::decode(r);
@@ -811,8 +785,8 @@ DepList random_list(Rng& rng, size_t n) {
   return DepList(std::move(v));  // stable-sorted by key
 }
 
-constexpr Shape kShapes[] = {Shape::kRawWithOverlay,
-                             Shape::kEntryNodeWithOverlay, Shape::kEmpty};
+constexpr Shape kShapes[] = {Shape::kDecodedWithOverlay,
+                             Shape::kLocalWithOverlay, Shape::kEmpty};
 
 TEST(DepMapProperties, SeekerMatchesLookup) {
   Rng rng(4242);
@@ -837,7 +811,6 @@ TEST(DepMapProperties, SeekerMatchesLookup) {
         EXPECT_EQ(got.written_at, want.written_at) << "trial " << trial;
         EXPECT_EQ(got.read, want.read) << "trial " << trial;
         EXPECT_EQ(got.level, want.level) << "trial " << trial;
-        EXPECT_EQ(got.key_id, want.key_id) << "trial " << trial;
       }
     }
   }
@@ -853,7 +826,7 @@ TEST(DepMapProperties, RequireAllMatchesPerKeyRequire) {
       const DepList list = random_list(rng, rng.next_bool(0.2)
                                                 ? 200
                                                 : rng.next_below(30));
-      DepMap batch = m;  // both copies share m's node
+      DepMap batch = m;  // both copies share m's image
       DepMap per_key = m;
       batch.require_all(list);
       for (const StoredDep& d : list) {
@@ -863,7 +836,7 @@ TEST(DepMapProperties, RequireAllMatchesPerKeyRequire) {
       ASSERT_EQ(encoded(batch), encoded(per_key)) << "trial " << trial;
       EXPECT_EQ(batch.size(), per_key.size()) << "trial " << trial;
       EXPECT_EQ(encoded(m), before)
-          << "require_all wrote through a shared node";
+          << "require_all wrote through a shared image";
     }
   }
 }
@@ -917,18 +890,19 @@ TEST(DepMapProperties, SeekerCheckMatchesPerKeyCheck) {
 }
 
 // ---------------------------------------------------------------------------
-// Copy-on-write sharing: copies are snapshots, mutation never leaks
-// through a shared node.
+// Shared images: copies are snapshots, mutation never leaks through a
+// shared image.
 // ---------------------------------------------------------------------------
 
 TEST(DepMapProperties, CowCopiesAreIndependentSnapshots) {
   Rng rng(555);
   DepMap a = build_map(random_ops(rng, 100));
+  a.compact();
   const Buffer before = encoded(a);
-  DepMap b = a;  // shares the node
+  DepMap b = a;  // shares the image
   b.mark_read(kKeySpace + 5, 9, 1);
   b.require(3, 1000, wa(3, 1000), 2);
-  b.gc_before(2000);
+  b.compact();
   EXPECT_EQ(encoded(a), before) << "mutating a copy leaked into the source";
   DepMap c = a;
   c.merge(b);

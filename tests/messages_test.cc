@@ -400,7 +400,8 @@ TEST(MessageRoundTrip, HydroReadReqResp) {
   check_wire_size(q);
   const auto dq = decode_message<cache::HydroReadReq>(encode_message(q));
   EXPECT_EQ(dq.keys, q.keys);
-  EXPECT_NE(dq.context.find(2), nullptr);
+  cache::Dep d;
+  EXPECT_TRUE(dq.context.lookup(2, d));
 
   cache::HydroReadResp resp;
   resp.global_cut = 55;
